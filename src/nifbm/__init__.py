@@ -36,7 +36,7 @@ from .simulation import (
     aggregate_increments,
     cholesky_factor,
     sample_increments,
-    sample_increments_circulant,
+    sample_mixed_components,
 )
 from .estimation import (
     DriftEstimate,

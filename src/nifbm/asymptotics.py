@@ -32,15 +32,13 @@ from .estimation import (
     xi_statistics_from_base,
 )
 from .simulation import (
-    RngSeed,
+    IncrementSeries,
     SampleGrid,
-    cholesky_factor,
     combine_mixed_components,
-    mixed_component_factors,
     sample_increments,
     sample_mixed_components,
+    seed_blocks,
 )
-from .covariance import autocov_sequence
 
 __all__ = [
     "AsymptoticCov2",
@@ -227,34 +225,35 @@ def empirical_estimator_cov(
     rows = []
     excluded = 0
     if isinstance(params, MixedParams):
-        factors = mixed_component_factors(params, N)
         truth = np.array([params.H1, params.H2, params.a2, params.b2])
-        for rep in range(replications):
-            e1, e2 = sample_mixed_components(params, h, N, RngSeed(seed, rep), factors)
-            stats = {
-                j: xi_statistic(combine_mixed_components(params, h, j, e1, e2))
-                for j in (1, 2, 4, 8)
-            }
-            est = estimate_two_nifbm(stats, h)
-            if est.degenerate:
-                excluded += 1
-                continue
-            rows.append(
-                np.array([est.H1_hat, est.H2_hat, est.a2_hat, est.b2_hat]) - truth
-            )
+        for seeds in seed_blocks(seed, 0, replications, N):
+            e1, e2 = sample_mixed_components(params, N, seeds)
+            for r in range(len(seeds)):
+                stats = {
+                    j: xi_statistic(
+                        combine_mixed_components(params, h, j, e1[r], e2[r])
+                    )
+                    for j in (1, 2, 4, 8)
+                }
+                est = estimate_two_nifbm(stats, h)
+                if est.degenerate:
+                    excluded += 1
+                    continue
+                rows.append(
+                    np.array([est.H1_hat, est.H2_hat, est.a2_hat, est.b2_hat]) - truth
+                )
     else:
-        base_n = 2 * N + 1
-        grid = SampleGrid(h=h, N=base_n, j=1)
-        factor = cholesky_factor(autocov_sequence(params, h, 1, base_n))
+        grid = SampleGrid(h=h, N=2 * N + 1, j=1)
         truth = np.array([params.H, params.a2])
-        for rep in range(replications):
-            base = sample_increments(params, grid, RngSeed(seed, rep), factor)
-            stats = xi_statistics_from_base(base, factors=(1, 2))
-            est = estimate_one_nifbm(stats.xi[1], stats.xi[2], h)
-            if est.degenerate:
-                excluded += 1
-                continue
-            rows.append(np.array([est.H_hat, est.a2_hat]) - truth)
+        for seeds in seed_blocks(seed, 0, replications, grid.N):
+            for values in sample_increments(params, grid, seeds):
+                base = IncrementSeries(grid=grid, values=values)
+                stats = xi_statistics_from_base(base, factors=(1, 2))
+                est = estimate_one_nifbm(stats.xi[1], stats.xi[2], h)
+                if est.degenerate:
+                    excluded += 1
+                    continue
+                rows.append(np.array([est.H_hat, est.a2_hat]) - truth)
     if len(rows) < 2:
         raise ValueError("too few non-degenerate replications")
     scaled = math.sqrt(N) * np.vstack(rows)

@@ -93,8 +93,8 @@ def _cmd_simulate(args) -> int:
             raise NifbmError("simulate --model two-nifbm requires --H1 and --H2")
         params = MixedParams(H1=args.H1, H2=args.H2, a2=args.a2, b2=args.b2)
     grid = SampleGrid(h=args.h, N=args.N, j=args.j)
-    series = sample_increments(params, grid, RngSeed(args.seed, args.stream))
-    text = "\n".join(format(v, ".17g") for v in series.values) + "\n"
+    values = sample_increments(params, grid, [RngSeed(args.seed, args.stream)])[0]
+    text = "\n".join(format(v, ".17g") for v in values) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -112,7 +112,13 @@ def _read_series(path: Optional[str]) -> np.ndarray:
             handle.close()
     if not tokens:
         raise NifbmError("no input values found")
-    return np.array([float(t) for t in tokens])
+    values = np.array([float(t) for t in tokens])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NifbmError(
+            f"non-finite input value {tokens[bad[0]]!r} at position {bad[0] + 1}"
+        )
+    return values
 
 
 def _cmd_estimate(args) -> int:

@@ -65,8 +65,8 @@ class XiStatistics:
 
     def __post_init__(self):
         for j, value in self.xi.items():
-            if value < 0.0:
-                raise ValueError(f"xi[{j}] must be nonnegative")
+            if not math.isfinite(value) or value < 0.0:
+                raise ValueError(f"xi[{j}] must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)

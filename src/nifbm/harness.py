@@ -32,15 +32,16 @@ from .estimation import (
 )
 from .simulation import (
     DriftSpec,
-    RngSeed,
+    IncrementSeries,
     SampleGrid,
     add_drift,
-    cholesky_factor,
     combine_mixed_components,
-    mixed_component_factors,
     sample_increments,
     sample_mixed_components,
+    seed_blocks,
 )
+# benchmarks/tracing.py wraps harness.cholesky_factor, so the name stays bound
+from .simulation import cholesky_factor  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -184,6 +185,32 @@ def _summary(samples: List[float]) -> Tuple[float, float]:
     return mean, sd
 
 
+def _noise_statistics(config: ExperimentConfig, params: Params, h: float, N: int):
+    """xi statistics of each noise replication, drawn on the streams
+    after the drift replications' ones."""
+    first = config.replications
+    if config.model == "two-nifbm" and config.simulation_mode == "direct-per-j":
+        # direct sampling at each factor with shared component noise,
+        # rescaled from unit-gamma draws
+        for seeds in seed_blocks(config.seed, first, config.replications, N):
+            e1, e2 = sample_mixed_components(params, N, seeds)
+            for r in range(len(seeds)):
+                yield {
+                    j: xi_statistic(combine_mixed_components(params, h, j, e1[r], e2[r]))
+                    for j in (1, 2, 4, 8)
+                }
+        return
+    # otherwise aggregate a longer base series
+    if config.model == "one-nifbm":
+        grid, factors = SampleGrid(h=h, N=2 * N + 1), (1, 2)
+    else:
+        grid, factors = SampleGrid(h=h, N=8 * N + 7), (1, 2, 4, 8)
+    for seeds in seed_blocks(config.seed, first, config.replications, grid.N):
+        for values in sample_increments(params, grid, seeds):
+            base = IncrementSeries(grid=grid, values=values)
+            yield xi_statistics_from_base(base, factors=factors)
+
+
 def _run_grid_point(
     config: ExperimentConfig, h: float, N: int
 ) -> List[ResultRow]:
@@ -200,71 +227,34 @@ def _run_grid_point(
     degenerate: Dict[str, int] = {}
     theory: Dict[str, Optional[float]] = {}
 
-    g = _config_g(config, N, h) if want_drift else None
-    dg = np.diff(g) if g is not None else None
-    cov = autocov_sequence(params, h, 1, N) if want_drift else None
-    drift_factor = cholesky_factor(cov) if want_drift else None
+    if want_drift:
+        g = _config_g(config, N, h)
+        dg = np.diff(g)
+        cov = autocov_sequence(params, h, 1, N)
+        drift = DriftSpec(mu=config.mu, g_values=g)
+        grid = SampleGrid(h=h, N=N)
+        for seeds in seed_blocks(config.seed, 0, config.replications, N):
+            for values in sample_increments(params, grid, seeds):
+                dy = add_drift(IncrementSeries(grid=grid, values=values), drift)
+                if "drift-mle" in want_drift:
+                    est = drift_mle(dy, dg, cov)
+                    samples.setdefault("mu_mle", []).append(est.mu_hat)
+                    theory["mu_mle"] = math.sqrt(est.variance)
+                    degenerate.setdefault("mu_mle", 0)
+                if "drift-two-point" in want_drift:
+                    y_last = float(np.sum(dy.values))
+                    est = drift_two_point(0.0, y_last, g[-1], params, h, N)
+                    samples.setdefault("mu_two_point", []).append(est.mu_hat)
+                    theory["mu_two_point"] = math.sqrt(est.variance)
+                    degenerate.setdefault("mu_two_point", 0)
 
-    # one-process noise estimation aggregates a longer base series;
-    # two-process noise uses direct sampling at each factor with shared
-    # component noise, rescaled from unit-gamma draws.
-    noise_base_n = 2 * N + 1
-    noise_factor = None
-    mixed_factors = None
     if want_noise:
-        if config.model == "one-nifbm":
-            noise_factor = cholesky_factor(autocov_sequence(params, h, 1, noise_base_n))
-        elif config.simulation_mode == "direct-per-j":
-            mixed_factors = mixed_component_factors(params, N)
-        else:
-            noise_base_n = 8 * N + 7
-            noise_factor = cholesky_factor(autocov_sequence(params, h, 1, noise_base_n))
-
-    for rep in range(config.replications):
-        seed = RngSeed(config.seed, rep)
-        if want_drift:
-            noise = sample_increments(params, SampleGrid(h=h, N=N), seed, drift_factor)
-            dy = add_drift(noise, DriftSpec(mu=config.mu, g_values=g))
-            if "drift-mle" in want_drift:
-                est = drift_mle(dy, dg, cov)
-                samples.setdefault("mu_mle", []).append(est.mu_hat)
-                theory["mu_mle"] = math.sqrt(est.variance)
-                degenerate.setdefault("mu_mle", 0)
-            if "drift-two-point" in want_drift:
-                y_last = float(np.sum(dy.values))
-                est = drift_two_point(0.0, y_last, g[-1], params, h, N)
-                samples.setdefault("mu_two_point", []).append(est.mu_hat)
-                theory["mu_two_point"] = math.sqrt(est.variance)
-                degenerate.setdefault("mu_two_point", 0)
-        if want_noise:
-            noise_seed = RngSeed(config.seed, config.replications + rep)
+        for stats in _noise_statistics(config, params, h, N):
             if config.model == "one-nifbm":
-                base = sample_increments(
-                    params, SampleGrid(h=h, N=noise_base_n), noise_seed, noise_factor
-                )
-                stats = xi_statistics_from_base(base, factors=(1, 2))
                 est = estimate_one_nifbm(stats.xi[1], stats.xi[2], h)
-                flagged = est.degenerate
                 values = {"H": est.H_hat, "a2": est.a2_hat}
             else:
-                if config.simulation_mode == "direct-per-j":
-                    e1, e2 = sample_mixed_components(
-                        params, h, N, noise_seed, mixed_factors
-                    )
-                    stats = {
-                        j: xi_statistic(combine_mixed_components(params, h, j, e1, e2))
-                        for j in (1, 2, 4, 8)
-                    }
-                else:
-                    base = sample_increments(
-                        params,
-                        SampleGrid(h=h, N=noise_base_n),
-                        noise_seed,
-                        noise_factor,
-                    )
-                    stats = xi_statistics_from_base(base, factors=(1, 2, 4, 8))
                 est = estimate_two_nifbm(stats, h)
-                flagged = est.degenerate
                 values = {
                     "H1": est.H1_hat,
                     "H2": est.H2_hat,
@@ -273,7 +263,7 @@ def _run_grid_point(
                 }
             for name, value in values.items():
                 degenerate.setdefault(name, 0)
-                if flagged:
+                if est.degenerate:
                     degenerate[name] += 1
                 else:
                     samples.setdefault(name, []).append(value)

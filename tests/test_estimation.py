@@ -10,6 +10,7 @@ from nifbm.covariance import (
 )
 from nifbm.errors import LengthError, ZeroDenominatorError
 from nifbm.estimation import (
+    XiStatistics,
     drift_mle,
     drift_two_point,
     estimate_one_nifbm,
@@ -51,6 +52,11 @@ class TestXiStatistic:
     def test_empty_rejected(self):
         with pytest.raises(LengthError):
             xi_statistic(np.array([]))
+
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                XiStatistics(xi={1: 1.0, 2: bad}, counts={1: 4, 2: 2})
 
     def test_counts_follow_shared_horizon(self):
         n = 5
@@ -304,11 +310,11 @@ class TestUnbiasedness:
         g = drift_samples("benchmark-g", n, 2.0)
         dg = np.diff(g)
         cov = autocov_sequence(params, 2.0, 1, n)
-        factor = cholesky_factor(cov)
         grid = SampleGrid(h=2.0, N=n)
+        block = sample_increments(params, grid, [RngSeed(100, r) for r in range(n_reps)])
         mles, twops = [], []
-        for rep in range(n_reps):
-            noise = sample_increments(params, grid, RngSeed(100, rep), factor)
+        for values in block:
+            noise = IncrementSeries(grid=grid, values=values)
             dy = add_drift(noise, DriftSpec(mu=mu, g_values=g))
             mles.append(drift_mle(dy, dg, cov).mu_hat)
             twops.append(drift_two_point(0.0, float(np.sum(dy.values)), g[-1]).mu_hat)
@@ -321,7 +327,9 @@ class TestTwoStage:
     def test_zero_drift_matches_direct(self):
         params = NifbmParams(0.5, 2.0)
         grid = SampleGrid(h=2.0, N=65)
-        noise = sample_increments(params, grid, RngSeed(15, 0))
+        noise = IncrementSeries(
+            grid=grid, values=sample_increments(params, grid, [RngSeed(15, 0)])[0]
+        )
         y = np.concatenate([[0.0], np.cumsum(noise.values)])
         g = np.arange(66.0) * 2.0
         drift, est = two_stage_estimate(y, g, 2.0, model="one")
@@ -347,11 +355,11 @@ class TestTwoStage:
         params = NifbmParams(0.5, 1.0)
         n = 257
         grid = SampleGrid(h=1.0, N=n)
-        factor = cholesky_factor(autocov_sequence(params, 1.0, 1, n))
+        block = sample_increments(params, grid, [RngSeed(16, r) for r in range(100)])
         g = (np.arange(n + 1.0)) ** 2  # fast-growing drift satisfies the rate check
         h_two_stage, h_direct = [], []
-        for rep in range(100):
-            noise = sample_increments(params, grid, RngSeed(16, rep), factor)
+        for values in block:
+            noise = IncrementSeries(grid=grid, values=values)
             y = np.concatenate([[0.0], np.cumsum(noise.values)]) + 4.0 * g
             _, est = two_stage_estimate(y, g, 1.0, model="one")
             h_two_stage.append(est.H_hat)
@@ -362,7 +370,9 @@ class TestTwoStage:
     def test_two_process_mode(self):
         params = MixedParams(0.6, 0.2, 1.0, 1.0)
         grid = SampleGrid(h=1.0, N=8 * 16 + 7)
-        noise = sample_increments(params, grid, RngSeed(17, 0))
+        noise = IncrementSeries(
+            grid=grid, values=sample_increments(params, grid, [RngSeed(17, 0)])[0]
+        )
         g = (np.arange(grid.N + 1.0)) ** 2
         y = np.concatenate([[0.0], np.cumsum(noise.values)]) + 2.0 * g
         drift, est = two_stage_estimate(y, g, 1.0, model="two")

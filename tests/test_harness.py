@@ -287,6 +287,15 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert set(result) == {"H_hat", "a2_hat", "degenerate"}
 
+    def test_estimate_rejects_non_finite(self, tmp_path, capsys):
+        series = tmp_path / "series.txt"
+        series.write_text("0.5 -0.2\nnan 0.1 0.3\n")
+        argv = ["estimate", "--model", "one-nifbm", "--h", "2", "--in", str(series)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite input value 'nan' at position 3" in captured.err
+
     def test_simulate_determinism(self, capsys):
         argv = [
             "simulate", "--model", "two-nifbm", "--H1", "0.6", "--H2", "0.2",

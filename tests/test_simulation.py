@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,19 +23,21 @@ from nifbm.simulation import (
     aggregate_increments,
     cholesky_factor,
     combine_mixed_components,
-    mixed_component_factors,
+    embedding_length,
     sample_increments,
-    sample_increments_circulant,
     sample_mixed_components,
+    seed_blocks,
 )
 from scipy.linalg import toeplitz
 
 
+def seeds(seed, n_reps):
+    return [RngSeed(seed, r) for r in range(n_reps)]
+
+
 def batch_sample(params, grid, n_reps, seed=0):
-    """Replications as rows, drawn through one factor for speed."""
-    factor = cholesky_factor(autocov_sequence(params, grid.h, grid.j, grid.N))
-    z = np.random.default_rng(seed).standard_normal((grid.N, n_reps))
-    return (factor @ z).T
+    """Replications as rows, drawn in one block by the shipped sampler."""
+    return sample_increments(params, grid, seeds(seed, n_reps))
 
 
 class TestCholeskyFactor:
@@ -63,11 +67,12 @@ class TestSampleIncrements:
     def test_determinism(self):
         params = NifbmParams(0.3, 1.0, 2.0)
         grid = SampleGrid(h=1.0, N=32)
-        a = sample_increments(params, grid, RngSeed(7, 3))
-        b = sample_increments(params, grid, RngSeed(7, 3))
-        assert np.array_equal(a.values, b.values)
-        c = sample_increments(params, grid, RngSeed(7, 4))
-        assert not np.array_equal(a.values, c.values)
+        a = sample_increments(params, grid, [RngSeed(7, 3)])
+        b = sample_increments(params, grid, [RngSeed(7, 3)])
+        assert a.shape == (1, 32)
+        assert np.array_equal(a, b)
+        c = sample_increments(params, grid, [RngSeed(7, 4)])
+        assert not np.array_equal(a, c)
 
     def test_zero_mean(self):
         params = NifbmParams(0.6, 1.0)
@@ -98,16 +103,53 @@ class TestSampleIncrements:
     def test_mixed_model_sampling(self):
         params = MixedParams(0.7, 0.3, 2.0, 1.0)
         grid = SampleGrid(h=1.0, N=16, j=2)
-        series = sample_increments(params, grid, RngSeed(1, 0))
-        assert len(series) == 16
+        assert sample_increments(params, grid, [RngSeed(1, 0)]).shape == (1, 16)
+
+    def test_block_rows_equal_single_seed_draws(self):
+        # 100 replications at N = 513 span two blocks of 64 and 36 seeds
+        params = NifbmParams(0.3, 2.0)
+        grid = SampleGrid(h=2.0, N=513)
+        blocks = list(seed_blocks(3, 10, 100, grid.N))
+        assert [len(b) for b in blocks] == [64, 36]
+        assert blocks[1][0] == RngSeed(3, 74)
+        drawn = np.vstack([sample_increments(params, grid, b) for b in blocks])
+        whole = sample_increments(params, grid, [s for b in blocks for s in b])
+        assert np.array_equal(drawn, whole)
+        for r in (0, 63, 64, 99):
+            single = sample_increments(params, grid, [RngSeed(3, 10 + r)])[0]
+            assert np.array_equal(drawn[r], single)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 4)])
+    def test_shortest_series(self, n, m):
+        params = MixedParams(0.7, 0.3, 2.0, 1.0)
+        grid = SampleGrid(h=1.0, N=n)
+        assert embedding_length(n) == m
+        block = sample_increments(params, grid, seeds(4, 5))
+        assert block.shape == (5, n)
+        for r in range(5):
+            single = sample_increments(params, grid, [RngSeed(4, r)])[0]
+            assert np.array_equal(block[r], single)
+        e1, e2 = sample_mixed_components(params, n, seeds(4, 5))
+        assert e1.shape == e2.shape == (5, n)
+        f1, f2 = sample_mixed_components(params, n, [RngSeed(4, 2)])
+        assert np.array_equal(e1[2], f1[0]) and np.array_equal(e2[2], f2[0])
+
+    def test_indefinite_embedding_names_ratio(self):
+        grid = SampleGrid(h=1.0, N=1025)
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            sample_increments(NifbmParams(0.999, 1.0), grid, [RngSeed(0)])
+        message = str(info.value)
+        match = re.search(r"ratio (-[0-9.e+-]+)", message)
+        assert match and float(match.group(1)) < -1e-8
+        assert "embedding length 2048" in message
 
 
 class TestSharedComponentSampling:
     def test_determinism_and_shape(self):
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
-        factors = mixed_component_factors(params, 64)
-        e1a, e2a = sample_mixed_components(params, 2.0, 64, RngSeed(5, 1), factors)
-        e1b, e2b = sample_mixed_components(params, 2.0, 64, RngSeed(5, 1), factors)
+        e1a, e2a = sample_mixed_components(params, 64, [RngSeed(5, 1)])
+        e1b, e2b = sample_mixed_components(params, 64, [RngSeed(5, 1)])
+        assert e1a.shape == e2a.shape == (1, 64)
         assert np.array_equal(e1a, e1b) and np.array_equal(e2a, e2b)
 
     def test_combined_autocovariance(self):
@@ -115,12 +157,7 @@ class TestSharedComponentSampling:
         # covariance at every factor
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
         n, n_reps = 8, 2 * 10**4
-        factors = mixed_component_factors(params, n)
-        rng = np.random.default_rng(21)
-        z1 = rng.standard_normal((n, n_reps))
-        z2 = rng.standard_normal((n, n_reps))
-        e1 = (factors[0] @ z1).T
-        e2 = (factors[1] @ z2).T
+        e1, e2 = sample_mixed_components(params, n, seeds(21, n_reps))
         for j in (1, 2, 8):
             w = 2.0 * j
             vals = (
@@ -135,8 +172,8 @@ class TestSharedComponentSampling:
 
     def test_combine_helper(self):
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
-        e1, e2 = sample_mixed_components(params, 2.0, 32, RngSeed(5, 2))
-        series = combine_mixed_components(params, 2.0, 4, e1, e2)
+        e1, e2 = sample_mixed_components(params, 32, [RngSeed(5, 2)])
+        series = combine_mixed_components(params, 2.0, 4, e1[0], e2[0])
         assert series.grid.j == 4 and len(series) == 32
 
 
@@ -214,20 +251,15 @@ class TestCirculantSampler:
     def test_determinism(self):
         params = NifbmParams(0.7, 2.0)
         grid = SampleGrid(h=2.0, N=512)
-        a = sample_increments_circulant(params, grid, RngSeed(9, 0))
-        b = sample_increments_circulant(params, grid, RngSeed(9, 0))
-        assert np.array_equal(a.values, b.values)
+        a = sample_increments(params, grid, [RngSeed(9, 0)])
+        b = sample_increments(params, grid, [RngSeed(9, 0)])
+        assert np.array_equal(a, b)
 
     def test_autocovariance(self):
         params = NifbmParams(0.7, 2.0)
         grid = SampleGrid(h=2.0, N=64)
         n_reps = 4000
-        rows = np.vstack(
-            [
-                sample_increments_circulant(params, grid, RngSeed(40, r)).values
-                for r in range(n_reps)
-            ]
-        )
+        rows = sample_increments(params, grid, seeds(40, n_reps))
         targets = autocov_sequence(params, 2.0, 1, 6).values
         for lag in (0, 1, 5):
             prods = rows[:, 0] * rows[:, lag]
@@ -253,7 +285,8 @@ class TestAddDrift:
         g = 5 * np.cos(t) - np.exp(-4 * t) + 2 * t**2
         g -= g[0]
         grid = SampleGrid(h=1.0, N=8)
-        noise = sample_increments(NifbmParams(0.4, 1.0), grid, RngSeed(2, 2))
+        values = sample_increments(NifbmParams(0.4, 1.0), grid, [RngSeed(2, 2)])[0]
+        noise = IncrementSeries(grid=grid, values=values)
         shifted = add_drift(noise, DriftSpec(mu=4.0, g_values=g))
         assert np.sum(shifted.values - noise.values) == pytest.approx(
             4.0 * (g[-1] - g[0]), rel=1e-12
