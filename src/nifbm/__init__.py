@@ -3,16 +3,13 @@ motion models: exact covariances, exact Gaussian sampling, closed-form
 parameter estimators, asymptotic variances and a Monte Carlo harness."""
 
 from .covariance import (
+    AGGREGATION_FACTORS,
     AutocovSequence,
-    HurstIndex,
     MixedParams,
     NifbmParams,
     autocov_sequence,
-    fbm_cov,
-    fbm_increment_cov,
     find_h0,
     gamma,
-    gamma_asymptotic,
     increment_autocov,
     mixed_increment_autocov,
     nifbm_cov,
@@ -57,7 +54,6 @@ from .estimation import (
 from .asymptotics import (
     AsymptoticCov2,
     Jacobian2,
-    empirical_estimator_cov,
     gamma_square_series,
     jacobian_one,
     jacobian_one_det,
@@ -67,6 +63,7 @@ from .asymptotics import (
 from .harness import (
     ExperimentConfig,
     ResultRow,
+    empirical_estimator_cov,
     parse_config,
     run_experiment,
     table_configs,

@@ -5,40 +5,22 @@ asymptotically Gaussian for H < 3/4 with a covariance built from the
 series sum over integers of gamma(H, i + alpha) * gamma(H, i + beta).
 The delta method then propagates that covariance through the inverse of
 the moment map f to give the joint asymptotic covariance of
-(H_hat, a2_hat).  A seeded Monte Carlo fallback covers the two-process
-estimator, whose analytic covariance is not implemented.
+(H_hat, a2_hat).  Only the theory lives here; the Monte Carlo
+cross-check, empirical_estimator_cov, is in nifbm.harness.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 from scipy.special import zeta
 
-from .covariance import (
-    MixedParams,
-    NifbmParams,
-    Params,
-    gamma,
-)
+from .covariance import NifbmParams, gamma
 from .errors import HTooLargeError
-from .estimation import (
-    estimate_one_nifbm,
-    estimate_two_nifbm,
-    xi_statistic,
-    xi_statistics_from_base,
-)
-from .simulation import (
-    IncrementSeries,
-    SampleGrid,
-    combine_mixed_components,
-    sample_increments,
-    sample_mixed_components,
-    seed_blocks,
-)
 
 __all__ = [
     "AsymptoticCov2",
@@ -48,7 +30,6 @@ __all__ = [
     "jacobian_one",
     "jacobian_one_det",
     "sigma0_one",
-    "empirical_estimator_cov",
 ]
 
 _DEFAULT_TERMS = 100_000
@@ -98,6 +79,7 @@ def _check_h_range(H: float) -> float:
     return H
 
 
+@functools.lru_cache
 def gamma_square_series(
     H: float, shifts: Tuple[int, int] = (0, 0), n_terms: int = _DEFAULT_TERMS
 ) -> float:
@@ -108,6 +90,8 @@ def gamma_square_series(
     function evaluated on the leading asymptote of gamma.  The tail
     correction is exact to a relative error of order n_terms^-2, which
     keeps the absolute error well below 1e-10 at the default size.
+    Values are cached: they depend on H alone, not on h or N, so the
+    grid points of an experiment share one evaluation per H.
     """
     H = _check_h_range(H)
     alpha, beta = shifts
@@ -203,58 +187,3 @@ def sigma0_one(theta: NifbmParams, n_terms: int = _DEFAULT_TERMS) -> np.ndarray:
     jac = jacobian_one(theta).matrix()
     inv = np.linalg.solve(jac, np.eye(2))
     return inv @ sig @ inv.T
-
-
-def empirical_estimator_cov(
-    params: Params,
-    h: float,
-    N: int,
-    replications: int,
-    seed: int = 0,
-) -> Tuple[np.ndarray, int]:
-    """Sample covariance of sqrt(N)*(theta_hat - theta) by simulation.
-
-    One-process parameters give a 2x2 matrix for (H_hat, a2_hat) using
-    the aggregated scheme (xi1 on 2N, xi2 on N increments); two-process
-    parameters give a 4x4 matrix for (H1, H2, a2, b2) using direct
-    sampling at each factor with shared component noise.  Degenerate
-    replications are excluded and counted in the second return value.
-    """
-    if replications < 100:
-        raise ValueError("need at least 100 replications")
-    rows = []
-    excluded = 0
-    if isinstance(params, MixedParams):
-        truth = np.array([params.H1, params.H2, params.a2, params.b2])
-        for seeds in seed_blocks(seed, 0, replications, N):
-            e1, e2 = sample_mixed_components(params, N, seeds)
-            for r in range(len(seeds)):
-                stats = {
-                    j: xi_statistic(
-                        combine_mixed_components(params, h, j, e1[r], e2[r])
-                    )
-                    for j in (1, 2, 4, 8)
-                }
-                est = estimate_two_nifbm(stats, h)
-                if est.degenerate:
-                    excluded += 1
-                    continue
-                rows.append(
-                    np.array([est.H1_hat, est.H2_hat, est.a2_hat, est.b2_hat]) - truth
-                )
-    else:
-        grid = SampleGrid(h=h, N=2 * N + 1, j=1)
-        truth = np.array([params.H, params.a2])
-        for seeds in seed_blocks(seed, 0, replications, grid.N):
-            for values in sample_increments(params, grid, seeds):
-                base = IncrementSeries(grid=grid, values=values)
-                stats = xi_statistics_from_base(base, factors=(1, 2))
-                est = estimate_one_nifbm(stats.xi[1], stats.xi[2], h)
-                if est.degenerate:
-                    excluded += 1
-                    continue
-                rows.append(np.array([est.H_hat, est.a2_hat]) - truth)
-    if len(rows) < 2:
-        raise ValueError("too few non-degenerate replications")
-    scaled = math.sqrt(N) * np.vstack(rows)
-    return np.cov(scaled, rowvar=False), excluded

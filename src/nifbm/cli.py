@@ -18,7 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .covariance import MixedParams, NifbmParams, find_h0, gamma
+from .covariance import (
+    AGGREGATION_FACTORS,
+    MixedParams,
+    NifbmParams,
+    find_h0,
+    gamma,
+)
 from .errors import NifbmError
 from .estimation import (
     estimate_one_nifbm,
@@ -52,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--b2", type=float, default=1.0)
     sim.add_argument("--h", type=float, required=True)
     sim.add_argument("--N", type=int, required=True)
-    sim.add_argument("--j", type=int, default=1, choices=(1, 2, 4, 8))
+    sim.add_argument("--j", type=int, default=1, choices=AGGREGATION_FACTORS)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--stream", type=int, default=0)
     sim.add_argument("--out", default=None, help="output path (default stdout)")
@@ -127,10 +133,10 @@ def _cmd_estimate(args) -> int:
         grid=SampleGrid(h=args.h, N=values.size, j=1), values=values
     )
     if args.model == "one-nifbm":
-        stats = xi_statistics_from_base(base, factors=(1, 2))
+        stats = xi_statistics_from_base(base, factors=AGGREGATION_FACTORS[:2])
         result = estimate_one_nifbm(stats.xi[1], stats.xi[2], args.h)
     else:
-        stats = xi_statistics_from_base(base, factors=(1, 2, 4, 8))
+        stats = xi_statistics_from_base(base, factors=AGGREGATION_FACTORS)
         result = estimate_two_nifbm(stats, args.h)
     print(json.dumps(dataclasses.asdict(result), indent=2))
     return 0

@@ -21,16 +21,13 @@ from scipy.optimize import bisect
 from scipy.special import binom
 
 __all__ = [
-    "HurstIndex",
+    "AGGREGATION_FACTORS",
     "NifbmParams",
     "MixedParams",
     "AutocovSequence",
-    "fbm_cov",
-    "fbm_increment_cov",
     "nifbm_cov",
     "nifbm_var",
     "gamma",
-    "gamma_asymptotic",
     "increment_autocov",
     "mixed_increment_autocov",
     "autocov_sequence",
@@ -42,19 +39,16 @@ __all__ = [
 # expansion in 1/n that is exact to machine precision there.
 _DIRECT_LIMIT = 1000
 
+# the aggregation factors j of increments of width j*h that the
+# samplers, the xi statistics and the moment estimators work with
+AGGREGATION_FACTORS = (1, 2, 4, 8)
+
 
 def _check_hurst(value: float) -> float:
     value = float(value)
     if not 0.0 < value < 1.0:
         raise ValueError(f"Hurst index must lie strictly in (0, 1), got {value}")
     return value
-
-
-class HurstIndex(float):
-    """A float constrained to the open interval (0, 1)."""
-
-    def __new__(cls, value):
-        return super().__new__(cls, _check_hurst(value))
 
 
 @dataclass(frozen=True)
@@ -117,30 +111,6 @@ class AutocovSequence:
 
     def __len__(self) -> int:
         return self.values.size
-
-
-def fbm_cov(H: float, s: float, t: float) -> float:
-    """Covariance of fractional Brownian motion at times s and t."""
-    H = _check_hurst(H)
-    if s < 0.0 or t < 0.0:
-        raise ValueError("times must be nonnegative")
-    p = 2.0 * H
-    return 0.5 * (s**p + t**p - abs(s - t) ** p)
-
-
-def fbm_increment_cov(H: float, s: float, t: float, u: float, v: float) -> float:
-    """Covariance of the fBm increments over [s, t] and [u, v].
-
-    Each interval must be ordered (s <= t, u <= v, nonnegative); the
-    intervals themselves may coincide or overlap.
-    """
-    H = _check_hurst(H)
-    if not (0.0 <= s <= t) or not (0.0 <= u <= v):
-        raise ValueError("arguments must satisfy 0 <= s <= t and 0 <= u <= v")
-    p = 2.0 * H
-    return 0.5 * (
-        abs(v - s) ** p + abs(u - t) ** p - abs(v - t) ** p - abs(u - s) ** p
-    )
 
 
 def nifbm_cov(H: float, h: float, t: float, s: float) -> float:
@@ -226,20 +196,6 @@ def gamma(H: float, n) -> Union[float, np.ndarray]:
     return out
 
 
-def gamma_asymptotic(H: float, n) -> Union[float, np.ndarray]:
-    """Leading large-n behavior of gamma: H(2H-1) * n^(2H-2).
-
-    Zero at H = 1/2 and negative for H < 1/2, matching the sign of
-    gamma itself.  Used as tail bound when truncating series in gamma.
-    """
-    H = _check_hurst(H)
-    arr = np.asarray(n, dtype=float)
-    out = H * (2.0 * H - 1.0) * arr ** (2.0 * H - 2.0)
-    if np.isscalar(n) or np.ndim(n) == 0:
-        return float(out)
-    return out
-
-
 def increment_autocov(params: NifbmParams, n) -> Union[float, np.ndarray]:
     """Autocovariance h^(2H) * gamma(H, n) of the width-h increments.
 
@@ -252,8 +208,10 @@ def mixed_increment_autocov(
 ) -> Union[float, np.ndarray]:
     """Autocovariance at lag n of the width-j*h increments of the
     two-component model, a2*(jh)^(2H1)*gamma(H1,n) + b2*(...H2...)."""
-    if j not in (1, 2, 4, 8):
-        raise ValueError("aggregation factor j must be one of 1, 2, 4, 8")
+    if j not in AGGREGATION_FACTORS:
+        raise ValueError(
+            f"aggregation factor j must be one of {AGGREGATION_FACTORS}"
+        )
     if h <= 0.0:
         raise ValueError("window width h must be positive")
     w = j * h
@@ -275,8 +233,10 @@ def autocov_sequence(params: Params, h: float, j: int, N: int) -> AutocovSequenc
     if isinstance(params, MixedParams):
         values = mixed_increment_autocov(params, h, j, lags)
     else:
-        if j not in (1, 2, 4, 8):
-            raise ValueError("aggregation factor j must be one of 1, 2, 4, 8")
+        if j not in AGGREGATION_FACTORS:
+            raise ValueError(
+                f"aggregation factor j must be one of {AGGREGATION_FACTORS}"
+            )
         w = j * h
         values = params.a2 * w ** (2.0 * params.H) * gamma(params.H, lags)
     return AutocovSequence(params=params, values=values)

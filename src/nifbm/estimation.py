@@ -26,12 +26,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .covariance import (
+    AGGREGATION_FACTORS,
     AutocovSequence,
     MixedParams,
     NifbmParams,
     Params,
-    nifbm_cov,
-    nifbm_var,
 )
 from .errors import LengthError, ZeroDenominatorError
 from .simulation import IncrementSeries, SampleGrid, aggregate_increments
@@ -71,7 +70,7 @@ class XiStatistics:
 
 @dataclass(frozen=True)
 class DriftEstimate:
-    mu_hat: float
+    mu_hat: float  # an array, one per row, for a block of series
     variance: float
     method: str  # "MLE" or "two-point"
 
@@ -130,7 +129,7 @@ def xi_statistic(series: Union[IncrementSeries, np.ndarray]) -> float:
 
 
 def xi_statistics_from_base(
-    base: IncrementSeries, factors: Tuple[int, ...] = (1, 2, 4, 8)
+    base: IncrementSeries, factors: Tuple[int, ...] = AGGREGATION_FACTORS
 ) -> XiStatistics:
     """xi statistics at several aggregation factors from one base series.
 
@@ -257,21 +256,29 @@ def drift_mle(
     """Generalized-least-squares drift estimate with exact variance.
 
     Solves with the Cholesky factor of the Toeplitz covariance (two
-    triangular solves); no matrix is inverted explicitly.
+    triangular solves); no matrix is inverted explicitly.  delta_y is
+    one increment series, giving a float mu_hat, or an (R, N) array of
+    series, giving one mu_hat per row from the same factorization.
     """
     dy = delta_y.values if isinstance(delta_y, IncrementSeries) else np.asarray(
         delta_y, dtype=float
     )
     dg = np.asarray(delta_g, dtype=float)
-    if dy.size != dg.size or dy.size != len(cov):
+    if dy.shape[-1] != dg.size or dg.size != len(cov):
         raise LengthError("increments, drift increments and covariance must align")
     if not np.any(dg != 0.0):
         raise ZeroDenominatorError("drift increments vanish identically")
     factor = cho_factor(toeplitz(cov.values), lower=True)
     solved_g = cho_solve(factor, dg)
     denom = float(dg @ solved_g)
-    mu_hat = float(solved_g @ dy) / denom
-    return DriftEstimate(mu_hat=mu_hat, variance=1.0 / denom, method="MLE")
+    # one dot product per row: a stacked matmul rounds each row exactly
+    # as solved_g @ row does, where a matrix-vector product does not
+    mu_hat = (dy[..., None, :] @ solved_g[:, None])[..., 0, 0] / denom
+    return DriftEstimate(
+        mu_hat=float(mu_hat) if dy.ndim == 1 else mu_hat,
+        variance=1.0 / denom,
+        method="MLE",
+    )
 
 
 def two_point_variance(params: Params, h: float, N: int, gN: float) -> float:
@@ -296,28 +303,6 @@ def two_point_variance(params: Params, h: float, N: int, gN: float) -> float:
     return total / gN**2
 
 
-def two_point_variance_assembled(params: Params, h: float, N: int, gN: float) -> float:
-    """Same variance assembled from the process covariance directly;
-    algebraically identical to two_point_variance and kept as a
-    cross-check."""
-    if gN == 0.0:
-        return 0.0
-    t_end = N * h
-
-    def component(H: float, c: float) -> float:
-        return c * (
-            nifbm_var(H, h, 0.0)
-            + nifbm_var(H, h, t_end)
-            - 2.0 * nifbm_cov(H, h, 0.0, t_end)
-        )
-
-    if isinstance(params, MixedParams):
-        total = component(params.H1, params.a2) + component(params.H2, params.b2)
-    else:
-        total = component(params.H, params.a2)
-    return total / gN**2
-
-
 def drift_two_point(
     y0: float,
     yN: float,
@@ -328,8 +313,10 @@ def drift_two_point(
 ) -> DriftEstimate:
     """Drift estimate from the first and last observations only.
 
-    The exact variance requires the noise parameters; when they are not
-    supplied the variance is reported as 0.
+    yN may be an array of last observations, one per replication; the
+    estimate is then an array too, except for gN = 0, where it is the
+    scalar 0.  The exact variance requires the noise parameters; when
+    they are not supplied the variance is reported as 0.
     """
     mu_hat = _safe_div(yN - y0, gN)
     variance = 0.0
@@ -367,7 +354,7 @@ def two_stage_estimate(
         grid=SampleGrid(h=h, N=n_incr, j=1), values=np.diff(residual)
     )
     if model == "one":
-        stats = xi_statistics_from_base(base, factors=(1, 2))
+        stats = xi_statistics_from_base(base, factors=AGGREGATION_FACTORS[:2])
         noise = estimate_one_nifbm(stats.xi[1], stats.xi[2], h)
         params = (
             None
@@ -375,7 +362,7 @@ def two_stage_estimate(
             else NifbmParams(H=noise.H_hat, h=h, a2=noise.a2_hat)
         )
     elif model == "two":
-        stats = xi_statistics_from_base(base, factors=(1, 2, 4, 8))
+        stats = xi_statistics_from_base(base, factors=AGGREGATION_FACTORS)
         noise = estimate_two_nifbm(stats, h)
         params = (
             None

@@ -1,11 +1,13 @@
 """Config-driven Monte Carlo experiment runner.
 
 An experiment fixes a model, parameter values, an optional drift, a
-grid of (h, N) pairs and a replication count.  Each grid point is
-simulated with per-replication random streams, the requested estimators
-are run, and one result row per estimator is emitted with the empirical
-mean, empirical standard deviation, theoretical standard deviation
-(where a closed form exists) and the count of degenerate replications.
+grid of (h, N) pairs and a replication count.  Each grid point is one
+pipeline: params, drift stage (one estimator call per seed block), noise
+stage (the replication loop empirical_estimator_cov shares), then one
+row per requested estimator with the empirical mean and standard
+deviation of the non-degenerate replications (nan if there are none),
+the theoretical standard deviation where a closed form exists, and the
+count of degenerate replications.
 """
 
 from __future__ import annotations
@@ -14,13 +16,19 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .asymptotics import sigma0_one
-from .covariance import MixedParams, NifbmParams, Params, autocov_sequence
+from .covariance import (
+    AGGREGATION_FACTORS,
+    MixedParams,
+    NifbmParams,
+    Params,
+    autocov_sequence,
+)
 from .errors import ConfigError, HTooLargeError
 from .estimation import (
     drift_mle,
@@ -52,6 +60,7 @@ __all__ = [
     "format_results",
     "table_configs",
     "drift_samples",
+    "empirical_estimator_cov",
     "CSV_HEADER",
 ]
 
@@ -66,6 +75,11 @@ _MODELS = ("one-nifbm", "two-nifbm")
 _MODES = ("direct-per-j", "aggregate")
 _OUTPUTS = ("drift-mle", "drift-two-point", "noise")
 _G_NAMES = ("benchmark-g", "linear")
+
+# row names of the noise estimators per params type: each is the name
+# of a true parameter, and name + "_hat" that of its estimate
+_NOISE_ROWS = {NifbmParams: ("H", "a2"), MixedParams: ("H1", "H2", "a2", "b2")}
+_DRIFT_ROWS = {"drift-mle": "mu_mle", "drift-two-point": "mu_two_point"}
 
 
 @dataclass(frozen=True)
@@ -101,10 +115,12 @@ class ExperimentConfig:
         for name in self.outputs:
             if name not in _OUTPUTS:
                 raise ConfigError(f"unknown output {name!r}; choose from {_OUTPUTS}")
-        if ("drift-mle" in self.outputs or "drift-two-point" in self.outputs) and (
+        if any(o in _DRIFT_ROWS for o in self.outputs) and (
             self.g_name is None and self.g_samples is None
         ):
             raise ConfigError("drift estimators need a drift function g")
+        if not self.grid:
+            raise ConfigError("grid needs at least one h:N pair")
         for h, n in self.grid:
             if h <= 0.0:
                 raise ConfigError(f"grid step h must be positive, got {h}")
@@ -121,13 +137,14 @@ class ExperimentConfig:
                     f"series of 8N+7 <= {MAX_N} increments; reduce N or use "
                     "direct-per-j"
                 )
-        # parameter validation happens here, once
-        self.make_params()
+            # parameter validation happens here, at every grid step
+            self.make_params(h)
 
-    def make_params(self) -> Params:
+    def make_params(self, h: float) -> Params:
+        """Model parameters at grid step h; the only place they are built."""
         if self.model == "two-nifbm":
             return MixedParams(H1=self.H1, H2=self.H2, a2=self.a2, b2=self.b2)
-        return NifbmParams(H=self.H1, h=self.grid[0][0], a2=self.a2)
+        return NifbmParams(H=self.H1, h=h, a2=self.a2)
 
 
 @dataclass(frozen=True)
@@ -178,130 +195,126 @@ def _config_g(config: ExperimentConfig, N: int, h: float) -> np.ndarray:
     return drift_samples(config.g_name, N, h)
 
 
-def _summary(samples: List[float]) -> Tuple[float, float]:
-    arr = np.asarray(samples, dtype=float)
-    mean = float(arr.mean()) if arr.size else math.nan
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, sd
-
-
-def _noise_statistics(config: ExperimentConfig, params: Params, h: float, N: int):
-    """xi statistics of each noise replication, drawn on the streams
-    after the drift replications' ones."""
-    first = config.replications
-    if config.model == "two-nifbm" and config.simulation_mode == "direct-per-j":
-        # direct sampling at each factor with shared component noise,
-        # rescaled from unit-gamma draws
-        for seeds in seed_blocks(config.seed, first, config.replications, N):
+def _noise_estimates(
+    params: Params, h: float, N: int, seed: int, first: int, count: int, mode: str
+):
+    """Moment estimate of each of `count` replications, replication r
+    drawn on the stream (seed, first + r).  Two-process direct-per-j
+    rescales shared unit-scale components to every aggregation factor;
+    every other scheme aggregates one base series at step h, of 2N + 1
+    (one process) or 8N + 7 (two processes) increments.
+    """
+    mixed = isinstance(params, MixedParams)
+    if mixed and mode == "direct-per-j":
+        for seeds in seed_blocks(seed, first, count, N):
             e1, e2 = sample_mixed_components(params, N, seeds)
             for r in range(len(seeds)):
-                yield {
+                stats = {
                     j: xi_statistic(combine_mixed_components(params, h, j, e1[r], e2[r]))
-                    for j in (1, 2, 4, 8)
+                    for j in AGGREGATION_FACTORS
                 }
+                yield estimate_two_nifbm(stats, h)
         return
-    # otherwise aggregate a longer base series
-    if config.model == "one-nifbm":
-        grid, factors = SampleGrid(h=h, N=2 * N + 1), (1, 2)
-    else:
-        grid, factors = SampleGrid(h=h, N=8 * N + 7), (1, 2, 4, 8)
-    for seeds in seed_blocks(config.seed, first, config.replications, grid.N):
+    factors = AGGREGATION_FACTORS if mixed else AGGREGATION_FACTORS[:2]
+    # the shortest base whose coarsest aggregate has N increments
+    grid = SampleGrid(h=h, N=factors[-1] * (N + 1) - 1)
+    for seeds in seed_blocks(seed, first, count, grid.N):
         for values in sample_increments(params, grid, seeds):
-            base = IncrementSeries(grid=grid, values=values)
-            yield xi_statistics_from_base(base, factors=factors)
-
-
-def _run_grid_point(
-    config: ExperimentConfig, h: float, N: int
-) -> List[ResultRow]:
-    t_start = time.perf_counter()
-    params = (
-        MixedParams(H1=config.H1, H2=config.H2, a2=config.a2, b2=config.b2)
-        if config.model == "two-nifbm"
-        else NifbmParams(H=config.H1, h=h, a2=config.a2)
-    )
-    want_drift = [o for o in config.outputs if o.startswith("drift")]
-    want_noise = "noise" in config.outputs
-
-    samples: Dict[str, List[float]] = {}
-    degenerate: Dict[str, int] = {}
-    theory: Dict[str, Optional[float]] = {}
-
-    if want_drift:
-        g = _config_g(config, N, h)
-        dg = np.diff(g)
-        cov = autocov_sequence(params, h, 1, N)
-        drift = DriftSpec(mu=config.mu, g_values=g)
-        grid = SampleGrid(h=h, N=N)
-        for seeds in seed_blocks(config.seed, 0, config.replications, N):
-            for values in sample_increments(params, grid, seeds):
-                dy = add_drift(IncrementSeries(grid=grid, values=values), drift)
-                if "drift-mle" in want_drift:
-                    est = drift_mle(dy, dg, cov)
-                    samples.setdefault("mu_mle", []).append(est.mu_hat)
-                    theory["mu_mle"] = math.sqrt(est.variance)
-                    degenerate.setdefault("mu_mle", 0)
-                if "drift-two-point" in want_drift:
-                    y_last = float(np.sum(dy.values))
-                    est = drift_two_point(0.0, y_last, g[-1], params, h, N)
-                    samples.setdefault("mu_two_point", []).append(est.mu_hat)
-                    theory["mu_two_point"] = math.sqrt(est.variance)
-                    degenerate.setdefault("mu_two_point", 0)
-
-    if want_noise:
-        for stats in _noise_statistics(config, params, h, N):
-            if config.model == "one-nifbm":
-                est = estimate_one_nifbm(stats.xi[1], stats.xi[2], h)
-                values = {"H": est.H_hat, "a2": est.a2_hat}
+            stats = xi_statistics_from_base(
+                IncrementSeries(grid=grid, values=values), factors=factors
+            )
+            if mixed:
+                yield estimate_two_nifbm(stats, h)
             else:
-                est = estimate_two_nifbm(stats, h)
-                values = {
-                    "H1": est.H1_hat,
-                    "H2": est.H2_hat,
-                    "a2": est.a2_hat,
-                    "b2": est.b2_hat,
-                }
-            for name, value in values.items():
-                degenerate.setdefault(name, 0)
-                if est.degenerate:
-                    degenerate[name] += 1
-                else:
-                    samples.setdefault(name, []).append(value)
+                yield estimate_one_nifbm(stats.xi[1], stats.xi[2], h)
 
-    if want_noise and config.model == "one-nifbm":
+
+def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
+    """(row name, mean, sd_emp, degenerate count, sd_theory) of each
+    requested drift estimator, run once per seed block of drifted rows
+    on the streams 0 .. R - 1."""
+    g = _config_g(config, N, h)
+    drift, dg = DriftSpec(mu=config.mu, g_values=g), np.diff(g)
+    cov, grid = autocov_sequence(params, h, 1, N), SampleGrid(h=h, N=N)
+
+    def estimate(name, dy):
+        if name == "mu_mle":
+            return drift_mle(dy, dg, cov)
+        return drift_two_point(0.0, dy.sum(axis=1), g[-1], params, h, N)
+
+    names = [name for output, name in _DRIFT_ROWS.items() if output in config.outputs]
+    mu, stop = np.empty((len(names), config.replications)), 0
+    for seeds in seed_blocks(config.seed, 0, config.replications, N):
+        dy = add_drift(sample_increments(params, grid, seeds), drift)
+        block = [estimate(name, dy) for name in names]
+        start, stop = stop, stop + len(seeds)
+        for row, est in zip(mu, block):
+            # two-point at G_N = 0 gives the scalar 0, which fills the slice
+            row[start:stop] = est.mu_hat
+    return [
+        (name, *_summary(row), 0, math.sqrt(est.variance))
+        for name, row, est in zip(names, mu, block)
+    ]
+
+
+def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
+    """The same for the noise estimators, on the streams R .. 2R - 1;
+    sd_theory comes from sigma0_one for the one-process model."""
+    reps = config.replications
+    estimates = list(
+        _noise_estimates(params, h, N, config.seed, reps, reps, config.simulation_mode)
+    )
+    kept = [est for est in estimates if not est.degenerate]
+    theory = {}
+    if isinstance(params, NifbmParams):
         try:
             sig = sigma0_one(params)
-            theory["H"] = math.sqrt(sig[0, 0] / N)
-            theory["a2"] = math.sqrt(sig[1, 1] / N)
+            theory = {"H": math.sqrt(sig[0, 0] / N), "a2": math.sqrt(sig[1, 1] / N)}
         except HTooLargeError:
-            theory["H"] = None
-            theory["a2"] = None
-
-    seconds = time.perf_counter() - t_start
+            pass
     rows = []
-    for name in samples:
-        mean, sd = _summary(samples[name])
-        rows.append(
-            ResultRow(
-                model=config.model,
-                estimator=name,
-                H1=config.H1,
-                H2=config.H2,
-                a2=config.a2,
-                b2=config.b2,
-                mu=config.mu if want_drift else None,
-                h=h,
-                N=N,
-                j_mode=config.simulation_mode,
-                replications=config.replications,
-                mean=mean,
-                sd_emp=sd,
-                sd_theory=theory.get(name),
-                degenerate=degenerate.get(name, 0),
-                seconds=seconds,
-            )
-        )
+    for name in _NOISE_ROWS[type(params)]:
+        samples = np.array([getattr(est, name + "_hat") for est in kept])
+        rows.append((name, *_summary(samples), reps - len(kept), theory.get(name)))
     return rows
+
+
+def _summary(samples: np.ndarray) -> Tuple[float, float]:
+    if samples.size == 0:
+        return math.nan, math.nan
+    sd = float(samples.std(ddof=1)) if samples.size > 1 else 0.0
+    return float(samples.mean()), sd
+
+
+def _run_grid_point(config: ExperimentConfig, h: float, N: int) -> List[ResultRow]:
+    t_start = time.perf_counter()
+    params = config.make_params(h)
+    want_drift = any(output in _DRIFT_ROWS for output in config.outputs)
+    stages = _drift_stage(config, params, h, N) if want_drift else []
+    if "noise" in config.outputs:
+        stages += _noise_stage(config, params, h, N)
+    seconds = time.perf_counter() - t_start
+    return [
+        ResultRow(
+            model=config.model,
+            estimator=name,
+            H1=config.H1,
+            H2=config.H2,
+            a2=config.a2,
+            b2=config.b2,
+            mu=config.mu if want_drift else None,
+            h=h,
+            N=N,
+            j_mode=config.simulation_mode,
+            replications=config.replications,
+            mean=mean,
+            sd_emp=sd,
+            sd_theory=sd_theory,
+            degenerate=degenerate,
+            seconds=seconds,
+        )
+        for name, mean, sd, degenerate, sd_theory in stages
+    ]
 
 
 def run_experiment(config: ExperimentConfig) -> List[ResultRow]:
@@ -310,6 +323,37 @@ def run_experiment(config: ExperimentConfig) -> List[ResultRow]:
     for h, n in config.grid:
         rows.extend(_run_grid_point(config, h, n))
     return rows
+
+
+def empirical_estimator_cov(
+    params: Params,
+    h: float,
+    N: int,
+    replications: int,
+    seed: int = 0,
+) -> Tuple[np.ndarray, int]:
+    """Sample covariance of sqrt(N)*(theta_hat - theta) by simulation.
+
+    One-process parameters give a 2x2 matrix for (H_hat, a2_hat) using
+    the aggregated scheme (xi1 on 2N, xi2 on N increments); two-process
+    parameters give a 4x4 matrix for (H1, H2, a2, b2) using direct
+    sampling at each factor with shared component noise.  Replication r
+    is drawn on the stream (seed, r).  Degenerate replications are
+    excluded and counted in the second return value.
+    """
+    if replications < 100:
+        raise ValueError("need at least 100 replications")
+    names = _NOISE_ROWS[type(params)]
+    truth = np.array([getattr(params, name) for name in names])
+    kept = [
+        [getattr(est, name + "_hat") for name in names]
+        for est in _noise_estimates(params, h, N, seed, 0, replications, "direct-per-j")
+        if not est.degenerate
+    ]
+    if len(kept) < 2:
+        raise ValueError("too few non-degenerate replications")
+    scaled = math.sqrt(N) * (np.array(kept) - truth)
+    return np.cov(scaled, rowvar=False), replications - len(kept)
 
 
 def _fmt(value) -> str:
@@ -321,30 +365,20 @@ def _fmt(value) -> str:
 
 
 def format_results(rows: Sequence[ResultRow], fmt: str = "csv") -> str:
-    """Render result rows as CSV (fixed header) or a JSON array."""
-    names = [f.name for f in fields(ResultRow)]
+    """Render result rows as CSV (fixed header) or a JSON array.
+
+    CSV floats carry 17 significant digits; JSON floats are Python's
+    shortest round-trip repr, with nan written as NaN.
+    """
     if fmt == "csv":
+        names = [f.name for f in fields(ResultRow)]
         out = io.StringIO()
         out.write(CSV_HEADER + "\n")
         for row in rows:
             out.write(",".join(_fmt(getattr(row, n)) for n in names) + "\n")
         return out.getvalue()
     if fmt == "json":
-        items = []
-        for row in rows:
-            body = []
-            for n in names:
-                value = getattr(row, n)
-                if value is None:
-                    body.append(f'"{n}": null')
-                elif isinstance(value, float):
-                    body.append(f'"{n}": {format(value, ".17g")}')
-                elif isinstance(value, str):
-                    body.append(f'"{n}": {json.dumps(value)}')
-                else:
-                    body.append(f'"{n}": {value}')
-            items.append("{" + ", ".join(body) + "}")
-        return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
+        return json.dumps([asdict(row) for row in rows], indent=2)
     raise ValueError("format must be 'csv' or 'json'")
 
 
@@ -446,68 +480,38 @@ def table_configs(which: int, replications: int = 100, seed: int = 42):
     """Built-in experiment configurations mirroring the benchmark
     tables: 1 and 2 are drift estimation for the one- and two-process
     models, 3 and 4 are noise-parameter estimation."""
-    drift_grid = tuple((h, n) for h in (2.0, 4.0) for n in (2**3, 2**5, 2**7))
-    noise_grid_one = tuple(
-        (h, n) for h in (2.0, 4.0, 16.0) for n in (2**6, 2**8, 2**10, 2**12)
-    )
-    noise_grid_two = tuple((2.0, n) for n in (2**6, 2**8, 2**10, 2**12))
     common = dict(replications=replications, seed=seed)
+    drift = dict(
+        mu=4.0,
+        g_name="benchmark-g",
+        grid=tuple((h, n) for h in (2.0, 4.0) for n in (2**3, 2**5, 2**7)),
+        outputs=("drift-mle", "drift-two-point"),
+        **common,
+    )
     if which == 1:
         return [
-            ExperimentConfig(
-                model="one-nifbm",
-                H1=h_val,
-                a2=1.0,
-                mu=4.0,
-                g_name="benchmark-g",
-                grid=drift_grid,
-                outputs=("drift-mle", "drift-two-point"),
-                **common,
-            )
+            ExperimentConfig(model="one-nifbm", H1=h_val, **drift)
             for h_val in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
     if which == 2:
         return [
-            ExperimentConfig(
-                model="two-nifbm",
-                H1=h1,
-                H2=h2,
-                a2=1.0,
-                b2=1.0,
-                mu=4.0,
-                g_name="benchmark-g",
-                grid=drift_grid,
-                outputs=("drift-mle", "drift-two-point"),
-                **common,
-            )
+            ExperimentConfig(model="two-nifbm", H1=h1, H2=h2, b2=1.0, **drift)
             for h1, h2 in _TABLE_H_PAIRS
         ]
     if which == 3:
+        grid = tuple(
+            (h, n) for h in (2.0, 4.0, 16.0) for n in (2**6, 2**8, 2**10, 2**12)
+        )
         return [
-            ExperimentConfig(
-                model="one-nifbm",
-                H1=h_val,
-                a2=1.0,
-                grid=noise_grid_one,
-                simulation_mode="aggregate",
-                outputs=("noise",),
-                **common,
-            )
+            ExperimentConfig(model="one-nifbm", H1=h_val, grid=grid,
+                             simulation_mode="aggregate", **common)
             for h_val in (0.1, 0.3, 0.5, 0.7)
         ]
     if which == 4:
+        grid = tuple((2.0, n) for n in (2**6, 2**8, 2**10, 2**12))
         return [
-            ExperimentConfig(
-                model="two-nifbm",
-                H1=h1,
-                H2=h2,
-                a2=4.0,
-                b2=4.0,
-                grid=noise_grid_two,
-                simulation_mode="direct-per-j",
-                outputs=("noise",),
-                **common,
-            )
+            ExperimentConfig(model="two-nifbm", H1=h1, H2=h2, a2=4.0, b2=4.0,
+                             grid=grid, **common)
             for h1, h2 in _TABLE_H_PAIRS
         ]
     raise ConfigError("table number must be 1, 2, 3 or 4")

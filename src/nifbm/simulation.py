@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .covariance import (
+    AGGREGATION_FACTORS,
     AutocovSequence,
     MixedParams,
     Params,
@@ -79,8 +80,10 @@ class SampleGrid:
             raise ValueError("step h must be positive")
         if self.N < 1:
             raise ValueError("need at least one increment")
-        if self.j not in (1, 2, 4, 8):
-            raise ValueError("aggregation factor j must be one of 1, 2, 4, 8")
+        if self.j not in AGGREGATION_FACTORS:
+            raise ValueError(
+                f"aggregation factor j must be one of {AGGREGATION_FACTORS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -257,10 +260,14 @@ def aggregate_increments(base: IncrementSeries, j: int) -> IncrementSeries:
     x_{2k}) / 2, shrinking the length from M to (M - 1) // 2; the step
     is applied log2(j) times.
     """
-    if j not in (2, 4, 8):
-        raise ValueError("target aggregation factor must be 2, 4 or 8")
-    if base.grid.j * j > 8:
-        raise ValueError("aggregation beyond factor 8 is unsupported")
+    if j not in AGGREGATION_FACTORS[1:]:
+        raise ValueError(
+            f"target aggregation factor must be one of {AGGREGATION_FACTORS[1:]}"
+        )
+    if base.grid.j * j > AGGREGATION_FACTORS[-1]:
+        raise ValueError(
+            f"aggregation beyond factor {AGGREGATION_FACTORS[-1]} is unsupported"
+        )
     values = base.values
     levels = int(round(math.log2(j)))
     for _ in range(levels):
@@ -276,12 +283,17 @@ def aggregate_increments(base: IncrementSeries, j: int) -> IncrementSeries:
     return IncrementSeries(grid=grid, values=values)
 
 
-def add_drift(increments: IncrementSeries, drift: DriftSpec) -> IncrementSeries:
-    """Add mu * (G(t_{k+1}) - G(t_k)) to each increment."""
-    if drift.g_values.size != increments.grid.N + 1:
+def add_drift(
+    increments: Union[IncrementSeries, np.ndarray], drift: DriftSpec
+) -> Union[IncrementSeries, np.ndarray]:
+    """Add mu * (G(t_{k+1}) - G(t_k)) to each increment of a series, or
+    to each row of an (R, N) array of increment series."""
+    series = isinstance(increments, IncrementSeries)
+    values = increments.values if series else np.asarray(increments, dtype=float)
+    if drift.g_values.size != values.shape[-1] + 1:
         raise GridMismatchError(
             f"drift sampled at {drift.g_values.size} points, "
-            f"expected {increments.grid.N + 1}"
+            f"expected {values.shape[-1] + 1}"
         )
-    values = increments.values + drift.mu * np.diff(drift.g_values)
-    return IncrementSeries(grid=increments.grid, values=values)
+    values = values + drift.mu * np.diff(drift.g_values)
+    return IncrementSeries(grid=increments.grid, values=values) if series else values

@@ -6,7 +6,64 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import quad
 
-from nifbm.covariance import fbm_cov
+from nifbm.covariance import MixedParams, nifbm_cov, nifbm_var
+
+
+def fbm_cov(H: float, s: float, t: float) -> float:
+    """Covariance of fractional Brownian motion at times s and t."""
+    if s < 0.0 or t < 0.0:
+        raise ValueError("times must be nonnegative")
+    p = 2.0 * H
+    return 0.5 * (s**p + t**p - abs(s - t) ** p)
+
+
+def fbm_increment_cov(H: float, s: float, t: float, u: float, v: float) -> float:
+    """Covariance of the fBm increments over [s, t] and [u, v].
+
+    Each interval must be ordered (s <= t, u <= v, nonnegative); the
+    intervals themselves may coincide or overlap.
+    """
+    if not (0.0 <= s <= t) or not (0.0 <= u <= v):
+        raise ValueError("arguments must satisfy 0 <= s <= t and 0 <= u <= v")
+    p = 2.0 * H
+    return 0.5 * (
+        abs(v - s) ** p + abs(u - t) ** p - abs(v - t) ** p - abs(u - s) ** p
+    )
+
+
+def gamma_asymptotic(H: float, n):
+    """Leading large-n behaviour of gamma: H(2H-1) * n^(2H-2).
+
+    Zero at H = 1/2 and negative for H < 1/2, matching the sign of
+    gamma itself.
+    """
+    arr = np.asarray(n, dtype=float)
+    out = H * (2.0 * H - 1.0) * arr ** (2.0 * H - 2.0)
+    if np.isscalar(n) or np.ndim(n) == 0:
+        return float(out)
+    return out
+
+
+def two_point_variance_assembled(params, h: float, N: int, gN: float) -> float:
+    """Variance of the two-point drift estimate (yN - y0) / gN assembled
+    from the window-average covariance; algebraically identical to
+    nifbm.estimation.two_point_variance, which it cross-checks."""
+    if gN == 0.0:
+        return 0.0
+    t_end = N * h
+
+    def component(H: float, c: float) -> float:
+        return c * (
+            nifbm_var(H, h, 0.0)
+            + nifbm_var(H, h, t_end)
+            - 2.0 * nifbm_cov(H, h, 0.0, t_end)
+        )
+
+    if isinstance(params, MixedParams):
+        total = component(params.H1, params.a2) + component(params.H2, params.b2)
+    else:
+        total = component(params.H, params.a2)
+    return total / gN**2
 
 
 def quad_oracle(H: float, h: float, t: float, s: float) -> float:

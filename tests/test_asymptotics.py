@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import toeplitz
 
 from nifbm.asymptotics import (
-    empirical_estimator_cov,
     gamma_square_series,
     jacobian_one,
     jacobian_one_det,
@@ -20,6 +19,7 @@ from nifbm.covariance import (
 )
 from nifbm.errors import HTooLargeError
 from nifbm.estimation import forward_moment_map_one
+from nifbm.harness import empirical_estimator_cov
 
 
 class TestGammaSquareSeries:

@@ -5,15 +5,11 @@ import pytest
 
 from nifbm.covariance import (
     AutocovSequence,
-    HurstIndex,
     MixedParams,
     NifbmParams,
     autocov_sequence,
-    fbm_cov,
-    fbm_increment_cov,
     find_h0,
     gamma,
-    gamma_asymptotic,
     increment_autocov,
     mixed_increment_autocov,
     nifbm_cov,
@@ -21,7 +17,7 @@ from nifbm.covariance import (
 )
 from nifbm.simulation import cholesky_factor
 
-from conftest import quad_oracle
+from conftest import fbm_cov, fbm_increment_cov, gamma_asymptotic, quad_oracle
 
 
 class TestFbmCov:
@@ -340,8 +336,8 @@ class TestParamsValidation:
     def test_hurst_boundaries(self):
         for bad in (0.0, 1.0, -0.2, 1.4):
             with pytest.raises(ValueError):
-                HurstIndex(bad)
-        assert float(HurstIndex(0.5)) == 0.5
+                NifbmParams(H=bad, h=1.0)
+        assert NifbmParams(H=0.5, h=1.0).H == 0.5
 
     def test_nifbm_params(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from nifbm.estimation import (
     forward_moment_map,
     forward_moment_map_one,
     two_point_variance,
-    two_point_variance_assembled,
     two_stage_estimate,
     xi_statistic,
     xi_statistics_from_base,
@@ -33,6 +32,8 @@ from nifbm.simulation import (
     cholesky_factor,
     sample_increments,
 )
+
+from conftest import two_point_variance_assembled
 
 
 def random_mixed(rng, min_gap=0.05):
@@ -239,6 +240,21 @@ class TestDriftMle:
         dg = np.diff(drift_samples("benchmark-g", 32, 2.0))
         est = drift_mle(3.25 * dg, dg, cov)
         assert est.mu_hat == pytest.approx(3.25, rel=1e-10)
+
+    def test_rows_match_single_series(self):
+        # an (R, N) block shares one factorization; each row's estimate
+        # is bit-identical to that of the row alone, which is a float
+        params = MixedParams(0.6, 0.2, 1.0, 2.0)
+        cov = autocov_sequence(params, 2.0, 1, 40)
+        dg = np.diff(drift_samples("benchmark-g", 40, 2.0))
+        rows = np.random.default_rng(3).standard_normal((7, 40)) + 2.0 * dg
+        block = drift_mle(rows, dg, cov)
+        assert block.mu_hat.shape == (7,)
+        for row, mu_hat in zip(rows, block.mu_hat):
+            single = drift_mle(row, dg, cov)
+            assert isinstance(single.mu_hat, float)
+            assert single.mu_hat == mu_hat
+            assert single.variance == block.variance
 
     def test_zero_drift_rejected(self):
         params = NifbmParams(0.5, 1.0)

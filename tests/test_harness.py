@@ -1,10 +1,15 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nifbm.asymptotics import gamma_square_series
 from nifbm.cli import main
+from nifbm.covariance import NifbmParams, autocov_sequence
 from nifbm.errors import ConfigError
+from nifbm.estimation import drift_mle
 from nifbm.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -16,6 +21,7 @@ from nifbm.harness import (
     table_configs,
     write_results,
 )
+from nifbm.simulation import RngSeed, SampleGrid, sample_increments
 
 
 def small_drift_config(**overrides):
@@ -90,6 +96,72 @@ class TestRunExperiment:
         assert rows["H1"].sd_theory is None
         assert rows["H1"].H2 == 0.3
 
+    def test_all_degenerate_grid_point_keeps_rows(self):
+        # at N = 2 every replication of these seeds is degenerate
+        for seed in (0, 2, 5):
+            cfg = ExperimentConfig(
+                model="two-nifbm",
+                H1=0.5,
+                H2=0.3,
+                a2=1,
+                b2=1,
+                grid=((2.0, 2),),
+                replications=1,
+                seed=seed,
+                outputs=("noise",),
+            )
+            rows = run_experiment(cfg)
+            assert [row.estimator for row in rows] == ["H1", "H2", "a2", "b2"]
+            for row in rows:
+                assert row.degenerate == 1
+                assert math.isnan(row.mean) and math.isnan(row.sd_emp)
+
+    def test_drift_blocks_match_per_replication(self):
+        # N = 600 samples in blocks of 65536 // 1198 = 54 seeds: 54, 54, 12;
+        # each block's GLS estimates must equal the one-series ones exactly
+        n, reps = 600, 120
+        cfg = small_drift_config(
+            grid=((2.0, n),), replications=reps, outputs=("drift-mle",)
+        )
+        rows = run_experiment(cfg)
+        params = NifbmParams(0.5, 2.0)
+        dg = np.diff(drift_samples("benchmark-g", n, 2.0))
+        cov = autocov_sequence(params, 2.0, 1, n)
+        paths = sample_increments(
+            params, SampleGrid(h=2.0, N=n), [RngSeed(3, r) for r in range(reps)]
+        )
+        mles = [drift_mle(path + 4.0 * dg, dg, cov).mu_hat for path in paths]
+        assert rows[0].mean == float(np.mean(mles))
+        assert rows[0].sd_emp == float(np.std(mles, ddof=1))
+
+    def test_two_point_with_vanishing_last_drift_value(self):
+        # G_N = 0: every two-point estimate is 0 with variance 0
+        cfg = small_drift_config(
+            g_name=None, g_samples=(0.0, 1.0, 2.0, 1.0, 0.0), grid=((2.0, 4),)
+        )
+        rows = {row.estimator: row for row in run_experiment(cfg)}
+        two = rows["mu_two_point"]
+        assert (two.mean, two.sd_emp, two.sd_theory) == (0.0, 0.0, 0.0)
+        assert two.degenerate == 0
+        assert np.isfinite(rows["mu_mle"].mean)
+
+    def test_theory_series_once_per_hurst(self):
+        # the series depend on H only, so two grid steps share them
+        gamma_square_series.cache_clear()
+        cfg = ExperimentConfig(
+            model="one-nifbm",
+            H1=0.3,
+            grid=((2.0, 16), (4.0, 16)),
+            replications=2,
+            seed=1,
+            simulation_mode="aggregate",
+            outputs=("noise",),
+        )
+        rows = run_experiment(cfg)
+        assert all(row.sd_theory is not None for row in rows)
+        info = gamma_square_series.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
+
     def test_theory_above_three_quarters_absent(self):
         cfg = ExperimentConfig(
             model="one-nifbm",
@@ -119,13 +191,21 @@ class TestWriteResults:
 
     def test_json_round_trip(self, tmp_path):
         rows = run_experiment(small_drift_config())
+        # an all-degenerate row: nan statistics, no theory
+        rows.append(replace(rows[0], mean=math.nan, sd_emp=math.nan, sd_theory=None))
         path = tmp_path / "out.json"
         write_results(rows, str(path), "json")
         parsed = json.loads(path.read_text())
         assert len(parsed) == len(rows)
         for obj, row in zip(parsed, rows):
             rebuilt = ResultRow(**obj)
-            assert rebuilt == row
+            for name, value in vars(row).items():
+                got = getattr(rebuilt, name)
+                if isinstance(value, float) and math.isnan(value):
+                    assert math.isnan(got)
+                else:
+                    assert got == value
+        assert parsed[-1]["sd_theory"] is None
 
     def test_seventeen_digit_floats(self):
         rows = run_experiment(small_drift_config(replications=2))
@@ -198,6 +278,10 @@ class TestConfigValidation:
             ExperimentConfig(
                 model="one-nifbm", H1=0.5, mu=4.0, outputs=("drift-mle",)
             )
+
+    def test_empty_grid(self):
+        with pytest.raises(ConfigError, match="grid"):
+            ExperimentConfig(model="one-nifbm", H1=0.5, grid=())
 
     def test_n_envelope(self):
         with pytest.raises(ConfigError):

@@ -309,6 +309,18 @@ class TestAddDrift:
         with pytest.raises(GridMismatchError):
             add_drift(series, DriftSpec(mu=1.0, g_values=np.arange(4.0)))
 
+    def test_rows_match_single_series(self):
+        grid = SampleGrid(h=1.0, N=6)
+        rows = np.arange(18.0).reshape(3, 6)
+        drift = DriftSpec(mu=2.5, g_values=np.arange(7.0) ** 2)
+        shifted = add_drift(rows, drift)
+        assert shifted.shape == (3, 6)
+        for row, out in zip(rows, shifted):
+            single = add_drift(IncrementSeries(grid=grid, values=row), drift)
+            assert np.array_equal(out, single.values)
+        with pytest.raises(GridMismatchError):
+            add_drift(rows, DriftSpec(mu=1.0, g_values=np.arange(6.0)))
+
 
 class TestTypeValidation:
     def test_grid_validation(self):
