@@ -26,7 +26,6 @@ from .errors import (
 )
 from .simulation import (
     DriftSpec,
-    IncrementSeries,
     RngSeed,
     SampleGrid,
     add_drift,

@@ -22,6 +22,7 @@ from .covariance import (
     AGGREGATION_FACTORS,
     MixedParams,
     NifbmParams,
+    check_positive,
     find_h0,
     gamma,
 )
@@ -38,7 +39,7 @@ from .harness import (
     table_configs,
     write_results,
 )
-from .simulation import IncrementSeries, RngSeed, SampleGrid, sample_increments
+from .simulation import RngSeed, SampleGrid, sample_increments
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,10 +129,7 @@ def _read_series(path: Optional[str]) -> np.ndarray:
 
 
 def _cmd_estimate(args) -> int:
-    values = _read_series(args.infile)
-    base = IncrementSeries(
-        grid=SampleGrid(h=args.h, N=values.size, j=1), values=values
-    )
+    base = _read_series(args.infile)
     if args.model == "one-nifbm":
         stats = xi_statistics_from_base(base, factors=AGGREGATION_FACTORS[:2])
         result = estimate_one_nifbm(stats.xi[1], stats.xi[2], args.h)
@@ -165,6 +163,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    check_positive("window width h", args.h)
     lags = np.arange(args.max_lag + 1)
     values = gamma(args.H, lags)
     print(f"H = {args.H}, h = {args.h}")

@@ -13,6 +13,7 @@ here is a pure function of its arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -51,6 +52,13 @@ def _check_hurst(value: float) -> float:
     return value
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError unless value is finite and positive (NaN and
+    inf pass a bare `<= 0` test, so it is not enough)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class NifbmParams:
     """Parameters of a single scaled process: Hurst index H, window
@@ -62,10 +70,8 @@ class NifbmParams:
 
     def __post_init__(self):
         _check_hurst(self.H)
-        if self.h <= 0.0:
-            raise ValueError("window width h must be positive")
-        if self.a2 <= 0.0:
-            raise ValueError("scale a2 must be positive")
+        check_positive("window width h", self.h)
+        check_positive("scale a2", self.a2)
 
 
 @dataclass(frozen=True)
@@ -86,8 +92,8 @@ class MixedParams:
         _check_hurst(self.H2)
         if not self.H1 > self.H2:
             raise ValueError("canonical ordering requires H1 > H2")
-        if self.a2 <= 0.0 or self.b2 <= 0.0:
-            raise ValueError("scales a2 and b2 must be positive")
+        check_positive("scale a2", self.a2)
+        check_positive("scale b2", self.b2)
 
 
 Params = Union[NifbmParams, MixedParams]

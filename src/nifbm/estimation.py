@@ -8,6 +8,11 @@ roots are 2^(2*H1) and 2^(2*H2).  Drift estimators are the exact
 generalized-least-squares MLE and a crude two-point alternative, both
 with exact finite-sample variances.
 
+The xi statistics take plain arrays with time on the last axis: one
+series gives floats, an (R, N) block of series one value per row,
+equal bit for bit to the value for that row alone.  The estimators
+are scalar and are called once per replication.
+
 Degeneracies (negative discriminant, ratios outside the admissible
 range, vanishing denominators) are flagged, never raised: the truncated
 conventions log+ (zero below 1), sqrt+ (zero below 0) and
@@ -31,9 +36,10 @@ from .covariance import (
     MixedParams,
     NifbmParams,
     Params,
+    check_positive,
 )
 from .errors import LengthError, ZeroDenominatorError
-from .simulation import IncrementSeries, SampleGrid, aggregate_increments
+from .simulation import aggregate_increments
 
 __all__ = [
     "XiStatistics",
@@ -57,14 +63,15 @@ _LOG4 = 2.0 * math.log(2.0)
 
 @dataclass(frozen=True)
 class XiStatistics:
-    """Mean squared increments xi[j] and the sample sizes counts[j]."""
+    """Mean squared increments xi[j] and the sample sizes counts[j];
+    each xi[j] is a float, or an array of one value per row of a block."""
 
-    xi: Dict[int, float]
+    xi: Dict[int, Union[float, np.ndarray]]
     counts: Dict[int, int]
 
     def __post_init__(self):
         for j, value in self.xi.items():
-            if not math.isfinite(value) or value < 0.0:
+            if not np.all(np.isfinite(value)) or np.any(np.less(value, 0.0)):
                 raise ValueError(f"xi[{j}] must be finite and nonnegative, got {value}")
 
 
@@ -118,41 +125,40 @@ def _scale_coef(H: float, h: float) -> float:
     return 2.0 * h ** (2.0 * H) / ((2.0 * H + 1.0) * (H + 1.0))
 
 
-def xi_statistic(series: Union[IncrementSeries, np.ndarray]) -> float:
-    """Mean squared value of an increment series."""
-    values = series.values if isinstance(series, IncrementSeries) else np.asarray(
-        series, dtype=float
-    )
-    if values.size == 0:
+def xi_statistic(series: np.ndarray) -> Union[float, np.ndarray]:
+    """Mean squared value of an increment series (a float), or of each
+    row of an (R, N) block (an array)."""
+    values = np.asarray(series, dtype=float)
+    if values.shape[-1] == 0:
         raise LengthError("cannot form a xi statistic from an empty series")
-    return float(np.mean(values**2))
+    xi = np.mean(values**2, axis=-1)
+    return float(xi) if values.ndim == 1 else xi
 
 
 def xi_statistics_from_base(
-    base: IncrementSeries, factors: Tuple[int, ...] = AGGREGATION_FACTORS
+    base: np.ndarray, factors: Tuple[int, ...] = AGGREGATION_FACTORS
 ) -> XiStatistics:
-    """xi statistics at several aggregation factors from one base series.
+    """xi statistics at several aggregation factors from one base series,
+    or from each row of an (R, M) block.
 
     The sample sizes follow the shared-horizon bookkeeping: if n series
     of the coarsest factor fit, factor j uses the first n * max(factors)
-    / j increments of its level.
+    / j increments of its level.  Each level is the previous one
+    aggregated by 2.
     """
+    levels = {1: np.asarray(base, dtype=float)}
     jmax = max(factors)
-    levels = {1: base}
+    if levels[1].shape[-1] < 2 * jmax - 1:
+        raise LengthError(
+            f"series of length {levels[1].shape[-1]} too short to aggregate by {jmax}"
+        )
     j = 2
     while j <= jmax:
-        levels[j] = aggregate_increments(base, j)
+        levels[j] = aggregate_increments(levels[j // 2], 2)
         j *= 2
-    n_coarse = len(levels[jmax])
-    if n_coarse < 1:
-        raise LengthError("base series too short for the requested factors")
-    xi = {}
-    counts = {}
-    for j in factors:
-        count = n_coarse * (jmax // j)
-        values = levels[j].values[:count]
-        xi[j] = float(np.mean(values**2))
-        counts[j] = count
+    n_coarse = levels[jmax].shape[-1]
+    counts = {j: n_coarse * (jmax // j) for j in factors}
+    xi = {j: xi_statistic(levels[j][..., : counts[j]]) for j in factors}
     return XiStatistics(xi=xi, counts=counts)
 
 
@@ -184,6 +190,7 @@ def estimate_one_nifbm(xi1: float, xi2: float, h: float) -> OneNifbmEstimate:
     xi1 is the mean squared increment at width h (computed on 2N
     values), xi2 at width 2h (on N values).
     """
+    check_positive("step h", h)
     ratio = _safe_div(xi2, xi1)
     h_hat = _log_plus(ratio) / _LOG4
     degenerate = not 0.0 < h_hat < 1.0
@@ -204,6 +211,7 @@ def estimate_two_nifbm(
     quadratic assembled from the four statistics; scales follow by
     linear solves with the estimated Hurst indices plugged in.
     """
+    check_positive("step h", h)
     stats = xi.xi if isinstance(xi, XiStatistics) else xi
     try:
         x1, x2, x4, x8 = stats[1], stats[2], stats[4], stats[8]
@@ -249,7 +257,7 @@ def estimate_two_nifbm(
 
 
 def drift_mle(
-    delta_y: Union[IncrementSeries, np.ndarray],
+    delta_y: np.ndarray,
     delta_g: np.ndarray,
     cov: AutocovSequence,
 ) -> DriftEstimate:
@@ -260,9 +268,7 @@ def drift_mle(
     one increment series, giving a float mu_hat, or an (R, N) array of
     series, giving one mu_hat per row from the same factorization.
     """
-    dy = delta_y.values if isinstance(delta_y, IncrementSeries) else np.asarray(
-        delta_y, dtype=float
-    )
+    dy = np.asarray(delta_y, dtype=float)
     dg = np.asarray(delta_g, dtype=float)
     if dy.shape[-1] != dg.size or dg.size != len(cov):
         raise LengthError("increments, drift increments and covariance must align")
@@ -349,10 +355,7 @@ def two_stage_estimate(
             stacklevel=2,
         )
     mu_tilde = _safe_div(y[-1] - y[0], g[-1] - g[0])
-    residual = y - mu_tilde * g
-    base = IncrementSeries(
-        grid=SampleGrid(h=h, N=n_incr, j=1), values=np.diff(residual)
-    )
+    base = np.diff(y - mu_tilde * g)
     if model == "one":
         stats = xi_statistics_from_base(base, factors=AGGREGATION_FACTORS[:2])
         noise = estimate_one_nifbm(stats.xi[1], stats.xi[2], h)

@@ -40,7 +40,6 @@ from .estimation import (
 )
 from .simulation import (
     DriftSpec,
-    IncrementSeries,
     SampleGrid,
     add_drift,
     combine_mixed_components,
@@ -108,6 +107,10 @@ class ExperimentConfig:
                 raise ConfigError("two-nifbm requires H2 and b2")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not math.isfinite(self.mu):
+            raise ConfigError(f"drift coefficient mu must be finite, got {self.mu}")
         if self.simulation_mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}")
         if not self.outputs:
@@ -119,11 +122,15 @@ class ExperimentConfig:
             self.g_name is None and self.g_samples is None
         ):
             raise ConfigError("drift estimators need a drift function g")
+        if self.g_name is not None and self.g_samples is not None:
+            raise ConfigError("give the drift function as g or g_samples, not both")
+        if self.g_samples is not None and not all(map(math.isfinite, self.g_samples)):
+            raise ConfigError("g_samples must all be finite")
         if not self.grid:
             raise ConfigError("grid needs at least one h:N pair")
         for h, n in self.grid:
-            if h <= 0.0:
-                raise ConfigError(f"grid step h must be positive, got {h}")
+            if not 0.0 < h < math.inf:
+                raise ConfigError(f"grid step h must be finite and positive, got {h}")
             if n < 2 or n > MAX_N:
                 raise ConfigError(f"grid size N must be in [2, {MAX_N}], got {n}")
             if (
@@ -202,31 +209,31 @@ def _noise_estimates(
     drawn on the stream (seed, first + r).  Two-process direct-per-j
     rescales shared unit-scale components to every aggregation factor;
     every other scheme aggregates one base series at step h, of 2N + 1
-    (one process) or 8N + 7 (two processes) increments.
+    (one process) or 8N + 7 (two processes) increments.  The xi
+    statistics are computed once per seed block and factor, the
+    estimates once per replication.
     """
     mixed = isinstance(params, MixedParams)
-    if mixed and mode == "direct-per-j":
-        for seeds in seed_blocks(seed, first, count, N):
-            e1, e2 = sample_mixed_components(params, N, seeds)
-            for r in range(len(seeds)):
-                stats = {
-                    j: xi_statistic(combine_mixed_components(params, h, j, e1[r], e2[r]))
-                    for j in AGGREGATION_FACTORS
-                }
-                yield estimate_two_nifbm(stats, h)
-        return
+    direct = mixed and mode == "direct-per-j"
     factors = AGGREGATION_FACTORS if mixed else AGGREGATION_FACTORS[:2]
     # the shortest base whose coarsest aggregate has N increments
-    grid = SampleGrid(h=h, N=factors[-1] * (N + 1) - 1)
+    grid = SampleGrid(h=h, N=N if direct else factors[-1] * (N + 1) - 1)
     for seeds in seed_blocks(seed, first, count, grid.N):
-        for values in sample_increments(params, grid, seeds):
-            stats = xi_statistics_from_base(
-                IncrementSeries(grid=grid, values=values), factors=factors
-            )
+        if direct:
+            e1, e2 = sample_mixed_components(params, N, seeds)
+            xi = {
+                j: xi_statistic(combine_mixed_components(params, h, j, e1, e2))
+                for j in factors
+            }
+        else:
+            xi = xi_statistics_from_base(
+                sample_increments(params, grid, seeds), factors=factors
+            ).xi
+        for row in zip(*(xi[j].tolist() for j in factors)):
             if mixed:
-                yield estimate_two_nifbm(stats, h)
+                yield estimate_two_nifbm(dict(zip(factors, row)), h)
             else:
-                yield estimate_one_nifbm(stats.xi[1], stats.xi[2], h)
+                yield estimate_one_nifbm(*row, h)
 
 
 def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):

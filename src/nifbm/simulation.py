@@ -8,6 +8,12 @@ so a block of R paths of length N costs one rfft of the first row and
 one batched irfft, O(R N log N), with each replication's normals drawn
 from its own seed stream.  This is the package's only path sampler;
 the dense Cholesky factor is kept as an exact reference for tests.
+
+Increment series are plain float arrays with time on the last axis:
+the samplers return one row per seed, and combine_mixed_components,
+aggregate_increments and add_drift take one series or an (R, N) block
+of them alike, row r of a block result being exactly the result for
+row r alone.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .covariance import (
     MixedParams,
     Params,
     autocov_sequence,
+    check_positive,
     gamma,
 )
 from .errors import GridMismatchError, LengthError, NotPositiveDefiniteError
@@ -32,7 +39,6 @@ from .errors import GridMismatchError, LengthError, NotPositiveDefiniteError
 __all__ = [
     "RngSeed",
     "SampleGrid",
-    "IncrementSeries",
     "DriftSpec",
     "cholesky_factor",
     "embedding_length",
@@ -76,31 +82,13 @@ class SampleGrid:
     j: int = 1
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("step h must be positive")
+        check_positive("step h", self.h)
         if self.N < 1:
             raise ValueError("need at least one increment")
         if self.j not in AGGREGATION_FACTORS:
             raise ValueError(
                 f"aggregation factor j must be one of {AGGREGATION_FACTORS}"
             )
-
-
-@dataclass(frozen=True)
-class IncrementSeries:
-    """Equally spaced increments on a grid."""
-
-    grid: SampleGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size != self.grid.N:
-            raise ValueError("values length must equal grid.N")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -243,18 +231,19 @@ def sample_mixed_components(
 
 def combine_mixed_components(
     params: MixedParams, h: float, j: int, e1: np.ndarray, e2: np.ndarray
-) -> IncrementSeries:
-    """Increment series at aggregation j from shared component noises."""
+) -> np.ndarray:
+    """Increments at aggregation j from shared component noises, for
+    one pair of series or row by row for (R, N) blocks."""
     w = j * h
-    values = (
+    return (
         math.sqrt(params.a2) * w**params.H1 * e1
         + math.sqrt(params.b2) * w**params.H2 * e2
     )
-    return IncrementSeries(grid=SampleGrid(h=h, N=values.size, j=j), values=values)
 
 
-def aggregate_increments(base: IncrementSeries, j: int) -> IncrementSeries:
-    """Increments at width j times the base width, from base increments.
+def aggregate_increments(base: np.ndarray, j: int) -> np.ndarray:
+    """Increments at width j times the base width, from base increments
+    on the last axis (one series or an (R, M) block).
 
     One doubling step maps x to y with y_k = (x_{2k+2} + 2 x_{2k+1} +
     x_{2k}) / 2, shrinking the length from M to (M - 1) // 2; the step
@@ -264,36 +253,25 @@ def aggregate_increments(base: IncrementSeries, j: int) -> IncrementSeries:
         raise ValueError(
             f"target aggregation factor must be one of {AGGREGATION_FACTORS[1:]}"
         )
-    if base.grid.j * j > AGGREGATION_FACTORS[-1]:
-        raise ValueError(
-            f"aggregation beyond factor {AGGREGATION_FACTORS[-1]} is unsupported"
-        )
-    values = base.values
-    levels = int(round(math.log2(j)))
-    for _ in range(levels):
-        n_out = (values.size - 1) // 2
+    values = np.asarray(base, dtype=float)
+    length = values.shape[-1]
+    for _ in range(int(round(math.log2(j)))):
+        n_out = (values.shape[-1] - 1) // 2
         if n_out < 1:
-            raise LengthError(
-                f"series of length {base.grid.N} too short to aggregate by {j}"
-            )
-        values = 0.5 * (values[2 : 2 * n_out + 1 : 2]
-                        + 2.0 * values[1 : 2 * n_out : 2]
-                        + values[0 : 2 * n_out - 1 : 2])
-    grid = SampleGrid(h=base.grid.h, N=values.size, j=base.grid.j * j)
-    return IncrementSeries(grid=grid, values=values)
+            raise LengthError(f"series of length {length} too short to aggregate by {j}")
+        values = 0.5 * (values[..., 2 : 2 * n_out + 1 : 2]
+                        + 2.0 * values[..., 1 : 2 * n_out : 2]
+                        + values[..., 0 : 2 * n_out - 1 : 2])
+    return values
 
 
-def add_drift(
-    increments: Union[IncrementSeries, np.ndarray], drift: DriftSpec
-) -> Union[IncrementSeries, np.ndarray]:
+def add_drift(increments: np.ndarray, drift: DriftSpec) -> np.ndarray:
     """Add mu * (G(t_{k+1}) - G(t_k)) to each increment of a series, or
     to each row of an (R, N) array of increment series."""
-    series = isinstance(increments, IncrementSeries)
-    values = increments.values if series else np.asarray(increments, dtype=float)
+    values = np.asarray(increments, dtype=float)
     if drift.g_values.size != values.shape[-1] + 1:
         raise GridMismatchError(
             f"drift sampled at {drift.g_values.size} points, "
             f"expected {values.shape[-1] + 1}"
         )
-    values = values + drift.mu * np.diff(drift.g_values)
-    return IncrementSeries(grid=increments.grid, values=values) if series else values
+    return values + drift.mu * np.diff(drift.g_values)

@@ -15,7 +15,6 @@ from scipy.stats import chi2
 
 from nifbm import (
     ExperimentConfig,
-    IncrementSeries,
     MixedParams,
     NifbmParams,
     RngSeed,

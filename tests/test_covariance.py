@@ -347,6 +347,15 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             NifbmParams(H=1.0, h=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields(self, bad):
+        for kwargs in (dict(h=bad), dict(h=1.0, a2=bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                NifbmParams(H=0.5, **kwargs)
+        for kwargs in (dict(a2=bad, b2=1.0), dict(a2=1.0, b2=bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                MixedParams(H1=0.5, H2=0.3, **kwargs)
+
     def test_mixed_params_ordering(self):
         with pytest.raises(ValueError):
             MixedParams(H1=0.3, H2=0.5, a2=1.0, b2=1.0)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nifbm.covariance import (
     MixedParams,
@@ -25,11 +28,12 @@ from nifbm.estimation import (
 from nifbm.harness import drift_samples
 from nifbm.simulation import (
     DriftSpec,
-    IncrementSeries,
     RngSeed,
     SampleGrid,
     add_drift,
+    aggregate_increments,
     cholesky_factor,
+    combine_mixed_components,
     sample_increments,
 )
 
@@ -44,8 +48,7 @@ def random_mixed(rng, min_gap=0.05):
 
 class TestXiStatistic:
     def test_constant(self):
-        grid = SampleGrid(h=1.0, N=5)
-        assert xi_statistic(IncrementSeries(grid=grid, values=np.full(5, 3.0))) == 9.0
+        assert xi_statistic(np.full(5, 3.0)) == 9.0
 
     def test_arithmetic(self):
         assert xi_statistic(np.array([1.0, -1.0, 2.0])) == pytest.approx(2.0)
@@ -54,6 +57,18 @@ class TestXiStatistic:
         with pytest.raises(LengthError):
             xi_statistic(np.array([]))
 
+    def test_short_base_rejected(self):
+        # factor 8 needs 15 base increments for one coarse increment
+        with pytest.raises(LengthError, match="length 14 too short to aggregate by 8"):
+            xi_statistics_from_base(np.ones(14))
+        assert xi_statistics_from_base(np.ones(15)).counts[8] == 1
+
+    def test_block_values_checked(self):
+        block = np.ones((3, 15))
+        block[1, 4] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            xi_statistics_from_base(block)
+
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
@@ -61,9 +76,7 @@ class TestXiStatistic:
 
     def test_counts_follow_shared_horizon(self):
         n = 5
-        base = IncrementSeries(
-            grid=SampleGrid(h=1.0, N=8 * n + 7), values=np.zeros(8 * n + 7) + 1.0
-        )
+        base = np.zeros(8 * n + 7) + 1.0
         stats = xi_statistics_from_base(base)
         assert stats.counts == {1: 8 * n, 2: 4 * n, 4: 2 * n, 8: n}
 
@@ -79,6 +92,47 @@ class TestXiStatistic:
         eta1 = forward_moment_map(params, h)[0]
         se = vals.std(ddof=1) / math.sqrt(n_reps)
         assert abs(vals.mean() - eta1) < 4.0 * se
+
+
+# finite (R, M) blocks long enough for every aggregation factor; the
+# bound keeps squares and aggregates finite
+_BLOCKS = st.tuples(st.integers(1, 5), st.integers(15, 80)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(-1e6, 1e6))
+)
+
+
+class TestBlockStatistics:
+    """Row r of a block result is bit for bit the result for row r."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        block=_BLOCKS,
+        other=_BLOCKS,
+        h1=st.floats(0.55, 0.95),
+        h2=st.floats(0.05, 0.45),
+        h=st.floats(0.5, 8.0),
+        j=st.sampled_from((1, 2, 4, 8)),
+    )
+    def test_rows_equal_single_series(self, block, other, h1, h2, h, j):
+        params = MixedParams(H1=h1, H2=h2, a2=2.0, b2=0.5)
+        other = np.resize(other, block.shape)
+        mixed = combine_mixed_components(params, h, j, block, other)
+        xi = xi_statistic(block)
+        stats = xi_statistics_from_base(block)
+        assert isinstance(xi_statistic(block[0]), float)
+        assert isinstance(xi_statistics_from_base(block[0]).xi[8], float)
+        for r, row in enumerate(block):
+            assert xi[r] == xi_statistic(row)
+            assert np.array_equal(
+                mixed[r], combine_mixed_components(params, h, j, row, other[r])
+            )
+            if j > 1:
+                assert np.array_equal(
+                    aggregate_increments(block, j)[r], aggregate_increments(row, j)
+                )
+            single = xi_statistics_from_base(row)
+            assert single.counts == stats.counts
+            assert all(stats.xi[k][r] == single.xi[k] for k in single.xi)
 
 
 class TestForwardMomentMap:
@@ -329,11 +383,10 @@ class TestUnbiasedness:
         grid = SampleGrid(h=2.0, N=n)
         block = sample_increments(params, grid, [RngSeed(100, r) for r in range(n_reps)])
         mles, twops = [], []
-        for values in block:
-            noise = IncrementSeries(grid=grid, values=values)
+        for noise in block:
             dy = add_drift(noise, DriftSpec(mu=mu, g_values=g))
             mles.append(drift_mle(dy, dg, cov).mu_hat)
-            twops.append(drift_two_point(0.0, float(np.sum(dy.values)), g[-1]).mu_hat)
+            twops.append(drift_two_point(0.0, float(np.sum(dy)), g[-1]).mu_hat)
         for vals in (np.array(mles), np.array(twops)):
             se = vals.std(ddof=1) / math.sqrt(n_reps)
             assert abs(vals.mean() - mu) < 4.0 * se
@@ -343,19 +396,14 @@ class TestTwoStage:
     def test_zero_drift_matches_direct(self):
         params = NifbmParams(0.5, 2.0)
         grid = SampleGrid(h=2.0, N=65)
-        noise = IncrementSeries(
-            grid=grid, values=sample_increments(params, grid, [RngSeed(15, 0)])[0]
-        )
-        y = np.concatenate([[0.0], np.cumsum(noise.values)])
+        noise = sample_increments(params, grid, [RngSeed(15, 0)])[0]
+        y = np.concatenate([[0.0], np.cumsum(noise)])
         g = np.arange(66.0) * 2.0
         drift, est = two_stage_estimate(y, g, 2.0, model="one")
         # mu contribution removed exactly when mu = 0 and the estimator
         # sees residuals equal to pure noise minus a linear correction
         assert abs(drift.mu_hat) < 1.0
-        stats = xi_statistics_from_base(
-            IncrementSeries(grid=grid, values=np.diff(y - drift.mu_hat * g)),
-            factors=(1, 2),
-        )
+        stats = xi_statistics_from_base(np.diff(y - drift.mu_hat * g), factors=(1, 2))
         direct = estimate_one_nifbm(stats.xi[1], stats.xi[2], 2.0)
         assert est.H_hat == pytest.approx(direct.H_hat, abs=1e-12)
 
@@ -374,9 +422,8 @@ class TestTwoStage:
         block = sample_increments(params, grid, [RngSeed(16, r) for r in range(100)])
         g = (np.arange(n + 1.0)) ** 2  # fast-growing drift satisfies the rate check
         h_two_stage, h_direct = [], []
-        for values in block:
-            noise = IncrementSeries(grid=grid, values=values)
-            y = np.concatenate([[0.0], np.cumsum(noise.values)]) + 4.0 * g
+        for noise in block:
+            y = np.concatenate([[0.0], np.cumsum(noise)]) + 4.0 * g
             _, est = two_stage_estimate(y, g, 1.0, model="one")
             h_two_stage.append(est.H_hat)
             stats = xi_statistics_from_base(noise, factors=(1, 2))
@@ -386,11 +433,9 @@ class TestTwoStage:
     def test_two_process_mode(self):
         params = MixedParams(0.6, 0.2, 1.0, 1.0)
         grid = SampleGrid(h=1.0, N=8 * 16 + 7)
-        noise = IncrementSeries(
-            grid=grid, values=sample_increments(params, grid, [RngSeed(17, 0)])[0]
-        )
+        noise = sample_increments(params, grid, [RngSeed(17, 0)])[0]
         g = (np.arange(grid.N + 1.0)) ** 2
-        y = np.concatenate([[0.0], np.cumsum(noise.values)]) + 2.0 * g
+        y = np.concatenate([[0.0], np.cumsum(noise)]) + 2.0 * g
         drift, est = two_stage_estimate(y, g, 1.0, model="two")
         assert drift.method == "two-point"
         assert est.H1_hat >= est.H2_hat

@@ -7,9 +7,19 @@ import pytest
 
 from nifbm.asymptotics import gamma_square_series
 from nifbm.cli import main
-from nifbm.covariance import NifbmParams, autocov_sequence
+from nifbm.covariance import (
+    AGGREGATION_FACTORS,
+    MixedParams,
+    NifbmParams,
+    autocov_sequence,
+)
 from nifbm.errors import ConfigError
-from nifbm.estimation import drift_mle
+from nifbm.estimation import (
+    drift_mle,
+    estimate_two_nifbm,
+    xi_statistic,
+    xi_statistics_from_base,
+)
 from nifbm.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -21,7 +31,13 @@ from nifbm.harness import (
     table_configs,
     write_results,
 )
-from nifbm.simulation import RngSeed, SampleGrid, sample_increments
+from nifbm.simulation import (
+    RngSeed,
+    SampleGrid,
+    combine_mixed_components,
+    sample_increments,
+    sample_mixed_components,
+)
 
 
 def small_drift_config(**overrides):
@@ -133,6 +149,40 @@ class TestRunExperiment:
         mles = [drift_mle(path + 4.0 * dg, dg, cov).mu_hat for path in paths]
         assert rows[0].mean == float(np.mean(mles))
         assert rows[0].sd_emp == float(np.std(mles, ddof=1))
+
+    @pytest.mark.parametrize("mode", ["direct-per-j", "aggregate"])
+    def test_noise_blocks_match_per_replication(self, mode):
+        # direct-per-j at N = 256 samples in blocks of 65536 // 510 = 128
+        # seeds (128, 22), aggregate its 2055-increment base in blocks of
+        # 15; the rows must equal those built from one-series statistics
+        n, reps, seed = 256, 150, 4
+        params = MixedParams(H1=0.5, H2=0.3, a2=4.0, b2=4.0)
+        cfg = ExperimentConfig(
+            model="two-nifbm", H1=0.5, H2=0.3, a2=4.0, b2=4.0, grid=((2.0, n),),
+            replications=reps, seed=seed, simulation_mode=mode,
+        )
+        rows = run_experiment(cfg)
+        estimates = []
+        # the noise stage draws on the streams reps .. 2 reps - 1
+        for stream in range(reps, 2 * reps):
+            seeds = [RngSeed(seed, stream)]
+            if mode == "direct-per-j":
+                e1, e2 = sample_mixed_components(params, n, seeds)
+                xi = {
+                    j: xi_statistic(combine_mixed_components(params, 2.0, j, e1[0], e2[0]))
+                    for j in AGGREGATION_FACTORS
+                }
+            else:
+                base = sample_increments(params, SampleGrid(h=2.0, N=8 * n + 7), seeds)
+                xi = xi_statistics_from_base(base[0]).xi
+            estimates.append(estimate_two_nifbm(xi, 2.0))
+        kept = [est for est in estimates if not est.degenerate]
+        assert [row.estimator for row in rows] == ["H1", "H2", "a2", "b2"]
+        for row in rows:
+            values = np.array([getattr(est, row.estimator + "_hat") for est in kept])
+            assert row.degenerate == reps - len(kept)
+            assert row.mean == float(values.mean())
+            assert row.sd_emp == float(values.std(ddof=1))
 
     def test_two_point_with_vanishing_last_drift_value(self):
         # G_N = 0: every two-point estimate is 0 with variance 0
@@ -283,6 +333,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="grid"):
             ExperimentConfig(model="one-nifbm", H1=0.5, grid=())
 
+    def test_non_finite_mu(self):
+        text = "model = one-nifbm\nH = 0.5\nmu = inf\ng = linear\noutputs = drift-mle"
+        with pytest.raises(ConfigError, match="mu must be finite"):
+            parse_config(text)
+
+    def test_non_finite_grid_step(self):
+        # two-nifbm params carry no h, so the grid check alone catches it
+        text = "model = two-nifbm\nH1 = 0.5\nH2 = 0.3\nb2 = 1\ngrid = nan:8"
+        with pytest.raises(ConfigError, match="grid step h"):
+            parse_config(text)
+
+    def test_non_finite_g_samples(self):
+        text = (
+            "model = one-nifbm\nH = 0.5\nmu = 1\ng_samples = 0 nan 2\n"
+            "grid = 1:2\noutputs = drift-mle"
+        )
+        with pytest.raises(ConfigError, match="g_samples must all be finite"):
+            parse_config(text)
+
+    def test_g_and_g_samples_exclusive(self):
+        text = (
+            "model = one-nifbm\nH = 0.5\nmu = 1\ng = linear\n"
+            "g_samples = 0 1 2\ngrid = 1:2\noutputs = drift-mle"
+        )
+        with pytest.raises(ConfigError, match="not both"):
+            parse_config(text)
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            parse_config("model = one-nifbm\nH = 0.5\nseed = -1")
+
     def test_n_envelope(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(model="one-nifbm", H1=0.5, grid=((2.0, 2**14),))
@@ -427,6 +508,33 @@ class TestCli:
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--frobnicate"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "one-nifbm", "--H", "0.5", "--h", "nan", "--N", "4"],
+            ["simulate", "--model", "one-nifbm", "--H", "0.5", "--h", "1",
+             "--a2", "inf", "--N", "4"],
+            ["simulate", "--model", "two-nifbm", "--H1", "0.6", "--H2", "0.2",
+             "--h", "inf", "--N", "4"],
+            ["simulate", "--model", "two-nifbm", "--H1", "0.6", "--H2", "0.2",
+             "--b2", "nan", "--h", "1", "--N", "4"],
+            ["constants", "--H", "0.5", "--h", "nan"],
+        ],
+    )
+    def test_non_finite_parameter_exit_code(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite and positive" in captured.err
+
+    def test_estimate_rejects_bad_step(self, tmp_path, capsys):
+        series = tmp_path / "series.txt"
+        series.write_text(" ".join(["0.5", "-0.2", "0.1"] * 6))
+        for h in ("-1", "nan"):
+            argv = ["estimate", "--model", "two-nifbm", "--h", h, "--in", str(series)]
+            assert main(argv) == 1
+            assert "step h must be finite and positive" in capsys.readouterr().err
 
     def test_missing_h_for_one_process(self, capsys):
         assert (

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -16,7 +17,6 @@ from nifbm.errors import (
 )
 from nifbm.simulation import (
     DriftSpec,
-    IncrementSeries,
     RngSeed,
     SampleGrid,
     add_drift,
@@ -174,7 +174,7 @@ class TestSharedComponentSampling:
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
         e1, e2 = sample_mixed_components(params, 32, [RngSeed(5, 2)])
         series = combine_mixed_components(params, 2.0, 4, e1[0], e2[0])
-        assert series.grid.j == 4 and len(series) == 32
+        assert series.shape == (32,)
 
 
 class TestAggregation:
@@ -182,36 +182,23 @@ class TestAggregation:
         # a constant base increment c means the path grows by c per step
         # of width h, so a width-j*h increment is j*c; each doubling of
         # the rule (weights 1/2, 1, 1/2) doubles the constant
-        grid = SampleGrid(h=1.0, N=15)
-        base = IncrementSeries(grid=grid, values=np.full(15, 2.5))
+        base = np.full(15, 2.5)
         for j in (2, 4, 8):
             out = aggregate_increments(base, j)
-            assert np.allclose(out.values, 2.5 * j)
+            assert np.allclose(out, 2.5 * j)
 
     def test_three_point_rule(self):
-        base = IncrementSeries(
-            grid=SampleGrid(h=1.0, N=3), values=np.array([1.0, 2.0, 3.0])
-        )
+        base = np.array([1.0, 2.0, 3.0])
         out = aggregate_increments(base, 2)
-        assert out.values.tolist() == [0.5 * (3.0 + 2 * 2.0 + 1.0)]
-        assert out.grid.j == 2
+        assert out.tolist() == [0.5 * (3.0 + 2 * 2.0 + 1.0)]
 
     def test_length_contract(self):
-        base = IncrementSeries(
-            grid=SampleGrid(h=1.0, N=2 * 10 + 1), values=np.zeros(21)
-        )
-        assert len(aggregate_increments(base, 2)) == 10
-        base8 = IncrementSeries(
-            grid=SampleGrid(h=1.0, N=8 * 3 + 7), values=np.zeros(31)
-        )
-        assert len(aggregate_increments(base8, 8)) == 3
+        assert len(aggregate_increments(np.zeros(2 * 10 + 1), 2)) == 10
+        assert len(aggregate_increments(np.zeros(8 * 3 + 7), 8)) == 3
 
     def test_too_short(self):
-        base = IncrementSeries(
-            grid=SampleGrid(h=1.0, N=3), values=np.array([1.0, 2.0, 3.0])
-        )
         with pytest.raises(LengthError):
-            aggregate_increments(base, 4)
+            aggregate_increments(np.array([1.0, 2.0, 3.0]), 4)
 
     def test_aggregated_covariance_analytic(self):
         # push the base Toeplitz covariance through the aggregation map
@@ -269,55 +256,45 @@ class TestCirculantSampler:
 
 class TestAddDrift:
     def test_zero_mu_identity(self):
-        grid = SampleGrid(h=2.0, N=4)
-        series = IncrementSeries(grid=grid, values=np.arange(4.0))
+        series = np.arange(4.0)
         drift = DriftSpec(mu=0.0, g_values=np.arange(5.0) * 2.0)
-        assert np.array_equal(add_drift(series, drift).values, series.values)
+        assert np.array_equal(add_drift(series, drift), series)
 
     def test_linear_drift(self):
-        grid = SampleGrid(h=2.0, N=5)
-        series = IncrementSeries(grid=grid, values=np.zeros(5))
+        series = np.zeros(5)
         drift = DriftSpec(mu=4.0, g_values=np.arange(6.0) * 2.0)
-        assert np.allclose(add_drift(series, drift).values, 8.0)
+        assert np.allclose(add_drift(series, drift), 8.0)
 
     def test_telescoping(self):
         t = np.arange(9, dtype=float)
         g = 5 * np.cos(t) - np.exp(-4 * t) + 2 * t**2
         g -= g[0]
         grid = SampleGrid(h=1.0, N=8)
-        values = sample_increments(NifbmParams(0.4, 1.0), grid, [RngSeed(2, 2)])[0]
-        noise = IncrementSeries(grid=grid, values=values)
+        noise = sample_increments(NifbmParams(0.4, 1.0), grid, [RngSeed(2, 2)])[0]
         shifted = add_drift(noise, DriftSpec(mu=4.0, g_values=g))
-        assert np.sum(shifted.values - noise.values) == pytest.approx(
+        assert np.sum(shifted - noise) == pytest.approx(
             4.0 * (g[-1] - g[0]), rel=1e-12
         )
 
     def test_linearity(self):
-        grid = SampleGrid(h=1.0, N=6)
-        a = IncrementSeries(grid=grid, values=np.arange(6.0))
-        b = IncrementSeries(grid=grid, values=np.ones(6))
+        a = np.arange(6.0)
+        b = np.ones(6)
         drift = DriftSpec(mu=2.0, g_values=np.arange(7.0))
-        lhs = add_drift(
-            IncrementSeries(grid=grid, values=a.values + b.values), drift
-        ).values
-        rhs = add_drift(a, drift).values + b.values
+        lhs = add_drift(a + b, drift)
+        rhs = add_drift(a, drift) + b
         assert np.allclose(lhs, rhs)
 
     def test_grid_mismatch(self):
-        grid = SampleGrid(h=1.0, N=4)
-        series = IncrementSeries(grid=grid, values=np.zeros(4))
         with pytest.raises(GridMismatchError):
-            add_drift(series, DriftSpec(mu=1.0, g_values=np.arange(4.0)))
+            add_drift(np.zeros(4), DriftSpec(mu=1.0, g_values=np.arange(4.0)))
 
     def test_rows_match_single_series(self):
-        grid = SampleGrid(h=1.0, N=6)
         rows = np.arange(18.0).reshape(3, 6)
         drift = DriftSpec(mu=2.5, g_values=np.arange(7.0) ** 2)
         shifted = add_drift(rows, drift)
         assert shifted.shape == (3, 6)
         for row, out in zip(rows, shifted):
-            single = add_drift(IncrementSeries(grid=grid, values=row), drift)
-            assert np.array_equal(out, single.values)
+            assert np.array_equal(out, add_drift(row, drift))
         with pytest.raises(GridMismatchError):
             add_drift(rows, DriftSpec(mu=1.0, g_values=np.arange(6.0)))
 
@@ -330,16 +307,15 @@ class TestTypeValidation:
             SampleGrid(h=1.0, N=0)
         with pytest.raises(ValueError):
             SampleGrid(h=1.0, N=4, j=3)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                SampleGrid(h=bad, N=4)
 
     def test_drift_spec_validation(self):
         with pytest.raises(ValueError):
             DriftSpec(mu=1.0, g_values=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             DriftSpec(mu=1.0, g_values=np.zeros(5))
-
-    def test_series_length_check(self):
-        with pytest.raises(ValueError):
-            IncrementSeries(grid=SampleGrid(h=1.0, N=3), values=np.zeros(4))
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
