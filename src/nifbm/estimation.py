@@ -8,14 +8,15 @@ roots are 2^(2*H1) and 2^(2*H2).  Drift estimators are the exact
 generalized-least-squares MLE and a crude two-point alternative, both
 with exact finite-sample variances.
 
-The xi statistics take plain arrays with time on the last axis: one
-series gives floats, an (R, N) block of series one value per row,
-equal bit for bit to the value for that row alone.  The estimators
-are scalar and are called once per replication.
+The xi statistics and the moment estimators take plain arrays: one
+series gives floats, an (R, N) block of series (or R values of each
+xi statistic) one value per row, equal bit for bit to the value for
+that row alone.  Scalars run the array code on one-element arrays, so
+a Monte Carlo driver makes one estimator call for all its replications.
 
 Degeneracies (negative discriminant, ratios outside the admissible
-range, vanishing denominators) are flagged, never raised: the truncated
-conventions log+ (zero below 1), sqrt+ (zero below 0) and
+range, vanishing denominators, overflow) are flagged, never raised: the
+truncated conventions log+ (zero below 1), sqrt+ (zero below 0) and
 fraction-is-zero-on-zero-denominator are applied and the estimate is
 marked degenerate so Monte Carlo drivers can count incidence.
 """
@@ -88,6 +89,9 @@ class DriftEstimate:
 
 @dataclass(frozen=True)
 class OneNifbmEstimate:
+    """Floats and a bool for one series; arrays of one value per row for
+    a block (as are the fields of TwoNifbmEstimate)."""
+
     H_hat: float
     a2_hat: float
     degenerate: bool
@@ -103,20 +107,44 @@ class TwoNifbmEstimate:
     degenerate: bool
 
     def __post_init__(self):
-        if self.H1_hat < self.H2_hat:
+        if np.any(np.less(self.H1_hat, self.H2_hat)):
             raise ValueError("roots must be ordered, H1_hat >= H2_hat")
 
 
-def _log_plus(x: float) -> float:
-    return math.log(x) if x > 1.0 else 0.0
+# array forms of the truncated conventions; NaN fails each test, as it
+# does in the scalar `f(x) if test else 0`
 
 
-def _sqrt_plus(x: float) -> float:
-    return math.sqrt(x) if x > 0.0 else 0.0
+def _log_plus(x: np.ndarray) -> np.ndarray:
+    return np.log(np.where(x > 1.0, x, 1.0))
 
 
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den != 0.0 else 0.0
+def _sqrt_plus(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.where(x > 0.0, x, 0.0))
+
+
+def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    out = np.zeros(np.broadcast(num, den).shape)
+    return np.divide(num, den, out=out, where=den != 0.0)
+
+
+def _in_range(value: np.ndarray, upper: float) -> np.ndarray:
+    """0 < value < upper, False for NaN: degeneracy tests are written as
+    the negation of the valid range so that NaN counts as degenerate."""
+    return (0.0 < value) & (value < upper)
+
+
+def _rows(*values) -> Tuple[list, bool]:
+    """The values as 1-d float arrays, so that one series and a block
+    share one code path, and whether every value was a scalar."""
+    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
+    return arrays, all(np.ndim(v) == 0 for v in values)
+
+
+def _estimate(cls, scalar: bool, *fields: np.ndarray):
+    """cls of the field arrays, unwrapped to Python floats and bools when
+    every input was a scalar."""
+    return cls(*(field.item() if scalar else field for field in fields))
 
 
 def _scale_coef(H: float, h: float) -> float:
@@ -184,24 +212,24 @@ def forward_moment_map_one(theta: NifbmParams) -> Tuple[float, float]:
     return a_big * (x - 1.0), a_big * x * (x - 1.0)
 
 
-def estimate_one_nifbm(xi1: float, xi2: float, h: float) -> OneNifbmEstimate:
+@np.errstate(all="ignore")
+def estimate_one_nifbm(xi1, xi2, h: float) -> OneNifbmEstimate:
     """Invert the one-process moment map on (xi1, xi2).
 
     xi1 is the mean squared increment at width h (computed on 2N
-    values), xi2 at width 2h (on N values).
+    values), xi2 at width 2h (on N values); floats give one estimate,
+    arrays one estimate per element.
     """
     check_positive("step h", h)
-    ratio = _safe_div(xi2, xi1)
-    h_hat = _log_plus(ratio) / _LOG4
-    degenerate = not 0.0 < h_hat < 1.0
-    a_coef = _scale_coef(h_hat, h)
-    denom = a_coef * (2.0 ** (2.0 * h_hat) - 1.0)
+    (xi1, xi2), scalar = _rows(xi1, xi2)
+    h_hat = _log_plus(_safe_div(xi2, xi1)) / _LOG4
+    denom = _scale_coef(h_hat, h) * (2.0 ** (2.0 * h_hat) - 1.0)
     a2_hat = _safe_div(xi1, denom)
-    if a2_hat <= 0.0:
-        degenerate = True
-    return OneNifbmEstimate(H_hat=h_hat, a2_hat=a2_hat, degenerate=degenerate)
+    valid = _in_range(h_hat, 1.0) & _in_range(a2_hat, math.inf)
+    return _estimate(OneNifbmEstimate, scalar, h_hat, a2_hat, ~valid)
 
 
+@np.errstate(all="ignore")
 def estimate_two_nifbm(
     xi: Union[XiStatistics, Dict[int, float]], h: float
 ) -> TwoNifbmEstimate:
@@ -209,12 +237,13 @@ def estimate_two_nifbm(
 
     The candidate values of 2^(2*H1) and 2^(2*H2) are the two roots of a
     quadratic assembled from the four statistics; scales follow by
-    linear solves with the estimated Hurst indices plugged in.
+    linear solves with the estimated Hurst indices plugged in.  Floats
+    give one estimate, arrays one estimate per element.
     """
     check_positive("step h", h)
     stats = xi.xi if isinstance(xi, XiStatistics) else xi
     try:
-        x1, x2, x4, x8 = stats[1], stats[2], stats[4], stats[8]
+        (x1, x2, x4, x8), scalar = _rows(*(stats[j] for j in AGGREGATION_FACTORS))
     except KeyError as exc:
         raise LengthError("xi statistics at j = 1, 2, 4, 8 are all required") from exc
 
@@ -223,19 +252,10 @@ def estimate_two_nifbm(
     den = 2.0 * (x4 * x1 - x2 * x2)
     x = _safe_div(x8 * x1 - x4 * x2 + root, den)
     y = _safe_div(x8 * x1 - x4 * x2 - root, den)
-    if x < y:
-        x, y = y, x
+    x, y = np.where(x < y, y, x), np.where(x < y, x, y)
 
     h1_hat = _log_plus(x) / _LOG4
     h2_hat = _log_plus(y) / _LOG4
-    degenerate = (
-        disc <= 0.0
-        or den == 0.0
-        or not 0.0 < h1_hat < 1.0
-        or not 0.0 < h2_hat < 1.0
-        or h1_hat == h2_hat
-    )
-
     a2_hat = _safe_div(
         (2.0 * h1_hat + 1.0) * (h1_hat + 1.0) * (x2 - y * x1),
         2.0 * h ** (2.0 * h1_hat) * (x - y) * (x - 1.0),
@@ -244,16 +264,11 @@ def estimate_two_nifbm(
         (2.0 * h2_hat + 1.0) * (h2_hat + 1.0) * (x2 - x * x1),
         2.0 * h ** (2.0 * h2_hat) * (y - x) * (y - 1.0),
     )
-    if a2_hat <= 0.0 or b2_hat <= 0.0:
-        degenerate = True
-    return TwoNifbmEstimate(
-        H1_hat=h1_hat,
-        H2_hat=h2_hat,
-        a2_hat=a2_hat,
-        b2_hat=b2_hat,
-        discriminant=disc,
-        degenerate=degenerate,
-    )
+    valid = (0.0 < disc) & (den != 0.0) & (h1_hat != h2_hat)
+    valid &= _in_range(h1_hat, 1.0) & _in_range(h2_hat, 1.0)
+    valid &= _in_range(a2_hat, math.inf) & _in_range(b2_hat, math.inf)
+    fields = (h1_hat, h2_hat, a2_hat, b2_hat, disc, ~valid)
+    return _estimate(TwoNifbmEstimate, scalar, *fields)
 
 
 def drift_mle(
@@ -324,7 +339,7 @@ def drift_two_point(
     scalar 0.  The exact variance requires the noise parameters; when
     they are not supplied the variance is reported as 0.
     """
-    mu_hat = _safe_div(yN - y0, gN)
+    mu_hat = (yN - y0) / gN if gN != 0.0 else 0.0
     variance = 0.0
     if params is not None and h is not None and N is not None:
         variance = two_point_variance(params, h, N, gN)
@@ -354,7 +369,7 @@ def two_stage_estimate(
             "(N^0.99 / |G_N| >= 1)",
             stacklevel=2,
         )
-    mu_tilde = _safe_div(y[-1] - y[0], g[-1] - g[0])
+    mu_tilde = drift_two_point(y[0], y[-1], g[-1]).mu_hat
     base = np.diff(y - mu_tilde * g)
     if model == "one":
         stats = xi_statistics_from_base(base, factors=AGGREGATION_FACTORS[:2])

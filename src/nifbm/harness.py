@@ -3,10 +3,11 @@
 An experiment fixes a model, parameter values, an optional drift, a
 grid of (h, N) pairs and a replication count.  Each grid point is one
 pipeline: params, drift stage (one estimator call per seed block), noise
-stage (the replication loop empirical_estimator_cov shares), then one
-row per requested estimator with the empirical mean and standard
-deviation of the non-degenerate replications (nan if there are none),
-the theoretical standard deviation where a closed form exists, and the
+stage (xi statistics per seed block, then one estimator call on all
+replications, shared with empirical_estimator_cov), then one row per
+requested estimator with the empirical mean and standard deviation of
+the non-degenerate replications (nan if there are none), the
+theoretical standard deviation where a closed form exists, and the
 count of degenerate replications.
 """
 
@@ -145,7 +146,10 @@ class ExperimentConfig:
                     "direct-per-j"
                 )
             # parameter validation happens here, at every grid step
-            self.make_params(h)
+            try:
+                self.make_params(h)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     def make_params(self, h: float) -> Params:
         """Model parameters at grid step h; the only place they are built."""
@@ -205,35 +209,33 @@ def _config_g(config: ExperimentConfig, N: int, h: float) -> np.ndarray:
 def _noise_estimates(
     params: Params, h: float, N: int, seed: int, first: int, count: int, mode: str
 ):
-    """Moment estimate of each of `count` replications, replication r
-    drawn on the stream (seed, first + r).  Two-process direct-per-j
-    rescales shared unit-scale components to every aggregation factor;
-    every other scheme aggregates one base series at step h, of 2N + 1
-    (one process) or 8N + 7 (two processes) increments.  The xi
-    statistics are computed once per seed block and factor, the
-    estimates once per replication.
+    """Moment estimates of `count` replications, one array element per
+    replication, replication r drawn on the stream (seed, first + r).
+    Two-process direct-per-j rescales shared unit-scale components to
+    every aggregation factor; every other scheme aggregates one base
+    series at step h, of 2N + 1 (one process) or 8N + 7 (two processes)
+    increments.  The xi statistics are computed once per seed block and
+    factor, the estimates in one call on all the blocks' statistics.
     """
     mixed = isinstance(params, MixedParams)
     direct = mixed and mode == "direct-per-j"
     factors = AGGREGATION_FACTORS if mixed else AGGREGATION_FACTORS[:2]
     # the shortest base whose coarsest aggregate has N increments
     grid = SampleGrid(h=h, N=N if direct else factors[-1] * (N + 1) - 1)
+    blocks = []
     for seeds in seed_blocks(seed, first, count, grid.N):
         if direct:
             e1, e2 = sample_mixed_components(params, N, seeds)
-            xi = {
-                j: xi_statistic(combine_mixed_components(params, h, j, e1, e2))
-                for j in factors
-            }
+            mixes = (combine_mixed_components(params, h, j, e1, e2) for j in factors)
+            blocks.append([xi_statistic(mix) for mix in mixes])
         else:
-            xi = xi_statistics_from_base(
-                sample_increments(params, grid, seeds), factors=factors
-            ).xi
-        for row in zip(*(xi[j].tolist() for j in factors)):
-            if mixed:
-                yield estimate_two_nifbm(dict(zip(factors, row)), h)
-            else:
-                yield estimate_one_nifbm(*row, h)
+            base = sample_increments(params, grid, seeds)
+            xi = xi_statistics_from_base(base, factors=factors).xi
+            blocks.append([xi[j] for j in factors])
+    xi = dict(zip(factors, map(np.concatenate, zip(*blocks))))
+    if mixed:
+        return estimate_two_nifbm(xi, h)
+    return estimate_one_nifbm(xi[1], xi[2], h)
 
 
 def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
@@ -268,10 +270,8 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     """The same for the noise estimators, on the streams R .. 2R - 1;
     sd_theory comes from sigma0_one for the one-process model."""
     reps = config.replications
-    estimates = list(
-        _noise_estimates(params, h, N, config.seed, reps, reps, config.simulation_mode)
-    )
-    kept = [est for est in estimates if not est.degenerate]
+    est = _noise_estimates(params, h, N, config.seed, reps, reps, config.simulation_mode)
+    kept, degenerate = ~est.degenerate, int(np.count_nonzero(est.degenerate))
     theory = {}
     if isinstance(params, NifbmParams):
         try:
@@ -279,11 +279,10 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
             theory = {"H": math.sqrt(sig[0, 0] / N), "a2": math.sqrt(sig[1, 1] / N)}
         except HTooLargeError:
             pass
-    rows = []
-    for name in _NOISE_ROWS[type(params)]:
-        samples = np.array([getattr(est, name + "_hat") for est in kept])
-        rows.append((name, *_summary(samples), reps - len(kept), theory.get(name)))
-    return rows
+    return [
+        (name, *_summary(getattr(est, name + "_hat")[kept]), degenerate, theory.get(name))
+        for name in _NOISE_ROWS[type(params)]
+    ]
 
 
 def _summary(samples: np.ndarray) -> Tuple[float, float]:
@@ -352,14 +351,11 @@ def empirical_estimator_cov(
         raise ValueError("need at least 100 replications")
     names = _NOISE_ROWS[type(params)]
     truth = np.array([getattr(params, name) for name in names])
-    kept = [
-        [getattr(est, name + "_hat") for name in names]
-        for est in _noise_estimates(params, h, N, seed, 0, replications, "direct-per-j")
-        if not est.degenerate
-    ]
+    est = _noise_estimates(params, h, N, seed, 0, replications, "direct-per-j")
+    kept = np.column_stack([getattr(est, name + "_hat")[~est.degenerate] for name in names])
     if len(kept) < 2:
         raise ValueError("too few non-degenerate replications")
-    scaled = math.sqrt(N) * (np.array(kept) - truth)
+    scaled = math.sqrt(N) * (kept - truth)
     return np.cov(scaled, rowvar=False), replications - len(kept)
 
 
@@ -399,22 +395,9 @@ def write_results(rows: Sequence[ResultRow], path: str, fmt: str = "csv") -> Non
         raise OSError(f"cannot write results to {path!r}: {exc}") from exc
 
 
-_KEY_PARSERS = {
-    "model": str,
-    "H1": float,
-    "H": float,
-    "H2": float,
-    "a2": float,
-    "b2": float,
-    "mu": float,
-    "g": str,
-    "g_samples": str,
-    "grid": str,
-    "replications": int,
-    "seed": int,
-    "mode": str,
-    "outputs": str,
-}
+_KEYS = frozenset(
+    "model H1 H H2 a2 b2 mu g g_samples grid replications seed mode outputs".split()
+)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -433,7 +416,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw or (key in ("H", "H1") and ("H" in raw or "H1" in raw)):
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")

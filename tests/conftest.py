@@ -1,12 +1,18 @@
-"""Shared test oracles."""
+"""Shared test oracles and the hypothesis profile of the suite."""
 
 import math
 
 import numpy as np
+from hypothesis import settings
 from scipy import sparse
 from scipy.integrate import quad
 
 from nifbm.covariance import MixedParams, nifbm_cov, nifbm_var
+
+# property tests are reproducible and never time out; each test sets
+# its own max_examples
+settings.register_profile("suite", derandomize=True, deadline=None)
+settings.load_profile("suite")
 
 
 def fbm_cov(H: float, s: float, t: float) -> float:

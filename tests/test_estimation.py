@@ -1,8 +1,10 @@
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -44,6 +46,16 @@ def random_mixed(rng, min_gap=0.05):
     h2 = rng.uniform(0.05, 0.9 - min_gap)
     h1 = rng.uniform(h2 + min_gap, 0.95)
     return MixedParams(H1=h1, H2=h2, a2=rng.uniform(0.1, 10), b2=rng.uniform(0.1, 10))
+
+
+def same_bits(a, b):
+    """Bit-for-bit equality of two floats or two bools, NaN included."""
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def row_of(estimate, r):
+    """Row r of a block estimate, as a tuple of its fields."""
+    return tuple(field[r] for field in astuple(estimate))
 
 
 class TestXiStatistic:
@@ -104,7 +116,7 @@ _BLOCKS = st.tuples(st.integers(1, 5), st.integers(15, 80)).flatmap(
 class TestBlockStatistics:
     """Row r of a block result is bit for bit the result for row r."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         block=_BLOCKS,
         other=_BLOCKS,
@@ -119,6 +131,8 @@ class TestBlockStatistics:
         mixed = combine_mixed_components(params, h, j, block, other)
         xi = xi_statistic(block)
         stats = xi_statistics_from_base(block)
+        one = estimate_one_nifbm(stats.xi[1], stats.xi[2], h)
+        two = estimate_two_nifbm(stats, h)
         assert isinstance(xi_statistic(block[0]), float)
         assert isinstance(xi_statistics_from_base(block[0]).xi[8], float)
         for r, row in enumerate(block):
@@ -133,6 +147,14 @@ class TestBlockStatistics:
             single = xi_statistics_from_base(row)
             assert single.counts == stats.counts
             assert all(stats.xi[k][r] == single.xi[k] for k in single.xi)
+            for block_est, scalar_est in (
+                (one, estimate_one_nifbm(single.xi[1], single.xi[2], h)),
+                (two, estimate_two_nifbm(single, h)),
+            ):
+                fields = astuple(scalar_est)
+                assert all(map(same_bits, row_of(block_est, r), fields))
+                assert all(isinstance(v, float) for v in fields[:-1])
+                assert isinstance(fields[-1], bool)
 
 
 class TestForwardMomentMap:
@@ -232,6 +254,12 @@ class TestTwoProcessEstimator:
         assert est.H1_hat == est.H2_hat
         assert abs(est.discriminant) < 1e-9 * max(1.0, f1**4)
 
+    def test_overflow_flagged_not_raised(self):
+        # 4^(2 * H1_hat) with H1_hat near 498 overflows: a2_hat is 0
+        est = estimate_two_nifbm({1: 1e-300, 2: 1e-300, 4: 1.0, 8: 1e300}, 4.0)
+        assert est.degenerate
+        assert est.a2_hat == 0.0
+
     def test_requires_all_factors(self):
         with pytest.raises(LengthError):
             estimate_two_nifbm({1: 1.0, 2: 1.0}, 1.0)
@@ -274,6 +302,59 @@ class TestTwoProcessEstimator:
         assert est.H2_hat == pytest.approx(0.25, abs=1e-10)
         assert est.a2_hat == pytest.approx(c2 * 2.0, rel=1e-9)
         assert est.b2_hat == pytest.approx(c2 * 3.0, rel=1e-9)
+
+
+# finite nonnegative xi values, with zero, subnormals and 1e300 drawn often
+_XI = st.one_of(
+    st.sampled_from((0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e300)),
+    st.floats(0.0, 1e300),
+)
+_TINY = np.finfo(float).tiny
+
+
+class TestEstimatorProperties:
+    @settings(max_examples=300)
+    @given(
+        xi=st.lists(_XI, min_size=4, max_size=4),
+        h=st.floats(0.0, 1e300, exclude_min=True),
+    )
+    def test_finite_input_never_raises(self, xi, h):
+        # any non-finite estimate or H outside (0, 1) must be flagged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = estimate_one_nifbm(xi[0], xi[1], h)
+            two = estimate_two_nifbm(dict(zip((1, 2, 4, 8), xi)), h)
+        for hursts, scales, est in (
+            ((one.H_hat,), (one.a2_hat,), one),
+            ((two.H1_hat, two.H2_hat), (two.a2_hat, two.b2_hat), two),
+        ):
+            valid = all(0.0 < v < 1.0 for v in hursts) and all(map(math.isfinite, scales))
+            assert valid or est.degenerate
+
+    @settings(max_examples=200)
+    @given(
+        xi=st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4),
+        h=st.floats(0.1, 10.0),
+        k=st.integers(-20, 20),
+    )
+    def test_scale_equivariance(self, xi, h, k):
+        # xi -> 2^k xi leaves every H unchanged and scales a2 and b2 by
+        # 2^k exactly, as long as no scale estimate under- or overflows
+        c = 2.0**k
+        inputs = (xi, [c * value for value in xi])
+        one = [estimate_one_nifbm(v[0], v[1], h) for v in inputs]
+        two = [estimate_two_nifbm(dict(zip((1, 2, 4, 8), v)), h) for v in inputs]
+        for (base, scaled), hursts, scales in (
+            (one, ("H_hat",), ("a2_hat",)),
+            (two, ("H1_hat", "H2_hat"), ("a2_hat", "b2_hat")),
+        ):
+            values = [getattr(est, name) for est in (base, scaled) for name in scales]
+            assume(all(v == 0.0 or _TINY <= abs(v) < math.inf for v in values))
+            for name in hursts:
+                assert same_bits(getattr(scaled, name), getattr(base, name))
+            for name in scales:
+                assert same_bits(getattr(scaled, name), c * getattr(base, name))
+            assert scaled.degenerate == base.degenerate
 
 
 class TestDriftMle:

@@ -372,6 +372,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(model="one-nifbm", H1=0.5, outputs=("bogus",))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("model = one-nifbm\nH = 0.5\na2 = -1", "scale a2 must be finite and positive"),
+            ("model = one-nifbm\nH = 1.5", "Hurst index must lie strictly in"),
+            ("model = two-nifbm\nH1 = 0.3\nH2 = 0.5\nb2 = 1", "canonical ordering"),
+        ],
+        ids=["negative-a2", "H-above-one", "H1-below-H2"],
+    )
+    def test_out_of_range_params_are_config_errors(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_two_process_aggregate_cap(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(
@@ -451,6 +464,27 @@ class TestCli:
         )
         result = json.loads(capsys.readouterr().out)
         assert set(result) == {"H_hat", "a2_hat", "degenerate"}
+
+    def test_estimate_overflow_is_degenerate(self, tmp_path, capsys):
+        # h^(2 H) overflows at h = 1e200: a2_hat is 0 and flagged, and
+        # both models keep their JSON keys and types
+        series = tmp_path / "series.txt"
+        argv = ["simulate", "--model", "one-nifbm", "--H", "0.9", "--h", "1",
+                "--N", "2001", "--seed", "1", "--out", str(series)]
+        assert main(argv) == 0
+        estimate = ["estimate", "--h", "1e200", "--in", str(series), "--model"]
+        assert main(estimate + ["one-nifbm"]) == 0
+        one = json.loads(capsys.readouterr().out)
+        assert one["a2_hat"] == 0.0 and one["degenerate"] is True
+        assert main(estimate + ["two-nifbm"]) == 0
+        two = json.loads(capsys.readouterr().out)
+        assert two["degenerate"] is True
+        for result, keys in (
+            (one, ["H_hat", "a2_hat"]),
+            (two, ["H1_hat", "H2_hat", "a2_hat", "b2_hat", "discriminant"]),
+        ):
+            assert list(result) == keys + ["degenerate"]
+            assert all(isinstance(result[key], float) for key in keys)
 
     def test_estimate_rejects_non_finite(self, tmp_path, capsys):
         series = tmp_path / "series.txt"
