@@ -4,14 +4,11 @@ parameter estimators, asymptotic variances and a Monte Carlo harness."""
 
 from .covariance import (
     AGGREGATION_FACTORS,
-    AutocovSequence,
     MixedParams,
     NifbmParams,
     autocov_sequence,
     find_h0,
     gamma,
-    increment_autocov,
-    mixed_increment_autocov,
     nifbm_cov,
     nifbm_var,
 )
@@ -51,11 +48,8 @@ from .estimation import (
     xi_statistics_from_base,
 )
 from .asymptotics import (
-    AsymptoticCov2,
-    Jacobian2,
     gamma_square_series,
     jacobian_one,
-    jacobian_one_det,
     sigma0_one,
     sigma_tilde_one,
 )

@@ -5,69 +5,32 @@ asymptotically Gaussian for H < 3/4 with a covariance built from the
 series sum over integers of gamma(H, i + alpha) * gamma(H, i + beta).
 The delta method then propagates that covariance through the inverse of
 the moment map f to give the joint asymptotic covariance of
-(H_hat, a2_hat).  Only the theory lives here; the Monte Carlo
-cross-check, empirical_estimator_cov, is in nifbm.harness.
+(H_hat, a2_hat).  The window width h is an argument of every function
+here, next to the model constants (H, a2), and covariances and
+Jacobians are plain 2x2 arrays.  Only the theory lives here; the Monte
+Carlo cross-check, empirical_estimator_cov, is in nifbm.harness.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 from scipy.special import zeta
 
-from .covariance import NifbmParams, gamma
+from .covariance import NifbmParams, check_positive, gamma
 from .errors import HTooLargeError
 
 __all__ = [
-    "AsymptoticCov2",
-    "Jacobian2",
     "gamma_square_series",
     "sigma_tilde_one",
     "jacobian_one",
-    "jacobian_one_det",
     "sigma0_one",
 ]
 
 _DEFAULT_TERMS = 100_000
-
-
-@dataclass(frozen=True)
-class AsymptoticCov2:
-    """Unit-scale asymptotic covariance of sqrt(N)*(xi1_on_2N, xi2_on_N)."""
-
-    s11: float
-    s12: float
-    s22: float
-
-    def __post_init__(self):
-        if self.s11 <= 0.0 or self.s22 <= 0.0:
-            raise ValueError("variances must be positive")
-        if self.s11 * self.s22 - self.s12**2 < 0.0:
-            raise ValueError("covariance must be positive semidefinite")
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.s11, self.s12], [self.s12, self.s22]])
-
-
-@dataclass(frozen=True)
-class Jacobian2:
-    """Partials of the one-process moment map, rows (f1, f2), columns
-    (H, a2)."""
-
-    d11: float
-    d12: float
-    d21: float
-    d22: float
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.d11, self.d12], [self.d21, self.d22]])
-
-    def det(self) -> float:
-        return self.d11 * self.d22 - self.d12 * self.d21
 
 
 def _check_h_range(H: float) -> float:
@@ -108,9 +71,10 @@ def gamma_square_series(
     return total
 
 
-def sigma_tilde_one(H: float, h: float, n_terms: int = _DEFAULT_TERMS) -> AsymptoticCov2:
+def sigma_tilde_one(H: float, h: float, n_terms: int = _DEFAULT_TERMS) -> np.ndarray:
     """Asymptotic covariance of the scaled (xi1_on_2N, xi2_on_N) pair
-    at unit process scale (multiply by a2 squared for a scaled model).
+    at unit process scale (multiply by a2 squared for a scaled model),
+    as a symmetric 2x2 array.
 
     Sampling convention: increments observed at step h; xi1 is the mean
     square of the first 2N base increments of width h, and xi2 the mean
@@ -120,6 +84,7 @@ def sigma_tilde_one(H: float, h: float, n_terms: int = _DEFAULT_TERMS) -> Asympt
     or xi2 on N / 2) changes it.
     """
     H = _check_h_range(H)
+    check_positive("window width h", h)
     s0 = gamma_square_series(H, (0, 0), n_terms)
     s1 = gamma_square_series(H, (0, 1), n_terms)
     s2 = gamma_square_series(H, (0, 2), n_terms)
@@ -127,12 +92,14 @@ def sigma_tilde_one(H: float, h: float, n_terms: int = _DEFAULT_TERMS) -> Asympt
     s11 = scale * s0
     s22 = 2.0 ** (4.0 * H + 1.0) * s11
     s12 = 0.5 * scale * (3.0 * s0 + 4.0 * s1 + s2)
-    return AsymptoticCov2(s11=s11, s12=s12, s22=s22)
+    return np.array([[s11, s12], [s12, s22]])
 
 
-def jacobian_one(theta: NifbmParams) -> Jacobian2:
-    """Jacobian of the one-process moment map f at theta."""
-    H, h, a2 = theta.H, theta.h, theta.a2
+def jacobian_one(theta: NifbmParams, h: float) -> np.ndarray:
+    """Jacobian of the one-process moment map f at theta and window
+    width h: rows (f1, f2), columns (H, a2)."""
+    check_positive("window width h", h)
+    H, a2 = theta.H, theta.a2
     d = (2.0 * H + 1.0) * (H + 1.0)
     x = 2.0 ** (2.0 * H)
     hp = h ** (2.0 * H)
@@ -158,20 +125,12 @@ def jacobian_one(theta: NifbmParams) -> Jacobian2:
         )
         / d**2
     )
-    return Jacobian2(d11=d11, d12=d12, d21=d21, d22=d22)
+    return np.array([[d11, d12], [d21, d22]])
 
 
-def jacobian_one_det(theta: NifbmParams) -> float:
-    """Closed form of the Jacobian determinant; strictly negative."""
-    H, h, a2 = theta.H, theta.h, theta.a2
-    d = (2.0 * H + 1.0) * (H + 1.0)
-    x = 2.0 ** (2.0 * H)
-    return -a2 * h ** (4.0 * H) * 2.0 ** (2.0 * H + 3.0) * math.log(2.0) * (
-        x - 1.0
-    ) ** 2 / d**2
-
-
-def sigma0_one(theta: NifbmParams, n_terms: int = _DEFAULT_TERMS) -> np.ndarray:
+def sigma0_one(
+    theta: NifbmParams, h: float, n_terms: int = _DEFAULT_TERMS
+) -> np.ndarray:
     """Delta-method covariance of sqrt(N)*(H_hat - H, a2_hat - a2).
 
     The estimates invert the moment map on the sampling convention of
@@ -183,7 +142,7 @@ def sigma0_one(theta: NifbmParams, n_terms: int = _DEFAULT_TERMS) -> np.ndarray:
     scale, hence the a2 squared factor before the congruence with the
     inverse Jacobian.
     """
-    sig = sigma_tilde_one(theta.H, theta.h, n_terms).matrix() * theta.a2**2
-    jac = jacobian_one(theta).matrix()
+    sig = sigma_tilde_one(theta.H, h, n_terms) * theta.a2**2
+    jac = jacobian_one(theta, h)
     inv = np.linalg.solve(jac, np.eye(2))
     return inv @ sig @ inv.T

@@ -94,7 +94,7 @@ def _cmd_simulate(args) -> int:
     if args.model == "one-nifbm":
         if args.H is None:
             raise NifbmError("simulate --model one-nifbm requires --H")
-        params = NifbmParams(H=args.H, h=args.h, a2=args.a2)
+        params = NifbmParams(H=args.H, a2=args.a2)
     else:
         if args.H1 is None or args.H2 is None:
             raise NifbmError("simulate --model two-nifbm requires --H1 and --H2")
@@ -174,9 +174,8 @@ def _cmd_constants(args) -> int:
         from .asymptotics import sigma_tilde_one
 
         sig = sigma_tilde_one(args.H, args.h)
-        print(f"sigma_tilde_11 = {format(sig.s11, '.17g')}")
-        print(f"sigma_tilde_12 = {format(sig.s12, '.17g')}")
-        print(f"sigma_tilde_22 = {format(sig.s22, '.17g')}")
+        for name, value in (("11", sig[0, 0]), ("12", sig[0, 1]), ("22", sig[1, 1])):
+            print(f"sigma_tilde_{name} = {format(value, '.17g')}")
     else:
         print("sigma_tilde entries unavailable for H >= 3/4")
     return 0
@@ -196,6 +195,10 @@ def main(argv=None) -> int:
         return commands[args.command](args)
     except (NifbmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError:
+        # float powers such as h ** (2H) overflow for extreme inputs
+        print("error: numerical overflow: h or a scale is too large", file=sys.stderr)
         return 1
 
 

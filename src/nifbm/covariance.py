@@ -9,12 +9,17 @@ evaluates the covariance function of X, the autocovariance of its
 equally spaced increments (through the kernel ``gamma``), and the mixed
 autocovariance for a sum of two independent such processes.  Everything
 here is a pure function of its arguments.
+
+The parameter types hold model constants only: (H, a2) for one process
+and (H1, H2, a2, b2) for two.  The window width h is a constant of the
+sampling design and is passed like the lag count N and the aggregation
+factor j; autocovariances are returned as plain float arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -25,12 +30,9 @@ __all__ = [
     "AGGREGATION_FACTORS",
     "NifbmParams",
     "MixedParams",
-    "AutocovSequence",
     "nifbm_cov",
     "nifbm_var",
     "gamma",
-    "increment_autocov",
-    "mixed_increment_autocov",
     "autocov_sequence",
     "find_h0",
 ]
@@ -61,16 +63,15 @@ def check_positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class NifbmParams:
-    """Parameters of a single scaled process: Hurst index H, window
-    width h and squared scale a2 (the model is sqrt(a2) * X)."""
+    """Parameters of a single scaled process: Hurst index H and squared
+    scale a2 (the model is sqrt(a2) * X).  The window width h is part of
+    the sampling design, not of the model, and is passed with the grid."""
 
     H: float
-    h: float
     a2: float = 1.0
 
     def __post_init__(self):
         _check_hurst(self.H)
-        check_positive("window width h", self.h)
         check_positive("scale a2", self.a2)
 
 
@@ -99,26 +100,6 @@ class MixedParams:
 Params = Union[NifbmParams, MixedParams]
 
 
-@dataclass(frozen=True)
-class AutocovSequence:
-    """First row of the (Toeplitz) covariance matrix of an increment
-    series, values[n] being the autocovariance at lag n."""
-
-    params: Params
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("autocovariance sequence must be a nonempty vector")
-        if values[0] <= 0.0:
-            raise ValueError("lag-0 autocovariance (a variance) must be positive")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def nifbm_cov(H: float, h: float, t: float, s: float) -> float:
     """Covariance E[X_t X_s] of the window average, symmetric in (t, s).
 
@@ -126,8 +107,7 @@ def nifbm_cov(H: float, h: float, t: float, s: float) -> float:
     and a stationary part depending only on s - t.
     """
     H = _check_hurst(H)
-    if h <= 0.0:
-        raise ValueError("window width h must be positive")
+    check_positive("window width h", h)
     if t < 0.0 or s < 0.0:
         raise ValueError("the process starts at time zero")
     if s < t:
@@ -145,8 +125,7 @@ def nifbm_cov(H: float, h: float, t: float, s: float) -> float:
 def nifbm_var(H: float, h: float, t: float) -> float:
     """Variance E[X_t^2] of the window average at time t >= 0."""
     H = _check_hurst(H)
-    if h <= 0.0:
-        raise ValueError("window width h must be positive")
+    check_positive("window width h", h)
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     p1 = 2.0 * H + 1.0
@@ -202,50 +181,33 @@ def gamma(H: float, n) -> Union[float, np.ndarray]:
     return out
 
 
-def increment_autocov(params: NifbmParams, n) -> Union[float, np.ndarray]:
-    """Autocovariance h^(2H) * gamma(H, n) of the width-h increments.
+def autocov_sequence(params: Params, h: float, j: int, N: int) -> np.ndarray:
+    """First N autocovariances of the width-j*h increment series.
 
-    The a2 factor is deliberately not applied; callers scale."""
-    return params.h ** (2.0 * params.H) * gamma(params.H, n)
-
-
-def mixed_increment_autocov(
-    params: MixedParams, h: float, j: int, n
-) -> Union[float, np.ndarray]:
-    """Autocovariance at lag n of the width-j*h increments of the
-    two-component model, a2*(jh)^(2H1)*gamma(H1,n) + b2*(...H2...)."""
+    For one-process params the values are a2*(jh)^(2H)*gamma(H, n); for
+    mixed params the sum of one such term per component,
+    a2*(jh)^(2H1)*gamma(H1, n) + b2*(jh)^(2H2)*gamma(H2, n).  The result
+    is the first row of a symmetric positive-definite Toeplitz matrix.
+    """
+    check_positive("window width h", h)
     if j not in AGGREGATION_FACTORS:
         raise ValueError(
             f"aggregation factor j must be one of {AGGREGATION_FACTORS}"
         )
-    if h <= 0.0:
-        raise ValueError("window width h must be positive")
-    w = j * h
-    return params.a2 * w ** (2.0 * params.H1) * gamma(params.H1, n) + params.b2 * w ** (
-        2.0 * params.H2
-    ) * gamma(params.H2, n)
-
-
-def autocov_sequence(params: Params, h: float, j: int, N: int) -> AutocovSequence:
-    """First N autocovariances of the width-j*h increment series.
-
-    For one-process params the values are a2*(jh)^(2H)*gamma(H, n); for
-    mixed params they are mixed_increment_autocov.  The result is the
-    first row of a symmetric positive-definite Toeplitz matrix.
-    """
     if N < 1:
         raise ValueError("need at least one lag")
     lags = np.arange(N)
+    w = j * h
     if isinstance(params, MixedParams):
-        values = mixed_increment_autocov(params, h, j, lags)
+        values = (
+            params.a2 * w ** (2.0 * params.H1) * gamma(params.H1, lags)
+            + params.b2 * w ** (2.0 * params.H2) * gamma(params.H2, lags)
+        )
     else:
-        if j not in AGGREGATION_FACTORS:
-            raise ValueError(
-                f"aggregation factor j must be one of {AGGREGATION_FACTORS}"
-            )
-        w = j * h
         values = params.a2 * w ** (2.0 * params.H) * gamma(params.H, lags)
-    return AutocovSequence(params=params, values=values)
+    # the variance underflows to 0 for tiny h and large H
+    check_positive("lag-0 autocovariance (a variance)", values[0])
+    return values
 
 
 def find_h0(tol: float = 1e-9) -> float:

@@ -33,7 +33,6 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .covariance import (
     AGGREGATION_FACTORS,
-    AutocovSequence,
     MixedParams,
     NifbmParams,
     Params,
@@ -204,11 +203,12 @@ def forward_moment_map(theta: MixedParams, h: float) -> Tuple[float, float, floa
     return eta1, eta2, eta4, eta8
 
 
-def forward_moment_map_one(theta: NifbmParams) -> Tuple[float, float]:
-    """Expected (xi_1, xi_2) of the one-process model: the map f whose
-    inverse is the closed-form estimator."""
+def forward_moment_map_one(theta: NifbmParams, h: float) -> Tuple[float, float]:
+    """Expected (xi_1, xi_2) of the one-process model at window width h:
+    the map f whose inverse is the closed-form estimator."""
+    check_positive("window width h", h)
     x = 2.0 ** (2.0 * theta.H)
-    a_big = theta.a2 * _scale_coef(theta.H, theta.h)
+    a_big = theta.a2 * _scale_coef(theta.H, h)
     return a_big * (x - 1.0), a_big * x * (x - 1.0)
 
 
@@ -274,14 +274,16 @@ def estimate_two_nifbm(
 def drift_mle(
     delta_y: np.ndarray,
     delta_g: np.ndarray,
-    cov: AutocovSequence,
+    cov: np.ndarray,
 ) -> DriftEstimate:
     """Generalized-least-squares drift estimate with exact variance.
 
-    Solves with the Cholesky factor of the Toeplitz covariance (two
-    triangular solves); no matrix is inverted explicitly.  delta_y is
-    one increment series, giving a float mu_hat, or an (R, N) array of
-    series, giving one mu_hat per row from the same factorization.
+    cov is the autocovariance sequence of the noise increments, the
+    first row of their Toeplitz covariance.  Solves with its Cholesky
+    factor (two triangular solves); no matrix is inverted explicitly.
+    delta_y is one increment series, giving a float mu_hat, or an
+    (R, N) array of series, giving one mu_hat per row from the same
+    factorization.
     """
     dy = np.asarray(delta_y, dtype=float)
     dg = np.asarray(delta_g, dtype=float)
@@ -289,7 +291,7 @@ def drift_mle(
         raise LengthError("increments, drift increments and covariance must align")
     if not np.any(dg != 0.0):
         raise ZeroDenominatorError("drift increments vanish identically")
-    factor = cho_factor(toeplitz(cov.values), lower=True)
+    factor = cho_factor(toeplitz(cov), lower=True)
     solved_g = cho_solve(factor, dg)
     denom = float(dg @ solved_g)
     # one dot product per row: a stacked matmul rounds each row exactly
@@ -377,7 +379,7 @@ def two_stage_estimate(
         params = (
             None
             if noise.degenerate
-            else NifbmParams(H=noise.H_hat, h=h, a2=noise.a2_hat)
+            else NifbmParams(H=noise.H_hat, a2=noise.a2_hat)
         )
     elif model == "two":
         stats = xi_statistics_from_base(base, factors=AGGREGATION_FACTORS)

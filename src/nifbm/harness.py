@@ -1,14 +1,16 @@
 """Config-driven Monte Carlo experiment runner.
 
 An experiment fixes a model, parameter values, an optional drift, a
-grid of (h, N) pairs and a replication count.  Each grid point is one
-pipeline: params, drift stage (one estimator call per seed block), noise
-stage (xi statistics per seed block, then one estimator call on all
-replications, shared with empirical_estimator_cov), then one row per
-requested estimator with the empirical mean and standard deviation of
-the non-degenerate replications (nan if there are none), the
-theoretical standard deviation where a closed form exists, and the
-count of degenerate replications.
+grid of (h, N) pairs and a replication count.  The model parameters
+are built once per experiment; the window width h belongs to the grid
+and is passed next to them.  Each grid point is one pipeline: drift
+stage (one estimator call per seed block), noise stage (xi statistics
+per seed block, then one estimator call on all replications, shared
+with empirical_estimator_cov), then one row per requested estimator
+with the empirical mean and standard deviation of the non-degenerate
+replications (nan if there are none), the theoretical standard
+deviation where a closed form exists, and the count of degenerate
+replications.
 """
 
 from __future__ import annotations
@@ -145,17 +147,16 @@ class ExperimentConfig:
                     f"series of 8N+7 <= {MAX_N} increments; reduce N or use "
                     "direct-per-j"
                 )
-            # parameter validation happens here, at every grid step
-            try:
-                self.make_params(h)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        try:
+            self.make_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
-    def make_params(self, h: float) -> Params:
-        """Model parameters at grid step h; the only place they are built."""
+    def make_params(self) -> Params:
+        """Model parameters; the only place they are built."""
         if self.model == "two-nifbm":
             return MixedParams(H1=self.H1, H2=self.H2, a2=self.a2, b2=self.b2)
-        return NifbmParams(H=self.H1, h=h, a2=self.a2)
+        return NifbmParams(H=self.H1, a2=self.a2)
 
 
 @dataclass(frozen=True)
@@ -275,7 +276,7 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     theory = {}
     if isinstance(params, NifbmParams):
         try:
-            sig = sigma0_one(params)
+            sig = sigma0_one(params, h)
             theory = {"H": math.sqrt(sig[0, 0] / N), "a2": math.sqrt(sig[1, 1] / N)}
         except HTooLargeError:
             pass
@@ -292,9 +293,10 @@ def _summary(samples: np.ndarray) -> Tuple[float, float]:
     return float(samples.mean()), sd
 
 
-def _run_grid_point(config: ExperimentConfig, h: float, N: int) -> List[ResultRow]:
+def _run_grid_point(
+    config: ExperimentConfig, params: Params, h: float, N: int
+) -> List[ResultRow]:
     t_start = time.perf_counter()
-    params = config.make_params(h)
     want_drift = any(output in _DRIFT_ROWS for output in config.outputs)
     stages = _drift_stage(config, params, h, N) if want_drift else []
     if "noise" in config.outputs:
@@ -325,9 +327,10 @@ def _run_grid_point(config: ExperimentConfig, h: float, N: int) -> List[ResultRo
 
 def run_experiment(config: ExperimentConfig) -> List[ResultRow]:
     """Run every grid point of the experiment and collect result rows."""
+    params = config.make_params()
     rows: List[ResultRow] = []
     for h, n in config.grid:
-        rows.extend(_run_grid_point(config, h, n))
+        rows.extend(_run_grid_point(config, params, h, n))
     return rows
 
 

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import toeplitz
 
 from .covariance import (
     AGGREGATION_FACTORS,
-    AutocovSequence,
     MixedParams,
     Params,
     autocov_sequence,
@@ -110,12 +109,11 @@ class DriftSpec:
         object.__setattr__(self, "g_values", g)
 
 
-def cholesky_factor(cov: Union[AutocovSequence, np.ndarray]) -> np.ndarray:
+def cholesky_factor(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of the Toeplitz matrix whose
     first row is the given autocovariance sequence."""
-    row = cov.values if isinstance(cov, AutocovSequence) else np.asarray(cov, float)
     try:
-        return np.linalg.cholesky(toeplitz(row))
+        return np.linalg.cholesky(toeplitz(np.asarray(cov, dtype=float)))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             "Toeplitz covariance is not positive definite"
@@ -201,7 +199,7 @@ def sample_increments(
     Cholesky of the same Toeplitz matrix still succeeds at N = 1025 but
     fails from H = 0.998 at N = 8193.
     """
-    row = autocov_sequence(params, grid.h, grid.j, grid.N).values
+    row = autocov_sequence(params, grid.h, grid.j, grid.N)
     scale = _embedding_scale(row)
     return _spectral_draw(_stream_normals(seeds, (2 * scale.size,)), scale, grid.N)
 

@@ -50,6 +50,17 @@ def gamma_asymptotic(H: float, n):
     return out
 
 
+def jacobian_one_det(theta, h: float) -> float:
+    """Closed form of the determinant of the one-process moment map's
+    Jacobian at theta and window width h; strictly negative."""
+    H, a2 = theta.H, theta.a2
+    d = (2.0 * H + 1.0) * (H + 1.0)
+    x = 2.0 ** (2.0 * H)
+    return -a2 * h ** (4.0 * H) * 2.0 ** (2.0 * H + 3.0) * math.log(2.0) * (
+        x - 1.0
+    ) ** 2 / d**2
+
+
 def two_point_variance_assembled(params, h: float, N: int, gN: float) -> float:
     """Variance of the two-point drift estimate (yN - y0) / gN assembled
     from the window-average covariance; algebraically identical to

@@ -27,7 +27,6 @@ from nifbm import (
     forward_moment_map_one,
     gamma,
     jacobian_one,
-    jacobian_one_det,
     nifbm_cov,
     run_experiment,
     sample_increments,
@@ -37,7 +36,7 @@ from nifbm import (
 )
 from nifbm.covariance import autocov_sequence
 
-from conftest import hurst_delta_variance, quad_oracle
+from conftest import hurst_delta_variance, jacobian_one_det, quad_oracle
 
 
 def report(number, ok, detail):
@@ -100,7 +99,7 @@ def test_criterion_04_positive_definiteness():
     tried = 0
     for H in np.arange(0.1, 0.91, 0.1):
         for h in (2.0, 4.0, 16.0):
-            params = NifbmParams(H=round(float(H), 1), h=h)
+            params = NifbmParams(H=round(float(H), 1))
             cholesky_factor(autocov_sequence(params, h, 1, n))
             tried += 1
     elapsed = time.perf_counter() - start
@@ -134,12 +133,10 @@ def test_criterion_05_round_trip_identity():
         worst_two = max(worst_two, rel)
     worst_one = 0.0
     for _ in range(200):
-        theta = NifbmParams(
-            H=rng.uniform(0.05, 0.95), h=rng.uniform(0.5, 4.0),
-            a2=rng.uniform(0.2, 5.0),
-        )
-        xi1, xi2 = forward_moment_map_one(theta)
-        est = estimate_one_nifbm(xi1, xi2, theta.h)
+        H, h, a2 = rng.uniform(0.05, 0.95), rng.uniform(0.5, 4.0), rng.uniform(0.2, 5.0)
+        theta = NifbmParams(H=H, a2=a2)
+        xi1, xi2 = forward_moment_map_one(theta, h)
+        est = estimate_one_nifbm(xi1, xi2, h)
         rel = max(
             abs(est.H_hat - theta.H) / theta.H,
             abs(est.a2_hat - theta.a2) / theta.a2,
@@ -266,7 +263,7 @@ def test_criterion_09_hurst_benchmark_one_process():
     )
     rows = {r.estimator: r for r in run_experiment(cfg)}
     row = rows["H"]
-    predicted = math.sqrt(sigma0_one(NifbmParams(H=0.5, h=2.0))[0, 0] / n)
+    predicted = math.sqrt(sigma0_one(NifbmParams(H=0.5), 2.0)[0, 0] / n)
     # At H = 1/2 the base increments have autocovariance h * (2/3, 1/6, 0,
     # ...) (criterion 2), so N * Var(log(xi2 / xi1)) -> 21/32 exactly.
     closed_form = math.sqrt(21.0 / 32.0) / (2.0 * math.log(2.0) * math.sqrt(n))
@@ -319,9 +316,10 @@ def test_criterion_10_hurst_benchmark_two_process():
 def test_criterion_11_asymptotic_covariance_oracle():
     n = 2**10
     reps = 20_000
-    params = NifbmParams(H=0.5, h=1.0)
+    params = NifbmParams(H=0.5)
     tilde = sigma_tilde_one(0.5, 1.0)
-    exact_s11_ok = abs(tilde.s11 - 0.5) < 1e-12 and abs(tilde.s22 - 4.0) < 1e-12
+    s11, s12, s22 = tilde[0, 0], tilde[0, 1], tilde[1, 1]
+    exact_s11_ok = abs(s11 - 0.5) < 1e-12 and abs(s22 - 4.0) < 1e-12
 
     factor = cholesky_factor(autocov_sequence(params, 1.0, 1, 2 * n + 1))
     rng = RngSeed(2026, 0).generator()
@@ -333,18 +331,18 @@ def test_criterion_11_asymptotic_covariance_oracle():
     xi2 = np.mean(coarse**2, axis=0)
     emp = n * np.cov(np.vstack([xi1, xi2]))
 
-    se11 = tilde.s11 * math.sqrt(2.0 / reps)
-    se22 = tilde.s22 * math.sqrt(2.0 / reps)
-    se12 = math.sqrt((tilde.s11 * tilde.s22 + tilde.s12**2) / reps)
-    d11 = abs(emp[0, 0] - tilde.s11)
-    d12 = abs(emp[0, 1] - tilde.s12)
-    d22 = abs(emp[1, 1] - tilde.s22)
+    se11 = s11 * math.sqrt(2.0 / reps)
+    se22 = s22 * math.sqrt(2.0 / reps)
+    se12 = math.sqrt((s11 * s22 + s12**2) / reps)
+    d11 = abs(emp[0, 0] - s11)
+    d12 = abs(emp[0, 1] - s12)
+    d22 = abs(emp[1, 1] - s22)
     mc_ok = d11 < 5 * se11 and d12 < 5 * se12 and d22 < 5 * se22
     report(
         11,
         exact_s11_ok and mc_ok,
         f"empirical ({emp[0, 0]:.4f}, {emp[0, 1]:.4f}, {emp[1, 1]:.4f}) vs "
-        f"({tilde.s11:.4f}, {tilde.s12:.4f}, {tilde.s22:.4f}), deviations in "
+        f"({s11:.4f}, {s12:.4f}, {s22:.4f}), deviations in "
         f"SE units ({d11 / se11:.1f}, {d12 / se12:.1f}, {d22 / se22:.1f})",
     )
 
@@ -354,24 +352,14 @@ def test_criterion_12_jacobian():
     worst = 0.0
     det_neg = True
     for _ in range(50):
-        theta = NifbmParams(
-            H=rng.uniform(0.05, 0.95), h=rng.uniform(0.5, 8.0),
-            a2=rng.uniform(0.2, 5.0),
-        )
-        jac = jacobian_one(theta).matrix()
-        eps_h, eps_a = 1e-6, 1e-6 * theta.a2
-        up_h = forward_moment_map_one(
-            NifbmParams(H=theta.H + eps_h, h=theta.h, a2=theta.a2)
-        )
-        dn_h = forward_moment_map_one(
-            NifbmParams(H=theta.H - eps_h, h=theta.h, a2=theta.a2)
-        )
-        up_a = forward_moment_map_one(
-            NifbmParams(H=theta.H, h=theta.h, a2=theta.a2 + eps_a)
-        )
-        dn_a = forward_moment_map_one(
-            NifbmParams(H=theta.H, h=theta.h, a2=theta.a2 - eps_a)
-        )
+        H, h, a2 = rng.uniform(0.05, 0.95), rng.uniform(0.5, 8.0), rng.uniform(0.2, 5.0)
+        theta = NifbmParams(H=H, a2=a2)
+        jac = jacobian_one(theta, h)
+        eps_h, eps_a = 1e-6, 1e-6 * a2
+        up_h = forward_moment_map_one(NifbmParams(H=H + eps_h, a2=a2), h)
+        dn_h = forward_moment_map_one(NifbmParams(H=H - eps_h, a2=a2), h)
+        up_a = forward_moment_map_one(NifbmParams(H=H, a2=a2 + eps_a), h)
+        dn_a = forward_moment_map_one(NifbmParams(H=H, a2=a2 - eps_a), h)
         fd = np.column_stack(
             [
                 (np.subtract(up_h, dn_h)) / (2.0 * eps_h),
@@ -379,7 +367,7 @@ def test_criterion_12_jacobian():
             ]
         )
         worst = max(worst, np.max(np.abs(jac - fd) / np.abs(jac)))
-        det = jacobian_one_det(theta)
+        det = jacobian_one_det(theta, h)
         det_neg = det_neg and det < 0.0
         det_neg = det_neg and abs(np.linalg.det(jac) - det) / abs(det) < 1e-9
     report(
@@ -391,9 +379,9 @@ def test_criterion_12_jacobian():
 
 
 def test_criterion_13_long_path_ergodicity():
-    params = NifbmParams(H=0.7, h=2.0)
+    params = NifbmParams(H=0.7)
     grid = SampleGrid(h=2.0, N=2**16)
-    eta1 = forward_moment_map_one(params)[0]
+    eta1 = forward_moment_map_one(params, grid.h)[0]
     hits = 0
     for seed in range(100):
         series = sample_increments(params, grid, [RngSeed(seed, 0)])[0]

@@ -1,20 +1,21 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from nifbm.asymptotics import jacobian_one, sigma0_one, sigma_tilde_one
 from nifbm.covariance import (
-    AutocovSequence,
     MixedParams,
     NifbmParams,
     autocov_sequence,
     find_h0,
     gamma,
-    increment_autocov,
-    mixed_increment_autocov,
     nifbm_cov,
     nifbm_var,
 )
+from nifbm.estimation import forward_moment_map_one
 from nifbm.simulation import cholesky_factor
 
 from conftest import fbm_cov, fbm_increment_cov, gamma_asymptotic, quad_oracle
@@ -232,10 +233,10 @@ class TestGammaAsymptotic:
 
 class TestIncrementAutocov:
     def test_examples(self):
-        assert increment_autocov(NifbmParams(0.5, 2.0), 0) == pytest.approx(
+        assert autocov_sequence(NifbmParams(0.5), 2.0, 1, 1)[0] == pytest.approx(
             4.0 / 3.0, rel=1e-14
         )
-        assert increment_autocov(NifbmParams(0.5, 1.0), 3) == pytest.approx(
+        assert autocov_sequence(NifbmParams(0.5), 1.0, 1, 4)[3] == pytest.approx(
             0.0, abs=1e-13
         )
 
@@ -247,7 +248,7 @@ class TestIncrementAutocov:
             H = rng.uniform(0.05, 0.95)
             h = rng.uniform(0.3, 4.0)
             n = int(rng.integers(0, 6))
-            params = NifbmParams(H, h)
+            params = NifbmParams(H)
             spread = []
             for t in (0.0, 1.7, 1e3):
                 a = t + n * h
@@ -258,7 +259,7 @@ class TestIncrementAutocov:
 
                 assembled = cc(t + h, a + h) - cc(t + h, a) - cc(t, a + h) + cc(t, a)
                 spread.append(assembled)
-                assert increment_autocov(params, n) == pytest.approx(
+                assert autocov_sequence(params, h, 1, n + 1)[n] == pytest.approx(
                     assembled, abs=1e-10 * max(1.0, h ** (2 * H))
                 )
             scale = max(abs(v) for v in spread) + 1e-12
@@ -268,48 +269,48 @@ class TestIncrementAutocov:
 class TestMixedIncrementAutocov:
     def test_single_component_degeneration(self):
         params = MixedParams(H1=0.6, H2=0.2, a2=3.0, b2=1e-300)
-        single = NifbmParams(H=0.6, h=4.0)
+        single = NifbmParams(H=0.6)
         for n in range(5):
-            assert mixed_increment_autocov(params, 2.0, 2, n) == pytest.approx(
-                3.0 * increment_autocov(single, n), rel=1e-12
+            assert autocov_sequence(params, 2.0, 2, n + 1)[n] == pytest.approx(
+                3.0 * autocov_sequence(single, 4.0, 1, n + 1)[n], rel=1e-12
             )
 
     def test_brownian_zero_lags(self):
         params = MixedParams(H1=0.5 + 1e-12, H2=0.5 - 1e-12, a2=1.0, b2=1.0)
         for n in (2, 3, 9):
-            assert mixed_increment_autocov(params, 1.0, 1, n) == pytest.approx(
+            assert autocov_sequence(params, 1.0, 1, n + 1)[n] == pytest.approx(
                 0.0, abs=1e-10
             )
 
     def test_formula_evaluation(self):
         params = MixedParams(H1=0.7, H2=0.3, a2=4.0, b2=4.0)
         expected = 4 * 4.0**1.4 * gamma(0.7, 1) + 4 * 4.0**0.6 * gamma(0.3, 1)
-        assert mixed_increment_autocov(params, 2.0, 2, 1) == pytest.approx(
+        assert autocov_sequence(params, 2.0, 2, 2)[1] == pytest.approx(
             expected, rel=1e-14
         )
 
     def test_rejects_bad_factor(self):
         with pytest.raises(ValueError):
-            mixed_increment_autocov(MixedParams(0.7, 0.3, 1, 1), 2.0, 3, 1)
+            autocov_sequence(MixedParams(0.7, 0.3, 1, 1), 2.0, 3, 2)
 
 
 class TestAutocovSequence:
     def test_single_element(self):
-        seq = autocov_sequence(NifbmParams(0.6, 2.0, 3.0), 2.0, 1, 1)
+        seq = autocov_sequence(NifbmParams(0.6, a2=3.0), 2.0, 1, 1)
         assert len(seq) == 1
-        assert seq.values[0] == pytest.approx(
-            3.0 * increment_autocov(NifbmParams(0.6, 2.0), 0), rel=1e-14
+        assert seq[0] == pytest.approx(
+            3.0 * autocov_sequence(NifbmParams(0.6), 2.0, 1, 1)[0], rel=1e-14
         )
 
     def test_brownian_example(self):
-        seq = autocov_sequence(NifbmParams(0.5, 1.0), 1.0, 1, 8)
+        seq = autocov_sequence(NifbmParams(0.5), 1.0, 1, 8)
         expected = [2 / 3, 1 / 6, 0, 0, 0, 0, 0, 0]
-        assert np.allclose(seq.values, expected, atol=1e-14)
+        assert np.allclose(seq, expected, atol=1e-14)
 
     def test_positive_definite_grid(self):
         for H in np.arange(0.1, 1.0, 0.1):
             for n in (8, 256):
-                seq = autocov_sequence(NifbmParams(round(float(H), 1), 2.0), 2.0, 1, n)
+                seq = autocov_sequence(NifbmParams(round(float(H), 1)), 2.0, 1, n)
                 cholesky_factor(seq)  # raises on failure
 
     def test_mixed_positive_definite(self):
@@ -318,7 +319,7 @@ class TestAutocovSequence:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            autocov_sequence(NifbmParams(0.5, 1.0), 1.0, 1, 0)
+            autocov_sequence(NifbmParams(0.5), 1.0, 1, 0)
 
 
 class TestFindH0:
@@ -336,22 +337,31 @@ class TestParamsValidation:
     def test_hurst_boundaries(self):
         for bad in (0.0, 1.0, -0.2, 1.4):
             with pytest.raises(ValueError):
-                NifbmParams(H=bad, h=1.0)
-        assert NifbmParams(H=0.5, h=1.0).H == 0.5
+                NifbmParams(H=bad)
+        assert NifbmParams(H=0.5).H == 0.5
 
     def test_nifbm_params(self):
+        assert [f.name for f in dataclasses.fields(NifbmParams)] == ["H", "a2"]
         with pytest.raises(ValueError):
-            NifbmParams(H=0.5, h=0.0)
+            forward_moment_map_one(NifbmParams(H=0.5), 0.0)
         with pytest.raises(ValueError):
-            NifbmParams(H=0.5, h=1.0, a2=-1.0)
+            NifbmParams(H=0.5, a2=-1.0)
         with pytest.raises(ValueError):
-            NifbmParams(H=1.0, h=1.0)
+            NifbmParams(H=1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_fields(self, bad):
-        for kwargs in (dict(h=bad), dict(h=1.0, a2=bad)):
-            with pytest.raises(ValueError, match="finite and positive"):
-                NifbmParams(H=0.5, **kwargs)
+        with pytest.raises(ValueError, match="finite and positive"):
+            NifbmParams(H=0.5, a2=bad)
+        theta = NifbmParams(H=0.5)
+        for call in (
+            lambda: forward_moment_map_one(theta, bad),
+            lambda: jacobian_one(theta, bad),
+            lambda: sigma_tilde_one(0.5, bad),
+            lambda: sigma0_one(theta, bad),
+        ):
+            with pytest.raises(ValueError, match="window width h must be finite and positive"):
+                call()
         for kwargs in (dict(a2=bad, b2=1.0), dict(a2=1.0, b2=bad)):
             with pytest.raises(ValueError, match="finite and positive"):
                 MixedParams(H1=0.5, H2=0.3, **kwargs)
@@ -365,5 +375,19 @@ class TestParamsValidation:
             MixedParams(H1=0.5, H2=0.3, a2=1.0, b2=0.0)
 
     def test_autocov_sequence_invariant(self):
-        with pytest.raises(ValueError):
-            AutocovSequence(params=NifbmParams(0.5, 1.0), values=np.array([-1.0, 0.0]))
+        # (1e-300)^1.8 underflows to 0, so the variance does too
+        with pytest.raises(ValueError, match="lag-0 autocovariance"):
+            autocov_sequence(NifbmParams(0.9), 1e-300, 1, 2)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("params", [NifbmParams(0.3), MixedParams(0.7, 0.3, 1.0, 2.0)])
+    def test_bad_window_width(self, params, h):
+        message = "window width h must be finite and positive"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                autocov_sequence(params, h, 1, 3)
+            with pytest.raises(ValueError, match=message):
+                nifbm_cov(0.5, h, 1.0, 2.0)
+            with pytest.raises(ValueError, match=message):
+                nifbm_var(0.5, h, 1.0)

@@ -12,6 +12,7 @@ from nifbm.covariance import (
     MixedParams,
     NifbmParams,
     autocov_sequence,
+    find_h0,
 )
 from nifbm.errors import LengthError, ZeroDenominatorError
 from nifbm.estimation import (
@@ -170,8 +171,8 @@ class TestForwardMomentMap:
 
     def test_single_component_limit(self):
         theta = MixedParams(H1=0.6, H2=0.2, a2=3.0, b2=1e-14)
-        one = NifbmParams(H=0.6, h=2.0, a2=3.0)
-        f1, f2 = forward_moment_map_one(one)
+        one = NifbmParams(H=0.6, a2=3.0)
+        f1, f2 = forward_moment_map_one(one, 2.0)
         e1, e2, _, _ = forward_moment_map(theta, 2.0)
         assert e1 == pytest.approx(f1, rel=1e-12)
         assert e2 == pytest.approx(f2, rel=1e-12)
@@ -192,12 +193,9 @@ class TestOneProcessEstimator:
     def test_round_trip(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
-            theta = NifbmParams(
-                H=rng.uniform(0.02, 0.98),
-                h=rng.uniform(0.3, 5.0),
-                a2=rng.uniform(0.1, 10.0),
-            )
-            est = estimate_one_nifbm(*forward_moment_map_one(theta), theta.h)
+            H, h, a2 = rng.uniform(0.02, 0.98), rng.uniform(0.3, 5.0), rng.uniform(0.1, 10.0)
+            theta = NifbmParams(H=H, a2=a2)
+            est = estimate_one_nifbm(*forward_moment_map_one(theta, h), h)
             assert not est.degenerate
             assert est.H_hat == pytest.approx(theta.H, abs=1e-12)
             assert est.a2_hat == pytest.approx(theta.a2, rel=1e-12)
@@ -245,8 +243,8 @@ class TestTwoProcessEstimator:
 
     def test_equal_hurst_degenerate(self):
         # build moments with both components at the same index
-        one = NifbmParams(H=0.4, h=2.0, a2=5.0)
-        f1, f2 = forward_moment_map_one(one)
+        one = NifbmParams(H=0.4, a2=5.0)
+        f1, f2 = forward_moment_map_one(one, 2.0)
         x = 2.0 ** (2 * 0.4)
         eta = {1: f1, 2: f2, 4: f2 * x, 8: f2 * x * x}
         est = estimate_two_nifbm(eta, 2.0)
@@ -357,13 +355,44 @@ class TestEstimatorProperties:
             assert scaled.degenerate == base.degenerate
 
 
+_H0 = find_h0()
+# Hurst indices near the lag-1 sign change H0 and up to H -> 1
+_HURST = st.one_of(st.floats(_H0 - 0.05, _H0 + 0.05), st.floats(0.9, 0.999))
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=200)
+    @given(H=_HURST, h=st.floats(0.1, 10.0), a2=st.floats(0.1, 10.0))
+    def test_one_process(self, H, h, a2):
+        # f^-1(f(theta)) = theta for the one-process moment map
+        est = estimate_one_nifbm(*forward_moment_map_one(NifbmParams(H, a2=a2), h), h)
+        assert not est.degenerate
+        assert est.H_hat == pytest.approx(H, abs=1e-12)
+        assert est.a2_hat == pytest.approx(a2, rel=1e-12)
+
+    @settings(max_examples=200)
+    @given(
+        H2=_HURST,
+        gap=st.floats(0.05, 0.7),
+        h=st.floats(0.1, 10.0),
+        a2=st.floats(0.1, 10.0),
+        b2=st.floats(0.1, 10.0),
+    )
+    def test_two_process(self, H2, gap, h, a2, b2):
+        assume(H2 + gap <= 0.999)
+        theta = MixedParams(H1=H2 + gap, H2=H2, a2=a2, b2=b2)
+        est = estimate_two_nifbm(dict(zip((1, 2, 4, 8), forward_moment_map(theta, h))), h)
+        assert not est.degenerate
+        assert est.H1_hat == pytest.approx(theta.H1, abs=1e-9)
+        assert est.H2_hat == pytest.approx(H2, abs=1e-9)
+        assert est.a2_hat == pytest.approx(a2, rel=1e-7)
+        assert est.b2_hat == pytest.approx(b2, rel=1e-7)
+
+
 class TestDriftMle:
     def test_identity_cov_least_squares(self):
-        params = NifbmParams(0.5, 1.0)
-        row = np.zeros(8)
-        row[0] = 1.0
-        cov = autocov_sequence(params, 1.0, 1, 8)
-        cov = type(cov)(params=params, values=row)
+        cov = np.zeros(8)
+        cov[0] = 1.0
         dg = np.arange(1.0, 9.0)
         est = drift_mle(dg.copy(), dg, cov)
         assert est.mu_hat == pytest.approx(1.0, rel=1e-12)
@@ -392,7 +421,7 @@ class TestDriftMle:
             assert single.variance == block.variance
 
     def test_zero_drift_rejected(self):
-        params = NifbmParams(0.5, 1.0)
+        params = NifbmParams(0.5)
         cov = autocov_sequence(params, 1.0, 1, 4)
         with pytest.raises(ZeroDenominatorError):
             drift_mle(np.ones(4), np.zeros(4), cov)
@@ -400,11 +429,11 @@ class TestDriftMle:
     def test_variance_matches_quadratic_form(self):
         from scipy.linalg import toeplitz
 
-        params = NifbmParams(0.3, 2.0, 2.0)
+        params = NifbmParams(0.3, a2=2.0)
         cov = autocov_sequence(params, 2.0, 1, 16)
         dg = np.diff(drift_samples("benchmark-g", 16, 2.0))
         est = drift_mle(np.ones(16), dg, cov)
-        expected = 1.0 / (dg @ np.linalg.solve(toeplitz(cov.values), dg))
+        expected = 1.0 / (dg @ np.linalg.solve(toeplitz(cov), dg))
         assert est.variance == pytest.approx(expected, rel=1e-10)
 
 
@@ -424,7 +453,7 @@ class TestDriftTwoPoint:
             n = int(rng.integers(4, 200))
             g_n = rng.uniform(1.0, 100.0)
             if rng.random() < 0.5:
-                params = NifbmParams(H=rng.uniform(0.05, 0.95), h=h, a2=rng.uniform(0.5, 5))
+                params = NifbmParams(H=rng.uniform(0.05, 0.95), a2=rng.uniform(0.5, 5))
             else:
                 params = random_mixed(rng)
             closed = two_point_variance(params, h, n, g_n)
@@ -434,7 +463,7 @@ class TestDriftTwoPoint:
     def test_table_anchor(self):
         # one-process H=0.9, h=4, N=2**7 with the benchmark drift
         g = drift_samples("benchmark-g", 128, 4.0)
-        v = two_point_variance(NifbmParams(0.9, 4.0, 1.0), 4.0, 128, g[-1])
+        v = two_point_variance(NifbmParams(0.9, a2=1.0), 4.0, 128, g[-1])
         assert math.sqrt(v) == pytest.approx(0.00837, rel=2e-3)
 
 
@@ -445,7 +474,7 @@ class TestEfficiency:
             h = rng.uniform(1.0, 4.0)
             n = int(rng.integers(8, 128))
             if rng.random() < 0.5:
-                params = NifbmParams(H=rng.uniform(0.1, 0.9), h=h, a2=rng.uniform(0.5, 3))
+                params = NifbmParams(H=rng.uniform(0.1, 0.9), a2=rng.uniform(0.5, 3))
             else:
                 params = random_mixed(rng)
             g = drift_samples("benchmark-g", n, h)
@@ -456,7 +485,7 @@ class TestEfficiency:
 
 class TestUnbiasedness:
     def test_monte_carlo_means(self):
-        params = NifbmParams(0.6, 2.0, 1.0)
+        params = NifbmParams(0.6, a2=1.0)
         n, n_reps, mu = 32, 400, 4.0
         g = drift_samples("benchmark-g", n, 2.0)
         dg = np.diff(g)
@@ -475,7 +504,7 @@ class TestUnbiasedness:
 
 class TestTwoStage:
     def test_zero_drift_matches_direct(self):
-        params = NifbmParams(0.5, 2.0)
+        params = NifbmParams(0.5)
         grid = SampleGrid(h=2.0, N=65)
         noise = sample_increments(params, grid, [RngSeed(15, 0)])[0]
         y = np.concatenate([[0.0], np.cumsum(noise)])
@@ -497,7 +526,7 @@ class TestTwoStage:
 
     def test_linear_drift_recovery_mc(self):
         # stage-2 Hurst estimate should be close to the no-drift one
-        params = NifbmParams(0.5, 1.0)
+        params = NifbmParams(0.5)
         n = 257
         grid = SampleGrid(h=1.0, N=n)
         block = sample_increments(params, grid, [RngSeed(16, r) for r in range(100)])

@@ -140,7 +140,7 @@ class TestRunExperiment:
             grid=((2.0, n),), replications=reps, outputs=("drift-mle",)
         )
         rows = run_experiment(cfg)
-        params = NifbmParams(0.5, 2.0)
+        params = NifbmParams(0.5)
         dg = np.diff(drift_samples("benchmark-g", n, 2.0))
         cov = autocov_sequence(params, 2.0, 1, n)
         paths = sample_increments(
@@ -561,6 +561,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite and positive" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "one-nifbm", "--H", "0.9", "--h", "1e200", "--N", "4"],
+            ["constants", "--H", "0.6", "--h", "1e200"],
+        ],
+        ids=["simulate", "constants"],
+    )
+    def test_overflow_exit_code(self, argv, capsys):
+        # h ** (2H) overflows a float: one error line, no traceback
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical overflow")
+        assert err.count("\n") == 1
 
     def test_estimate_rejects_bad_step(self, tmp_path, capsys):
         series = tmp_path / "series.txt"

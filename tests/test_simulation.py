@@ -8,7 +8,6 @@ from nifbm.covariance import (
     MixedParams,
     NifbmParams,
     autocov_sequence,
-    mixed_increment_autocov,
 )
 from nifbm.errors import (
     GridMismatchError,
@@ -52,9 +51,9 @@ class TestCholeskyFactor:
         assert np.array_equal(cholesky_factor(row), np.eye(6))
 
     def test_reconstruction(self):
-        seq = autocov_sequence(NifbmParams(0.7, 2.0), 2.0, 1, 256)
+        seq = autocov_sequence(NifbmParams(0.7), 2.0, 1, 256)
         factor = cholesky_factor(seq)
-        target = toeplitz(seq.values)
+        target = toeplitz(seq)
         err = np.linalg.norm(factor @ factor.T - target) / np.linalg.norm(target)
         assert err < 1e-9
 
@@ -65,7 +64,7 @@ class TestCholeskyFactor:
 
 class TestSampleIncrements:
     def test_determinism(self):
-        params = NifbmParams(0.3, 1.0, 2.0)
+        params = NifbmParams(0.3, a2=2.0)
         grid = SampleGrid(h=1.0, N=32)
         a = sample_increments(params, grid, [RngSeed(7, 3)])
         b = sample_increments(params, grid, [RngSeed(7, 3)])
@@ -75,14 +74,14 @@ class TestSampleIncrements:
         assert not np.array_equal(a, c)
 
     def test_zero_mean(self):
-        params = NifbmParams(0.6, 1.0)
+        params = NifbmParams(0.6)
         grid = SampleGrid(h=1.0, N=8)
         samples = batch_sample(params, grid, 10**4, seed=11)
-        sd0 = np.sqrt(autocov_sequence(params, 1.0, 1, 1).values[0])
+        sd0 = np.sqrt(autocov_sequence(params, 1.0, 1, 1)[0])
         assert abs(samples[:, 0].mean()) < 4.0 * sd0 / 100.0
 
     def test_lag3_brownian_uncorrelated(self):
-        params = NifbmParams(0.5, 1.0)
+        params = NifbmParams(0.5)
         grid = SampleGrid(h=1.0, N=8)
         samples = batch_sample(params, grid, 10**4, seed=12)
         prods = samples[:, 0] * samples[:, 3]
@@ -90,12 +89,12 @@ class TestSampleIncrements:
         assert abs(prods.mean()) < 4.0 * se
 
     def test_distributional_correctness(self):
-        params = NifbmParams(0.7, 2.0)
+        params = NifbmParams(0.7)
         grid = SampleGrid(h=2.0, N=64)
         n_reps = 2 * 10**4
         samples = batch_sample(params, grid, n_reps, seed=13)
         emp = samples.T @ samples / n_reps
-        target = toeplitz(autocov_sequence(params, 2.0, 1, 64).values)
+        target = toeplitz(autocov_sequence(params, 2.0, 1, 64))
         # SE of a product-moment estimate of cov(X_i, X_j)
         se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n_reps)
         assert np.all(np.abs(emp - target) < 5.0 * se)
@@ -107,7 +106,7 @@ class TestSampleIncrements:
 
     def test_block_rows_equal_single_seed_draws(self):
         # 100 replications at N = 513 span two blocks of 64 and 36 seeds
-        params = NifbmParams(0.3, 2.0)
+        params = NifbmParams(0.3)
         grid = SampleGrid(h=2.0, N=513)
         blocks = list(seed_blocks(3, 10, 100, grid.N))
         assert [len(b) for b in blocks] == [64, 36]
@@ -137,7 +136,7 @@ class TestSampleIncrements:
     def test_indefinite_embedding_names_ratio(self):
         grid = SampleGrid(h=1.0, N=1025)
         with pytest.raises(NotPositiveDefiniteError) as info:
-            sample_increments(NifbmParams(0.999, 1.0), grid, [RngSeed(0)])
+            sample_increments(NifbmParams(0.999), grid, [RngSeed(0)])
         message = str(info.value)
         match = re.search(r"ratio (-[0-9.e+-]+)", message)
         assert match and float(match.group(1)) < -1e-8
@@ -165,7 +164,7 @@ class TestSharedComponentSampling:
                 + np.sqrt(params.b2) * w**params.H2 * e2
             )
             for lag in (0, 1, 3):
-                target = mixed_increment_autocov(params, 2.0, j, lag)
+                target = autocov_sequence(params, 2.0, j, lag + 1)[lag]
                 prods = vals[:, 0] * vals[:, lag]
                 se = prods.std(ddof=1) / np.sqrt(n_reps)
                 assert abs(prods.mean() - target) < 5.0 * se
@@ -205,18 +204,18 @@ class TestAggregation:
         # and compare with the direct width-2h formula
         params = MixedParams(0.65, 0.25, 2.0, 3.0)
         n_base, n_out = 41, 20
-        base_cov = toeplitz(autocov_sequence(params, 1.5, 1, n_base).values)
+        base_cov = toeplitz(autocov_sequence(params, 1.5, 1, n_base))
         agg = np.zeros((n_out, n_base))
         for k in range(n_out):
             agg[k, 2 * k] = 0.5
             agg[k, 2 * k + 1] = 1.0
             agg[k, 2 * k + 2] = 0.5
         pushed = agg @ base_cov @ agg.T
-        direct = toeplitz(autocov_sequence(params, 1.5, 2, n_out).values)
+        direct = toeplitz(autocov_sequence(params, 1.5, 2, n_out))
         assert np.allclose(pushed, direct, rtol=1e-10, atol=1e-9)
 
     def test_aggregated_covariance_monte_carlo(self):
-        params = NifbmParams(0.7, 1.0)
+        params = NifbmParams(0.7)
         grid = SampleGrid(h=1.0, N=17)
         n_reps = 10**4
         samples = batch_sample(params, grid, n_reps, seed=31)
@@ -226,7 +225,7 @@ class TestAggregation:
             agg[k, 2 * k + 1] = 1.0
             agg[k, 2 * k + 2] = 0.5
         out = samples @ agg.T
-        targets = autocov_sequence(params, 1.0, 2, 3).values
+        targets = autocov_sequence(params, 1.0, 2, 3)
         for lag in (0, 2):
             target = targets[lag]
             prods = out[:, 0] * out[:, lag]
@@ -236,18 +235,18 @@ class TestAggregation:
 
 class TestCirculantSampler:
     def test_determinism(self):
-        params = NifbmParams(0.7, 2.0)
+        params = NifbmParams(0.7)
         grid = SampleGrid(h=2.0, N=512)
         a = sample_increments(params, grid, [RngSeed(9, 0)])
         b = sample_increments(params, grid, [RngSeed(9, 0)])
         assert np.array_equal(a, b)
 
     def test_autocovariance(self):
-        params = NifbmParams(0.7, 2.0)
+        params = NifbmParams(0.7)
         grid = SampleGrid(h=2.0, N=64)
         n_reps = 4000
         rows = sample_increments(params, grid, seeds(40, n_reps))
-        targets = autocov_sequence(params, 2.0, 1, 6).values
+        targets = autocov_sequence(params, 2.0, 1, 6)
         for lag in (0, 1, 5):
             prods = rows[:, 0] * rows[:, lag]
             se = prods.std(ddof=1) / np.sqrt(n_reps)
@@ -270,7 +269,7 @@ class TestAddDrift:
         g = 5 * np.cos(t) - np.exp(-4 * t) + 2 * t**2
         g -= g[0]
         grid = SampleGrid(h=1.0, N=8)
-        noise = sample_increments(NifbmParams(0.4, 1.0), grid, [RngSeed(2, 2)])[0]
+        noise = sample_increments(NifbmParams(0.4), grid, [RngSeed(2, 2)])[0]
         shifted = add_drift(noise, DriftSpec(mu=4.0, g_values=g))
         assert np.sum(shifted - noise) == pytest.approx(
             4.0 * (g[-1] - g[0]), rel=1e-12
