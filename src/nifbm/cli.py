@@ -164,20 +164,23 @@ def _cmd_tables(args) -> int:
 
 def _cmd_constants(args) -> int:
     check_positive("window width h", args.h)
+    sig = None
+    if args.H < 0.75:
+        from .asymptotics import sigma_tilde_one
+
+        # evaluated first: an overflow must not follow a partial output
+        sig = sigma_tilde_one(args.H, args.h)
     lags = np.arange(args.max_lag + 1)
     values = gamma(args.H, lags)
     print(f"H = {args.H}, h = {args.h}")
     for lag, value in zip(lags, values):
         print(f"gamma({args.H}, {lag}) = {format(value, '.17g')}")
     print(f"H0 (lag-1 sign change) = {format(find_h0(), '.17g')}")
-    if args.H < 0.75:
-        from .asymptotics import sigma_tilde_one
-
-        sig = sigma_tilde_one(args.H, args.h)
+    if sig is None:
+        print("sigma_tilde entries unavailable for H >= 3/4")
+    else:
         for name, value in (("11", sig[0, 0]), ("12", sig[0, 1]), ("22", sig[1, 1])):
             print(f"sigma_tilde_{name} = {format(value, '.17g')}")
-    else:
-        print("sigma_tilde entries unavailable for H >= 3/4")
     return 0
 
 

@@ -192,6 +192,7 @@ def xi_statistics_from_base(
 def forward_moment_map(theta: MixedParams, h: float) -> Tuple[float, float, float, float]:
     """Expected xi statistics (eta_1, eta_2, eta_4, eta_8) of the
     two-process model at window width h."""
+    check_positive("window width h", h)
     x = 2.0 ** (2.0 * theta.H1)
     y = 2.0 ** (2.0 * theta.H2)
     a_big = theta.a2 * _scale_coef(theta.H1, h)
@@ -311,6 +312,7 @@ def two_point_variance(params: Params, h: float, N: int, gN: float) -> float:
     of the noise difference is c * h^(2H) * ((N+1)^(2H+2) + (N-1)^(2H+2)
     - 2 N^(2H+2) - 2) / ((2H+1)(2H+2)).
     """
+    check_positive("window width h", h)
     if gN == 0.0:
         return 0.0
 

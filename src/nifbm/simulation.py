@@ -9,6 +9,15 @@ one batched irfft, O(R N log N), with each replication's normals drawn
 from its own seed stream.  This is the package's only path sampler;
 the dense Cholesky factor is kept as an exact reference for tests.
 
+Replication (seed, stream) draws exactly what
+np.random.default_rng([seed, stream]) would draw.  Building one such
+generator per replication costs more than the draw itself, so the
+samplers compute the PCG64 states of a whole block at once instead:
+numpy's SeedSequence hash of the entropy words [seed, stream] and
+PCG64's seeding step (O'Neill 2014) are fixed public algorithms,
+reproduced here on arrays over the block's rows.  One generator per
+block is then set to each row's state in turn.
+
 Increment series are plain float arrays with time on the last axis:
 the samplers return one row per seed, and combine_mixed_components,
 aggregate_increments and add_drift take one series or an (R, N) block
@@ -18,6 +27,7 @@ row r alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -28,10 +38,11 @@ from scipy.linalg import toeplitz
 from .covariance import (
     AGGREGATION_FACTORS,
     MixedParams,
+    NifbmParams,
     Params,
     autocov_sequence,
     check_positive,
-    gamma,
+    gamma,  # unused here, but benchmarks/tracing.py wraps it at this module
 )
 from .errors import GridMismatchError, LengthError, NotPositiveDefiniteError
 
@@ -56,6 +67,14 @@ BLOCK_ELEMENTS = 2**16
 # embedding eigenvalues above -_EIG_TOL * max are rounding, clipped to 0
 _EIG_TOL = 1e-8
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx,
+# unchanged since numpy 1.17) and the PCG64 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
 
 @dataclass(frozen=True)
 class RngSeed:
@@ -67,9 +86,6 @@ class RngSeed:
     def __post_init__(self):
         if self.seed < 0 or self.stream < 0:
             raise ValueError("seed and stream must be nonnegative integers")
-
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng([self.seed, self.stream])
 
 
 @dataclass(frozen=True)
@@ -135,9 +151,13 @@ def seed_blocks(seed: int, first_stream: int, count: int, N: int):
         yield [RngSeed(seed, stream) for stream in range(start, stop)]
 
 
-def _embedding_scale(row: np.ndarray) -> np.ndarray:
+@functools.lru_cache
+def _embedding_scale(params: Params, h: float, j: int, N: int) -> np.ndarray:
     """Spectral scale sqrt(lambda * m / 2) of the circulant embedding of
-    a Toeplitz first row; raises when the embedding is indefinite."""
+    autocov_sequence(params, h, j, N), read-only; raises when the
+    embedding is indefinite.  Cached, so the seed blocks of a grid point
+    share one autocovariance and one rfft."""
+    row = autocov_sequence(params, h, j, N)
     circ = np.concatenate([row, row[-2:0:-1]])
     eig = np.fft.rfft(circ).real
     if eig.min() < -_EIG_TOL * eig.max():
@@ -146,15 +166,102 @@ def _embedding_scale(row: np.ndarray) -> np.ndarray:
             f"eigenvalue ratio {eig.min() / eig.max():.3g} below "
             f"-{_EIG_TOL:g} at embedding length {circ.size}"
         )
-    return np.sqrt(np.clip(eig, 0.0, None) * circ.size / 2.0)
+    scale = np.sqrt(np.clip(eig, 0.0, None) * circ.size / 2.0)
+    scale.flags.writeable = False
+    return scale
+
+
+def _hash_constants(const: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's running hash constant before each of `count`
+    hashmix calls, then after the last: c_{k+1} = c_k * mult mod 2^32."""
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of values[..., i] as its i-th call in a
+    run of consecutive calls, consts holding that run's constants."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return value ^ (value >> 16)
+
+
+def _uint32_words(values: list) -> tuple:
+    """Little-endian 32-bit words of nonnegative integers, one
+    zero-padded row each, and each value's word count (0 has one)."""
+    ints = np.array(values, dtype=object)
+    width = max(1, -(-int(max(values, default=0)).bit_length() // 32))
+    words = np.empty((len(values), width), dtype=np.uint32)
+    counts = np.ones(len(values), dtype=int)
+    for k in range(width):
+        shifted = ints >> 32 * k
+        words[:, k] = shifted & _MASK32
+        if k:
+            counts += shifted != 0
+    return words, counts
+
+
+def _stream_states(seeds: Sequence[RngSeed]) -> list:
+    """The PCG64 state of np.random.default_rng([seed, stream]) for
+    each seed, computed for all seeds at once.
+
+    SeedSequence hashes the entropy words (those of seed, then those of
+    stream) into a 4-word pool, hashes the pool into 4 uint64 words
+    w0..w3, and PCG64 seeds itself with initstate w0:w1 and increment
+    w2:w3, shifted left with its low bit set, by two LCG steps from 0.
+    Entropy shorter than the pool hashes exactly as if zero-padded to
+    4 words; words past the fourth are mixed in one at a time, only
+    into the rows that have them, so one block may mix word counts.
+    """
+    seed_words, seed_counts = _uint32_words([s.seed for s in seeds])
+    stream_words, stream_counts = _uint32_words([s.stream for s in seeds])
+    lengths = seed_counts + stream_counts
+    width = max(4, seed_words.shape[1] + stream_words.shape[1])
+    entropy = np.zeros((len(seeds), width), dtype=np.uint32)
+    entropy[:, : seed_words.shape[1]] = seed_words
+    rows = np.arange(len(seeds))
+    for k in range(stream_words.shape[1]):
+        entropy[rows, seed_counts + k] = stream_words[:, k]
+
+    consts = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (width - 4))
+    pool = _hashmix(entropy[:, :4], consts[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], consts[k : k + 4]))
+    for i in range(4, width):
+        k = 16 + 4 * (i - 4)
+        mixed = _mix(pool, _hashmix(entropy[:, [i]], consts[k : k + 5]))
+        pool = np.where((i < lengths)[:, None], mixed, pool)
+
+    half = _hashmix(np.tile(pool, 2), _hash_constants(_INIT_B, _MULT_B, 8))
+    w = half.astype("<u4").view("<u8").astype(object)
+    inc = ((w[:, 2] << 64 | w[:, 3]) << 1 | 1) & _MASK128
+    state = ((inc + (w[:, 0] << 64 | w[:, 1])) * _PCG64_MULT + inc) & _MASK128
+    return [
+        {"bit_generator": "PCG64", "state": {"state": s, "inc": i},
+         "has_uint32": 0, "uinteger": 0}
+        for s, i in zip(state.tolist(), inc.tolist())
+    ]
 
 
 def _stream_normals(seeds: Sequence[RngSeed], shape: tuple) -> np.ndarray:
     """Standard normals of the given shape per seed, row r drawn in
-    order from seeds[r]'s own stream."""
+    order from seeds[r]'s own stream, as default_rng([seed, stream])
+    draws them."""
     normals = np.empty((len(seeds),) + shape)
-    for r, seed in enumerate(seeds):
-        seed.generator().standard_normal(out=normals[r])
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for r, state in enumerate(_stream_states(seeds)):
+        bit_generator.state = state
+        generator.standard_normal(out=normals[r])
     return normals
 
 
@@ -199,8 +306,7 @@ def sample_increments(
     Cholesky of the same Toeplitz matrix still succeeds at N = 1025 but
     fails from H = 0.998 at N = 8193.
     """
-    row = autocov_sequence(params, grid.h, grid.j, grid.N)
-    scale = _embedding_scale(row)
+    scale = _embedding_scale(params, grid.h, grid.j, grid.N)
     return _spectral_draw(_stream_normals(seeds, (2 * scale.size,)), scale, grid.N)
 
 
@@ -217,9 +323,9 @@ def sample_mixed_components(
     sampled by circulant embedding as in sample_increments; each
     seed's stream draws component 1's normals, then component 2's.
     """
-    lags = np.arange(N)
-    scale1 = _embedding_scale(gamma(params.H1, lags))
-    scale2 = _embedding_scale(gamma(params.H2, lags))
+    # unit scale and unit width give the autocovariance gamma(H, .)
+    scale1 = _embedding_scale(NifbmParams(params.H1), 1.0, 1, N)
+    scale2 = _embedding_scale(NifbmParams(params.H2), 1.0, 1, N)
     normals = _stream_normals(seeds, (2, 2 * scale1.size))
     return (
         _spectral_draw(normals[:, 0], scale1, N),

@@ -15,6 +15,13 @@ settings.register_profile("suite", derandomize=True, deadline=None)
 settings.load_profile("suite")
 
 
+def stream_generator(seed) -> np.random.Generator:
+    """The generator an RngSeed stands for.  The samplers compute its
+    state without building it; this is the oracle they are checked
+    against."""
+    return np.random.default_rng([seed.seed, seed.stream])
+
+
 def fbm_cov(H: float, s: float, t: float) -> float:
     """Covariance of fractional Brownian motion at times s and t."""
     if s < 0.0 or t < 0.0:

@@ -36,7 +36,12 @@ from nifbm import (
 )
 from nifbm.covariance import autocov_sequence
 
-from conftest import hurst_delta_variance, jacobian_one_det, quad_oracle
+from conftest import (
+    hurst_delta_variance,
+    jacobian_one_det,
+    quad_oracle,
+    stream_generator,
+)
 
 
 def report(number, ok, detail):
@@ -322,7 +327,7 @@ def test_criterion_11_asymptotic_covariance_oracle():
     exact_s11_ok = abs(s11 - 0.5) < 1e-12 and abs(s22 - 4.0) < 1e-12
 
     factor = cholesky_factor(autocov_sequence(params, 1.0, 1, 2 * n + 1))
-    rng = RngSeed(2026, 0).generator()
+    rng = stream_generator(RngSeed(2026, 0))
     base = factor @ rng.standard_normal((2 * n + 1, reps))
     fine = base[: 2 * n]
     coarse = 0.5 * (base[2 : 2 * n + 1 : 2] + 2.0 * base[1 : 2 * n : 2]

@@ -189,6 +189,15 @@ class TestForwardMomentMap:
         )
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+def test_moment_map_and_two_point_variance_reject_bad_h(h):
+    message = "window width h must be finite and positive"
+    with pytest.raises(ValueError, match=message):
+        forward_moment_map(MixedParams(0.7, 0.3, 1.0, 1.0), h)
+    with pytest.raises(ValueError, match=message):
+        two_point_variance(NifbmParams(0.5), h, 10, 3.0)
+
+
 class TestOneProcessEstimator:
     def test_round_trip(self):
         rng = np.random.default_rng(10)

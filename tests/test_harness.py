@@ -1,9 +1,14 @@
+import csv
+import io
 import json
 import math
+import typing
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nifbm.asymptotics import gamma_square_series
 from nifbm.cli import main
@@ -54,6 +59,54 @@ def small_drift_config(**overrides):
     )
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+)
+_OPTIONAL_FLOATS = st.none() | _FLOATS
+_RESULT_ROWS = st.builds(
+    ResultRow,
+    model=st.sampled_from(["one-nifbm", "two-nifbm"]),
+    estimator=st.sampled_from(["H", "H1", "H2", "a2", "b2", "mu_mle", "mu_two_point"]),
+    H1=_FLOATS,
+    H2=_OPTIONAL_FLOATS,
+    a2=_FLOATS,
+    b2=_OPTIONAL_FLOATS,
+    mu=_OPTIONAL_FLOATS,
+    h=_FLOATS,
+    N=st.integers(1, 2**40),
+    j_mode=st.sampled_from(["aggregate", "direct-per-j"]),
+    replications=st.integers(1, 10**9),
+    mean=_FLOATS,
+    sd_emp=_FLOATS,
+    sd_theory=_OPTIONAL_FLOATS,
+    degenerate=st.integers(0, 10**9),
+    seconds=_FLOATS,
+)
+_ROW_TYPES = typing.get_type_hints(ResultRow)
+
+
+def _parse_csv_cell(cell, kind):
+    """A CSV cell read back as the ResultRow field type: an empty cell
+    is None for optional fields."""
+    if kind is str:
+        return cell
+    if kind is int:
+        return int(cell)
+    return None if cell == "" else float(cell)
+
+
+def _same(a, b):
+    """Equal values of equal type; floats also agree in the sign of
+    zero, and nan matches nan."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
 
 
 def strip_seconds(csv_text):
@@ -256,6 +309,20 @@ class TestWriteResults:
                 else:
                     assert got == value
         assert parsed[-1]["sd_theory"] is None
+
+    @given(st.lists(_RESULT_ROWS, max_size=4))
+    @settings(max_examples=100)
+    def test_csv_and_json_hold_the_same_values(self, rows):
+        from_csv = [
+            {name: _parse_csv_cell(cell, _ROW_TYPES[name]) for name, cell in record.items()}
+            for record in csv.DictReader(io.StringIO(format_results(rows, "csv")))
+        ]
+        from_json = json.loads(format_results(rows, "json"))
+        assert len(from_csv) == len(from_json) == len(rows)
+        for csv_row, json_row, row in zip(from_csv, from_json, rows):
+            for name, value in vars(row).items():
+                assert _same(csv_row[name], json_row[name])
+                assert _same(csv_row[name], value)
 
     def test_seventeen_digit_floats(self):
         rows = run_experiment(small_drift_config(replications=2))
@@ -576,6 +643,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical overflow")
         assert err.count("\n") == 1
+
+    def test_constants_overflow_prints_no_partial_output(self, capsys):
+        assert main(["constants", "--H", "0.6", "--h", "1e200"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_estimate_rejects_bad_step(self, tmp_path, capsys):
         series = tmp_path / "series.txt"

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nifbm.covariance import (
     MixedParams,
@@ -18,6 +20,9 @@ from nifbm.simulation import (
     DriftSpec,
     RngSeed,
     SampleGrid,
+    _embedding_scale,
+    _stream_normals,
+    _stream_states,
     add_drift,
     aggregate_increments,
     cholesky_factor,
@@ -28,6 +33,12 @@ from nifbm.simulation import (
     seed_blocks,
 )
 from scipy.linalg import toeplitz
+
+from conftest import stream_generator
+
+# one to four 32-bit words each, so one block mixes entropy lengths 2..8
+_WORD_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96)
+_SEED_INTS = st.one_of(st.sampled_from(_WORD_EDGES), st.integers(0, 2**128 - 1))
 
 
 def seeds(seed, n_reps):
@@ -133,6 +144,21 @@ class TestSampleIncrements:
         f1, f2 = sample_mixed_components(params, n, [RngSeed(4, 2)])
         assert np.array_equal(e1[2], f1[0]) and np.array_equal(e2[2], f2[0])
 
+    def test_embedding_once_per_grid_point(self):
+        # the seed blocks of a grid point share one embedding; the mixed
+        # sampler's unit components are keyed by (H, N) at h = j = 1
+        _embedding_scale.cache_clear()
+        grid = SampleGrid(h=2.0, N=513)
+        blocks = list(seed_blocks(3, 0, 100, grid.N))
+        assert len(blocks) == 2
+        for block in blocks:
+            sample_increments(NifbmParams(0.3), grid, block)
+        for block in blocks:
+            sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), grid.N, block)
+        info = _embedding_scale.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
+        assert not _embedding_scale(NifbmParams(0.3), 2.0, 1, 513).flags.writeable
+
     def test_indefinite_embedding_names_ratio(self):
         grid = SampleGrid(h=1.0, N=1025)
         with pytest.raises(NotPositiveDefiniteError) as info:
@@ -141,6 +167,34 @@ class TestSampleIncrements:
         match = re.search(r"ratio (-[0-9.e+-]+)", message)
         assert match and float(match.group(1)) < -1e-8
         assert "embedding length 2048" in message
+
+
+class TestStreamStates:
+    def assert_matches_default_rng(self, block):
+        states = _stream_states(block)
+        assert states == [stream_generator(s).bit_generator.state for s in block]
+        normals = _stream_normals(block, (2, 3))
+        for row, s in zip(normals, block):
+            assert np.array_equal(row, stream_generator(s).standard_normal((2, 3)))
+
+    def test_word_count_edges(self):
+        # every pair of edge values in one block: several seeds and every
+        # entropy length from 2 to 8 words side by side
+        block = [RngSeed(a, b) for a in _WORD_EDGES for b in _WORD_EDGES]
+        self.assert_matches_default_rng(block)
+
+    def test_consecutive_streams(self):
+        for seed in (0, 42, 2**32 - 1):
+            self.assert_matches_default_rng(seeds(seed, 500))
+
+    @given(st.lists(st.builds(RngSeed, _SEED_INTS, _SEED_INTS), min_size=1, max_size=8))
+    @settings(max_examples=150)
+    def test_any_block(self, block):
+        self.assert_matches_default_rng(block)
+
+    def test_empty_block(self):
+        assert _stream_states([]) == []
+        assert _stream_normals([], (4,)).shape == (0, 4)
 
 
 class TestSharedComponentSampling:
