@@ -35,7 +35,6 @@ from .estimation import (
     DriftEstimate,
     OneNifbmEstimate,
     TwoNifbmEstimate,
-    XiStatistics,
     drift_mle,
     drift_two_point,
     estimate_one_nifbm,

@@ -27,12 +27,9 @@ from .covariance import (
     gamma,
 )
 from .errors import NifbmError
-from .estimation import (
-    estimate_one_nifbm,
-    estimate_two_nifbm,
-    xi_statistics_from_base,
-)
+from .estimation import MOMENT_ESTIMATORS, MOMENT_FACTORS, xi_statistics_from_base
 from .harness import (
+    MODEL_PARAMS,
     format_results,
     parse_config,
     run_experiment,
@@ -51,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="emit a raw increment series")
-    sim.add_argument("--model", choices=("one-nifbm", "two-nifbm"), required=True)
+    sim.add_argument("--model", choices=tuple(MODEL_PARAMS), required=True)
     sim.add_argument("--H", type=float, help="Hurst index (one-nifbm)")
     sim.add_argument("--H1", type=float, help="larger Hurst index (two-nifbm)")
     sim.add_argument("--H2", type=float, help="smaller Hurst index (two-nifbm)")
@@ -65,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None, help="output path (default stdout)")
 
     est = sub.add_parser("estimate", help="estimate parameters from a series")
-    est.add_argument("--model", choices=("one-nifbm", "two-nifbm"), required=True)
+    est.add_argument("--model", choices=tuple(MODEL_PARAMS), required=True)
     est.add_argument("--h", type=float, required=True)
     est.add_argument(
         "--in", dest="infile", default=None, help="series path (default stdin)"
@@ -130,12 +127,9 @@ def _read_series(path: Optional[str]) -> np.ndarray:
 
 def _cmd_estimate(args) -> int:
     base = _read_series(args.infile)
-    if args.model == "one-nifbm":
-        stats = xi_statistics_from_base(base, factors=AGGREGATION_FACTORS[:2])
-        result = estimate_one_nifbm(stats.xi[1], stats.xi[2], args.h)
-    else:
-        stats = xi_statistics_from_base(base, factors=AGGREGATION_FACTORS)
-        result = estimate_two_nifbm(stats, args.h)
+    kind = MODEL_PARAMS[args.model]
+    xi = xi_statistics_from_base(base, factors=MOMENT_FACTORS[kind])
+    result = MOMENT_ESTIMATORS[kind](xi, args.h)
     print(json.dumps(dataclasses.asdict(result), indent=2))
     return 0
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import bisect
 from scipy.special import binom
 
 __all__ = [
@@ -217,4 +216,7 @@ def find_h0(tol: float = 1e-9) -> float:
     correlated, above it positively (unlike plain fBm, where the switch
     happens at 1/2).
     """
+    # imported here: scipy.optimize is slow to load and only this needs it
+    from scipy.optimize import bisect
+
     return float(bisect(lambda H: gamma(H, 1), 0.1, 0.5, xtol=tol))

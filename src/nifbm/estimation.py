@@ -2,9 +2,11 @@
 
 Two families live here.  Moment estimators invert the map from model
 parameters to the expected mean squared increments at aggregation
-factors j in {1, 2, 4, 8} (the xi statistics); the one-process case
-needs two factors, the two-process case all four via a quadratic whose
-roots are 2^(2*H1) and 2^(2*H2).  Drift estimators are the exact
+factors j, the xi statistics, given as a {j: value} dict.  The factors
+of each model are stated once, in MOMENT_FACTORS: j = 1, 2 for one
+process, all of 1, 2, 4, 8 for two via a quadratic whose roots are
+2^(2*H1) and 2^(2*H2); MOMENT_ESTIMATORS holds each model's estimator,
+called as (xi, h).  Drift estimators are the exact
 generalized-least-squares MLE and a crude two-point alternative, both
 with exact finite-sample variances.
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -42,12 +44,14 @@ from .errors import LengthError, ZeroDenominatorError
 from .simulation import aggregate_increments
 
 __all__ = [
-    "XiStatistics",
+    "MOMENT_FACTORS",
+    "MOMENT_ESTIMATORS",
     "DriftEstimate",
     "OneNifbmEstimate",
     "TwoNifbmEstimate",
     "xi_statistic",
     "xi_statistics_from_base",
+    "base_length",
     "forward_moment_map",
     "forward_moment_map_one",
     "estimate_one_nifbm",
@@ -60,19 +64,11 @@ __all__ = [
 
 _LOG4 = 2.0 * math.log(2.0)
 
+# the aggregation factors j at which each model's xi statistics are
+# taken and its moment estimator reads them
+MOMENT_FACTORS = {NifbmParams: AGGREGATION_FACTORS[:2], MixedParams: AGGREGATION_FACTORS}
 
-@dataclass(frozen=True)
-class XiStatistics:
-    """Mean squared increments xi[j] and the sample sizes counts[j];
-    each xi[j] is a float, or an array of one value per row of a block."""
-
-    xi: Dict[int, Union[float, np.ndarray]]
-    counts: Dict[int, int]
-
-    def __post_init__(self):
-        for j, value in self.xi.items():
-            if not np.all(np.isfinite(value)) or np.any(np.less(value, 0.0)):
-                raise ValueError(f"xi[{j}] must be finite and nonnegative, got {value}")
+Xi = Dict[int, Union[float, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -133,17 +129,22 @@ def _in_range(value: np.ndarray, upper: float) -> np.ndarray:
     return (0.0 < value) & (value < upper)
 
 
-def _rows(*values) -> Tuple[list, bool]:
-    """The values as 1-d float arrays, so that one series and a block
-    share one code path, and whether every value was a scalar."""
+def _rows(xi: Xi, model) -> Tuple[list, bool]:
+    """The model's xi statistics as 1-d float arrays, so that one series
+    and a block share one code path, and whether every one was a scalar."""
+    factors = MOMENT_FACTORS[model]
+    try:
+        values = [xi[j] for j in factors]
+    except KeyError as exc:
+        raise LengthError(f"xi statistics at j = {factors} are all required") from exc
     arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
     return arrays, all(np.ndim(v) == 0 for v in values)
 
 
-def _estimate(cls, scalar: bool, *fields: np.ndarray):
+def _estimate(cls, scalar: bool, *values: np.ndarray):
     """cls of the field arrays, unwrapped to Python floats and bools when
     every input was a scalar."""
-    return cls(*(field.item() if scalar else field for field in fields))
+    return cls(*(value.item() if scalar else value for value in values))
 
 
 def _scale_coef(H: float, h: float) -> float:
@@ -162,11 +163,16 @@ def xi_statistic(series: np.ndarray) -> Union[float, np.ndarray]:
     return float(xi) if values.ndim == 1 else xi
 
 
+def base_length(factors: Tuple[int, ...], n: int) -> int:
+    """The shortest base series whose coarsest aggregate has n increments."""
+    return max(factors) * (n + 1) - 1
+
+
 def xi_statistics_from_base(
     base: np.ndarray, factors: Tuple[int, ...] = AGGREGATION_FACTORS
-) -> XiStatistics:
-    """xi statistics at several aggregation factors from one base series,
-    or from each row of an (R, M) block.
+) -> Xi:
+    """xi statistics {j: value} at several aggregation factors from one
+    base series (floats), or from each row of an (R, M) block (arrays).
 
     The sample sizes follow the shared-horizon bookkeeping: if n series
     of the coarsest factor fit, factor j uses the first n * max(factors)
@@ -175,7 +181,7 @@ def xi_statistics_from_base(
     """
     levels = {1: np.asarray(base, dtype=float)}
     jmax = max(factors)
-    if levels[1].shape[-1] < 2 * jmax - 1:
+    if levels[1].shape[-1] < base_length(factors, 1):
         raise LengthError(
             f"series of length {levels[1].shape[-1]} too short to aggregate by {jmax}"
         )
@@ -184,9 +190,11 @@ def xi_statistics_from_base(
         levels[j] = aggregate_increments(levels[j // 2], 2)
         j *= 2
     n_coarse = levels[jmax].shape[-1]
-    counts = {j: n_coarse * (jmax // j) for j in factors}
-    xi = {j: xi_statistic(levels[j][..., : counts[j]]) for j in factors}
-    return XiStatistics(xi=xi, counts=counts)
+    xi = {j: xi_statistic(levels[j][..., : n_coarse * (jmax // j)]) for j in factors}
+    for j, value in xi.items():
+        if not np.all(np.isfinite(value)) or np.any(np.less(value, 0.0)):
+            raise ValueError(f"xi[{j}] must be finite and nonnegative, got {value}")
+    return xi
 
 
 def forward_moment_map(theta: MixedParams, h: float) -> Tuple[float, float, float, float]:
@@ -214,15 +222,15 @@ def forward_moment_map_one(theta: NifbmParams, h: float) -> Tuple[float, float]:
 
 
 @np.errstate(all="ignore")
-def estimate_one_nifbm(xi1, xi2, h: float) -> OneNifbmEstimate:
-    """Invert the one-process moment map on (xi1, xi2).
+def estimate_one_nifbm(xi: Xi, h: float) -> OneNifbmEstimate:
+    """Invert the one-process moment map on the xi statistics at j = 1, 2.
 
-    xi1 is the mean squared increment at width h (computed on 2N
-    values), xi2 at width 2h (on N values); floats give one estimate,
+    xi[1] is the mean squared increment at width h (computed on 2N
+    values), xi[2] at width 2h (on N values); floats give one estimate,
     arrays one estimate per element.
     """
     check_positive("step h", h)
-    (xi1, xi2), scalar = _rows(xi1, xi2)
+    (xi1, xi2), scalar = _rows(xi, NifbmParams)
     h_hat = _log_plus(_safe_div(xi2, xi1)) / _LOG4
     denom = _scale_coef(h_hat, h) * (2.0 ** (2.0 * h_hat) - 1.0)
     a2_hat = _safe_div(xi1, denom)
@@ -231,9 +239,7 @@ def estimate_one_nifbm(xi1, xi2, h: float) -> OneNifbmEstimate:
 
 
 @np.errstate(all="ignore")
-def estimate_two_nifbm(
-    xi: Union[XiStatistics, Dict[int, float]], h: float
-) -> TwoNifbmEstimate:
+def estimate_two_nifbm(xi: Xi, h: float) -> TwoNifbmEstimate:
     """Invert the two-process moment map on xi statistics at j = 1,2,4,8.
 
     The candidate values of 2^(2*H1) and 2^(2*H2) are the two roots of a
@@ -242,11 +248,7 @@ def estimate_two_nifbm(
     give one estimate, arrays one estimate per element.
     """
     check_positive("step h", h)
-    stats = xi.xi if isinstance(xi, XiStatistics) else xi
-    try:
-        (x1, x2, x4, x8), scalar = _rows(*(stats[j] for j in AGGREGATION_FACTORS))
-    except KeyError as exc:
-        raise LengthError("xi statistics at j = 1, 2, 4, 8 are all required") from exc
+    (x1, x2, x4, x8), scalar = _rows(xi, MixedParams)
 
     disc = (x4 * x2 - x8 * x1) ** 2 - 4.0 * (x4 * x1 - x2 * x2) * (x8 * x2 - x4 * x4)
     root = _sqrt_plus(disc)
@@ -268,8 +270,13 @@ def estimate_two_nifbm(
     valid = (0.0 < disc) & (den != 0.0) & (h1_hat != h2_hat)
     valid &= _in_range(h1_hat, 1.0) & _in_range(h2_hat, 1.0)
     valid &= _in_range(a2_hat, math.inf) & _in_range(b2_hat, math.inf)
-    fields = (h1_hat, h2_hat, a2_hat, b2_hat, disc, ~valid)
-    return _estimate(TwoNifbmEstimate, scalar, *fields)
+    return _estimate(
+        TwoNifbmEstimate, scalar, h1_hat, h2_hat, a2_hat, b2_hat, disc, ~valid
+    )
+
+
+# the estimator that inverts each model's moment map on its xi statistics
+MOMENT_ESTIMATORS = {NifbmParams: estimate_one_nifbm, MixedParams: estimate_two_nifbm}
 
 
 def drift_mle(
@@ -310,9 +317,11 @@ def two_point_variance(params: Params, h: float, N: int, gN: float) -> float:
 
     Per component with Hurst index H and squared scale c, the variance
     of the noise difference is c * h^(2H) * ((N+1)^(2H+2) + (N-1)^(2H+2)
-    - 2 N^(2H+2) - 2) / ((2H+1)(2H+2)).
+    - 2 N^(2H+2) - 2) / ((2H+1)(2H+2)).  N must be an integer >= 1.
     """
     check_positive("window width h", h)
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"N must be an integer >= 1, got {N!r}")
     if gN == 0.0:
         return 0.0
 
@@ -375,28 +384,14 @@ def two_stage_estimate(
         )
     mu_tilde = drift_two_point(y[0], y[-1], g[-1]).mu_hat
     base = np.diff(y - mu_tilde * g)
-    if model == "one":
-        stats = xi_statistics_from_base(base, factors=AGGREGATION_FACTORS[:2])
-        noise = estimate_one_nifbm(stats.xi[1], stats.xi[2], h)
-        params = (
-            None
-            if noise.degenerate
-            else NifbmParams(H=noise.H_hat, a2=noise.a2_hat)
-        )
-    elif model == "two":
-        stats = xi_statistics_from_base(base, factors=AGGREGATION_FACTORS)
-        noise = estimate_two_nifbm(stats, h)
-        params = (
-            None
-            if noise.degenerate
-            else MixedParams(
-                H1=noise.H1_hat, H2=noise.H2_hat, a2=noise.a2_hat, b2=noise.b2_hat
-            )
-        )
-    else:
+    kind = {"one": NifbmParams, "two": MixedParams}.get(model)
+    if kind is None:
         raise ValueError("model must be 'one' or 'two'")
+    xi = xi_statistics_from_base(base, factors=MOMENT_FACTORS[kind])
+    noise = MOMENT_ESTIMATORS[kind](xi, h)
     variance = 0.0
-    if params is not None:
+    if not noise.degenerate:
+        params = kind(**{f.name: getattr(noise, f.name + "_hat") for f in fields(kind)})
         variance = two_point_variance(params, h, n_incr, g[-1] - g[0])
     drift = DriftEstimate(mu_hat=mu_tilde, variance=variance, method="two-point")
     return drift, noise

@@ -19,21 +19,17 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .asymptotics import sigma0_one
-from .covariance import (
-    AGGREGATION_FACTORS,
-    MixedParams,
-    NifbmParams,
-    Params,
-    autocov_sequence,
-)
+from .covariance import MixedParams, NifbmParams, Params, autocov_sequence
 from .errors import ConfigError, HTooLargeError
 from .estimation import (
+    MOMENT_FACTORS,
+    base_length,
     drift_mle,
     drift_two_point,
     estimate_one_nifbm,
@@ -54,6 +50,7 @@ from .simulation import (
 from .simulation import cholesky_factor  # noqa: F401
 
 __all__ = [
+    "MODEL_PARAMS",
     "ExperimentConfig",
     "ResultRow",
     "parse_config",
@@ -73,14 +70,11 @@ CSV_HEADER = (
     "mean,sd_emp,sd_theory,degenerate,seconds"
 )
 
-_MODELS = ("one-nifbm", "two-nifbm")
+# the params type of each model name
+MODEL_PARAMS = {"one-nifbm": NifbmParams, "two-nifbm": MixedParams}
 _MODES = ("direct-per-j", "aggregate")
 _OUTPUTS = ("drift-mle", "drift-two-point", "noise")
 _G_NAMES = ("benchmark-g", "linear")
-
-# row names of the noise estimators per params type: each is the name
-# of a true parameter, and name + "_hat" that of its estimate
-_NOISE_ROWS = {NifbmParams: ("H", "a2"), MixedParams: ("H1", "H2", "a2", "b2")}
 _DRIFT_ROWS = {"drift-mle": "mu_mle", "drift-two-point": "mu_two_point"}
 
 
@@ -103,8 +97,9 @@ class ExperimentConfig:
     outputs: Tuple[str, ...] = ("noise",)
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise ConfigError(f"model must be one of {_MODELS}, got {self.model!r}")
+        if self.model not in MODEL_PARAMS:
+            models = tuple(MODEL_PARAMS)
+            raise ConfigError(f"model must be one of {models}, got {self.model!r}")
         if self.model == "two-nifbm":
             if self.H2 is None or self.b2 is None:
                 raise ConfigError("two-nifbm requires H2 and b2")
@@ -121,14 +116,19 @@ class ExperimentConfig:
         for name in self.outputs:
             if name not in _OUTPUTS:
                 raise ConfigError(f"unknown output {name!r}; choose from {_OUTPUTS}")
-        if any(o in _DRIFT_ROWS for o in self.outputs) and (
-            self.g_name is None and self.g_samples is None
-        ):
+        want_drift = any(o in _DRIFT_ROWS for o in self.outputs)
+        if want_drift and self.g_name is None and self.g_samples is None:
             raise ConfigError("drift estimators need a drift function g")
         if self.g_name is not None and self.g_samples is not None:
             raise ConfigError("give the drift function as g or g_samples, not both")
-        if self.g_samples is not None and not all(map(math.isfinite, self.g_samples)):
-            raise ConfigError("g_samples must all be finite")
+        g = self.g_samples
+        if g is not None:
+            if not all(map(math.isfinite, g)):
+                raise ConfigError("g_samples must all be finite")
+            if not any(g):
+                raise ConfigError("g_samples must not all be zero")
+            if g[0] != 0.0:
+                raise ConfigError(f"g_samples must start with G(0) = 0, got {g[0]}")
         if not self.grid:
             raise ConfigError("grid needs at least one h:N pair")
         for h, n in self.grid:
@@ -136,11 +136,13 @@ class ExperimentConfig:
                 raise ConfigError(f"grid step h must be finite and positive, got {h}")
             if n < 2 or n > MAX_N:
                 raise ConfigError(f"grid size N must be in [2, {MAX_N}], got {n}")
+            if want_drift and g is not None and len(g) != n + 1:
+                raise ConfigError(f"g_samples has {len(g)} points, grid needs {n + 1}")
             if (
                 self.model == "two-nifbm"
                 and self.simulation_mode == "aggregate"
                 and "noise" in self.outputs
-                and 8 * n + 7 > MAX_N
+                and base_length(MOMENT_FACTORS[MixedParams], n) > MAX_N
             ):
                 raise ConfigError(
                     "two-nifbm aggregate-mode noise estimation needs a base "
@@ -196,17 +198,6 @@ def drift_samples(name: str, N: int, h: float) -> np.ndarray:
     raise ConfigError(f"unknown drift function {name!r}; choose from {_G_NAMES}")
 
 
-def _config_g(config: ExperimentConfig, N: int, h: float) -> np.ndarray:
-    if config.g_samples is not None:
-        g = np.asarray(config.g_samples, dtype=float)
-        if g.size != N + 1:
-            raise ConfigError(
-                f"g_samples has {g.size} points, grid needs {N + 1}"
-            )
-        return g
-    return drift_samples(config.g_name, N, h)
-
-
 def _noise_estimates(
     params: Params, h: float, N: int, seed: int, first: int, count: int, mode: str
 ):
@@ -214,15 +205,14 @@ def _noise_estimates(
     replication, replication r drawn on the stream (seed, first + r).
     Two-process direct-per-j rescales shared unit-scale components to
     every aggregation factor; every other scheme aggregates one base
-    series at step h, of 2N + 1 (one process) or 8N + 7 (two processes)
-    increments.  The xi statistics are computed once per seed block and
-    factor, the estimates in one call on all the blocks' statistics.
+    series at step h whose coarsest aggregate has N increments.  The xi
+    statistics are computed once per seed block and factor, the
+    estimates in one call on all the blocks' statistics.
     """
     mixed = isinstance(params, MixedParams)
     direct = mixed and mode == "direct-per-j"
-    factors = AGGREGATION_FACTORS if mixed else AGGREGATION_FACTORS[:2]
-    # the shortest base whose coarsest aggregate has N increments
-    grid = SampleGrid(h=h, N=N if direct else factors[-1] * (N + 1) - 1)
+    factors = MOMENT_FACTORS[type(params)]
+    grid = SampleGrid(h=h, N=N if direct else base_length(factors, N))
     blocks = []
     for seeds in seed_blocks(seed, first, count, grid.N):
         if direct:
@@ -231,19 +221,20 @@ def _noise_estimates(
             blocks.append([xi_statistic(mix) for mix in mixes])
         else:
             base = sample_increments(params, grid, seeds)
-            xi = xi_statistics_from_base(base, factors=factors).xi
+            xi = xi_statistics_from_base(base, factors=factors)
             blocks.append([xi[j] for j in factors])
     xi = dict(zip(factors, map(np.concatenate, zip(*blocks))))
-    if mixed:
-        return estimate_two_nifbm(xi, h)
-    return estimate_one_nifbm(xi[1], xi[2], h)
+    # called by this module's names, which benchmarks/tracing.py wraps
+    estimate = estimate_two_nifbm if mixed else estimate_one_nifbm
+    return estimate(xi, h)
 
 
 def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     """(row name, mean, sd_emp, degenerate count, sd_theory) of each
     requested drift estimator, run once per seed block of drifted rows
     on the streams 0 .. R - 1."""
-    g = _config_g(config, N, h)
+    g = config.g_samples
+    g = drift_samples(config.g_name, N, h) if g is None else np.asarray(g, dtype=float)
     drift, dg = DriftSpec(mu=config.mu, g_values=g), np.diff(g)
     cov, grid = autocov_sequence(params, h, 1, N), SampleGrid(h=h, N=N)
 
@@ -280,9 +271,11 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
             theory = {"H": math.sqrt(sig[0, 0] / N), "a2": math.sqrt(sig[1, 1] / N)}
         except HTooLargeError:
             pass
+    # one row per parameter field, summarising the estimate field name + "_hat"
     return [
-        (name, *_summary(getattr(est, name + "_hat")[kept]), degenerate, theory.get(name))
-        for name in _NOISE_ROWS[type(params)]
+        (f.name, *_summary(getattr(est, f.name + "_hat")[kept]), degenerate,
+         theory.get(f.name))
+        for f in fields(params)
     ]
 
 
@@ -352,8 +345,8 @@ def empirical_estimator_cov(
     """
     if replications < 100:
         raise ValueError("need at least 100 replications")
-    names = _NOISE_ROWS[type(params)]
-    truth = np.array([getattr(params, name) for name in names])
+    names = [f.name for f in fields(params)]
+    truth = np.array(astuple(params))
     est = _noise_estimates(params, h, N, seed, 0, replications, "direct-per-j")
     kept = np.column_stack([getattr(est, name + "_hat")[~est.degenerate] for name in names])
     if len(kept) < 2:
@@ -398,19 +391,52 @@ def write_results(rows: Sequence[ResultRow], path: str, fmt: str = "csv") -> Non
         raise OSError(f"cannot write results to {path!r}: {exc}") from exc
 
 
-_KEYS = frozenset(
-    "model H1 H H2 a2 b2 mu g g_samples grid replications seed mode outputs".split()
-)
+def _floats(text: str) -> Tuple[float, ...]:
+    return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+def _grid(text: str) -> Tuple[Tuple[float, int], ...]:
+    pairs = []
+    for token in text.replace(",", " ").split():
+        h_str, _, n_str = token.partition(":")
+        if not n_str:
+            raise ConfigError(f"grid entry {token!r} is not of the form h:N")
+        pairs.append((float(h_str), int(n_str)))
+    return tuple(pairs)
+
+
+def _names(text: str) -> Tuple[str, ...]:
+    return tuple(token.strip() for token in text.split(",") if token.strip())
+
+
+# config key -> (ExperimentConfig field, parser of the value text)
+_KEYS = {
+    "model": ("model", str),
+    "H1": ("H1", float),
+    "H": ("H1", float),
+    "H2": ("H2", float),
+    "a2": ("a2", float),
+    "b2": ("b2", float),
+    "mu": ("mu", float),
+    "g": ("g_name", str),
+    "g_samples": ("g_samples", _floats),
+    "grid": ("grid", _grid),
+    "replications": ("replications", int),
+    "seed": ("seed", int),
+    "mode": ("simulation_mode", str),
+    "outputs": ("outputs", _names),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key-value experiment configuration format.
 
     One "key = value" pair per line; '#' starts a comment; unknown keys
-    are errors.  The grid is a list of h:N pairs, e.g. "2:128 4:128";
-    outputs is a comma list from {drift-mle, drift-two-point, noise}.
+    are errors, and so is a second key for one field ("H" is "H1").  The
+    grid is a list of h:N pairs, e.g. "2:128 4:128"; outputs is a comma
+    list from {drift-mle, drift-two-point, noise}.
     """
-    raw: Dict[str, str] = {}
+    raw: Dict[str, tuple] = {}  # field -> (parser, value text)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -421,46 +447,17 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw or (key in ("H", "H1") and ("H" in raw or "H1" in raw)):
+        target, parser = _KEYS[key]
+        if target in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
+        raw[target] = (parser, value.strip())
 
-    kwargs = {}
+    if "model" not in raw:
+        raise ConfigError("missing required key 'model'")
+    if "H1" not in raw:
+        raise ConfigError("missing required key 'H1' (or 'H')")
     try:
-        if "model" not in raw:
-            raise ConfigError("missing required key 'model'")
-        kwargs["model"] = raw["model"]
-        h1 = raw.get("H1", raw.get("H"))
-        if h1 is None:
-            raise ConfigError("missing required key 'H1' (or 'H')")
-        kwargs["H1"] = float(h1)
-        for key, target in (("H2", "H2"), ("a2", "a2"), ("b2", "b2"), ("mu", "mu")):
-            if key in raw:
-                kwargs[target] = float(raw[key])
-        if "g" in raw:
-            kwargs["g_name"] = raw["g"]
-        if "g_samples" in raw:
-            kwargs["g_samples"] = tuple(
-                float(v) for v in raw["g_samples"].replace(",", " ").split()
-            )
-        if "grid" in raw:
-            pairs = []
-            for token in raw["grid"].replace(",", " ").split():
-                h_str, _, n_str = token.partition(":")
-                if not n_str:
-                    raise ConfigError(f"grid entry {token!r} is not of the form h:N")
-                pairs.append((float(h_str), int(n_str)))
-            kwargs["grid"] = tuple(pairs)
-        if "replications" in raw:
-            kwargs["replications"] = int(raw["replications"])
-        if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
-        if "mode" in raw:
-            kwargs["simulation_mode"] = raw["mode"]
-        if "outputs" in raw:
-            kwargs["outputs"] = tuple(
-                token.strip() for token in raw["outputs"].split(",") if token.strip()
-            )
+        kwargs = {target: parser(value) for target, (parser, value) in raw.items()}
     except ValueError as exc:
         raise ConfigError(f"invalid value in configuration: {exc}") from exc
     return ExperimentConfig(**kwargs)

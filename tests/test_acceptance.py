@@ -140,8 +140,8 @@ def test_criterion_05_round_trip_identity():
     for _ in range(200):
         H, h, a2 = rng.uniform(0.05, 0.95), rng.uniform(0.5, 4.0), rng.uniform(0.2, 5.0)
         theta = NifbmParams(H=H, a2=a2)
-        xi1, xi2 = forward_moment_map_one(theta, h)
-        est = estimate_one_nifbm(xi1, xi2, h)
+        xi = dict(zip((1, 2), forward_moment_map_one(theta, h)))
+        est = estimate_one_nifbm(xi, h)
         rel = max(
             abs(est.H_hat - theta.H) / theta.H,
             abs(est.a2_hat - theta.a2) / theta.a2,

@@ -16,7 +16,6 @@ from nifbm.covariance import (
 )
 from nifbm.errors import LengthError, ZeroDenominatorError
 from nifbm.estimation import (
-    XiStatistics,
     drift_mle,
     drift_two_point,
     estimate_one_nifbm,
@@ -74,7 +73,8 @@ class TestXiStatistic:
         # factor 8 needs 15 base increments for one coarse increment
         with pytest.raises(LengthError, match="length 14 too short to aggregate by 8"):
             xi_statistics_from_base(np.ones(14))
-        assert xi_statistics_from_base(np.ones(15)).counts[8] == 1
+        # one coarse increment: the sum of eight ones
+        assert xi_statistics_from_base(np.ones(15))[8] == 64.0
 
     def test_block_values_checked(self):
         block = np.ones((3, 15))
@@ -85,13 +85,17 @@ class TestXiStatistic:
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                XiStatistics(xi={1: 1.0, 2: bad}, counts={1: 4, 2: 2})
+                xi_statistics_from_base(np.array([1.0, bad, 1.0]), factors=(1, 2))
 
     def test_counts_follow_shared_horizon(self):
+        # factor j reads the first 8n / j increments of its level; on a
+        # ramp every other count would give another value
         n = 5
-        base = np.zeros(8 * n + 7) + 1.0
+        base = np.arange(8 * n + 7.0)
         stats = xi_statistics_from_base(base)
-        assert stats.counts == {1: 8 * n, 2: 4 * n, 4: 2 * n, 8: n}
+        for j, count in {1: 8 * n, 2: 4 * n, 4: 2 * n, 8: n}.items():
+            level = base if j == 1 else aggregate_increments(base, j)
+            assert stats[j] == xi_statistic(level[:count])
 
     def test_mean_squared_increment_limit(self):
         # Monte Carlo mean of xi against its expectation
@@ -132,10 +136,10 @@ class TestBlockStatistics:
         mixed = combine_mixed_components(params, h, j, block, other)
         xi = xi_statistic(block)
         stats = xi_statistics_from_base(block)
-        one = estimate_one_nifbm(stats.xi[1], stats.xi[2], h)
+        one = estimate_one_nifbm(stats, h)
         two = estimate_two_nifbm(stats, h)
         assert isinstance(xi_statistic(block[0]), float)
-        assert isinstance(xi_statistics_from_base(block[0]).xi[8], float)
+        assert isinstance(xi_statistics_from_base(block[0])[8], float)
         for r, row in enumerate(block):
             assert xi[r] == xi_statistic(row)
             assert np.array_equal(
@@ -146,10 +150,10 @@ class TestBlockStatistics:
                     aggregate_increments(block, j)[r], aggregate_increments(row, j)
                 )
             single = xi_statistics_from_base(row)
-            assert single.counts == stats.counts
-            assert all(stats.xi[k][r] == single.xi[k] for k in single.xi)
+            assert single.keys() == stats.keys()
+            assert all(stats[k][r] == single[k] for k in single)
             for block_est, scalar_est in (
-                (one, estimate_one_nifbm(single.xi[1], single.xi[2], h)),
+                (one, estimate_one_nifbm(single, h)),
                 (two, estimate_two_nifbm(single, h)),
             ):
                 fields = astuple(scalar_est)
@@ -198,29 +202,40 @@ def test_moment_map_and_two_point_variance_reject_bad_h(h):
         two_point_variance(NifbmParams(0.5), h, 10, 3.0)
 
 
+@pytest.mark.parametrize("N", [0, -1, 2.5])
+def test_two_point_variance_rejects_bad_n(N):
+    # N = 0 gave a complex variance, and drift_two_point a TypeError
+    message = "N must be an integer >= 1"
+    with pytest.raises(ValueError, match=message):
+        two_point_variance(NifbmParams(0.3), 1.0, N, 3.0)
+    with pytest.raises(ValueError, match=message):
+        drift_two_point(0.0, 1.0, 3.0, NifbmParams(0.3), 1.0, N)
+
+
 class TestOneProcessEstimator:
     def test_round_trip(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             H, h, a2 = rng.uniform(0.02, 0.98), rng.uniform(0.3, 5.0), rng.uniform(0.1, 10.0)
             theta = NifbmParams(H=H, a2=a2)
-            est = estimate_one_nifbm(*forward_moment_map_one(theta, h), h)
+            xi = dict(zip((1, 2), forward_moment_map_one(theta, h)))
+            est = estimate_one_nifbm(xi, h)
             assert not est.degenerate
             assert est.H_hat == pytest.approx(theta.H, abs=1e-12)
             assert est.a2_hat == pytest.approx(theta.a2, rel=1e-12)
 
     def test_ratio_at_boundary(self):
-        est = estimate_one_nifbm(1.0, 4.0, 2.0)
+        est = estimate_one_nifbm({1: 1.0, 2: 4.0}, 2.0)
         assert est.H_hat == 1.0
         assert est.degenerate
 
     def test_ratio_below_one(self):
-        est = estimate_one_nifbm(2.0, 1.5, 2.0)
+        est = estimate_one_nifbm({1: 2.0, 2: 1.5}, 2.0)
         assert est.H_hat == 0.0
         assert est.degenerate
 
     def test_zero_denominator_convention(self):
-        est = estimate_one_nifbm(0.0, 0.0, 2.0)
+        est = estimate_one_nifbm({1: 0.0, 2: 0.0}, 2.0)
         assert est.degenerate
         assert est.H_hat == 0.0
         assert est.a2_hat == 0.0
@@ -329,7 +344,7 @@ class TestEstimatorProperties:
         # any non-finite estimate or H outside (0, 1) must be flagged
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            one = estimate_one_nifbm(xi[0], xi[1], h)
+            one = estimate_one_nifbm(dict(zip((1, 2), xi)), h)
             two = estimate_two_nifbm(dict(zip((1, 2, 4, 8), xi)), h)
         for hursts, scales, est in (
             ((one.H_hat,), (one.a2_hat,), one),
@@ -349,7 +364,7 @@ class TestEstimatorProperties:
         # 2^k exactly, as long as no scale estimate under- or overflows
         c = 2.0**k
         inputs = (xi, [c * value for value in xi])
-        one = [estimate_one_nifbm(v[0], v[1], h) for v in inputs]
+        one = [estimate_one_nifbm(dict(zip((1, 2), v)), h) for v in inputs]
         two = [estimate_two_nifbm(dict(zip((1, 2, 4, 8), v)), h) for v in inputs]
         for (base, scaled), hursts, scales in (
             (one, ("H_hat",), ("a2_hat",)),
@@ -374,7 +389,8 @@ class TestRoundTripProperties:
     @given(H=_HURST, h=st.floats(0.1, 10.0), a2=st.floats(0.1, 10.0))
     def test_one_process(self, H, h, a2):
         # f^-1(f(theta)) = theta for the one-process moment map
-        est = estimate_one_nifbm(*forward_moment_map_one(NifbmParams(H, a2=a2), h), h)
+        xi = dict(zip((1, 2), forward_moment_map_one(NifbmParams(H, a2=a2), h)))
+        est = estimate_one_nifbm(xi, h)
         assert not est.degenerate
         assert est.H_hat == pytest.approx(H, abs=1e-12)
         assert est.a2_hat == pytest.approx(a2, rel=1e-12)
@@ -522,8 +538,8 @@ class TestTwoStage:
         # mu contribution removed exactly when mu = 0 and the estimator
         # sees residuals equal to pure noise minus a linear correction
         assert abs(drift.mu_hat) < 1.0
-        stats = xi_statistics_from_base(np.diff(y - drift.mu_hat * g), factors=(1, 2))
-        direct = estimate_one_nifbm(stats.xi[1], stats.xi[2], 2.0)
+        xi = xi_statistics_from_base(np.diff(y - drift.mu_hat * g), factors=(1, 2))
+        direct = estimate_one_nifbm(xi, 2.0)
         assert est.H_hat == pytest.approx(direct.H_hat, abs=1e-12)
 
     def test_noiseless_input(self):
@@ -545,8 +561,8 @@ class TestTwoStage:
             y = np.concatenate([[0.0], np.cumsum(noise)]) + 4.0 * g
             _, est = two_stage_estimate(y, g, 1.0, model="one")
             h_two_stage.append(est.H_hat)
-            stats = xi_statistics_from_base(noise, factors=(1, 2))
-            h_direct.append(estimate_one_nifbm(stats.xi[1], stats.xi[2], 1.0).H_hat)
+            xi = xi_statistics_from_base(noise, factors=(1, 2))
+            h_direct.append(estimate_one_nifbm(xi, 1.0).H_hat)
         assert abs(np.mean(h_two_stage) - np.mean(h_direct)) < 0.02
 
     def test_two_process_mode(self):

@@ -2,14 +2,19 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import typing
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nifbm
 from nifbm.asymptotics import gamma_square_series
 from nifbm.cli import main
 from nifbm.covariance import (
@@ -227,7 +232,7 @@ class TestRunExperiment:
                 }
             else:
                 base = sample_increments(params, SampleGrid(h=2.0, N=8 * n + 7), seeds)
-                xi = xi_statistics_from_base(base[0]).xi
+                xi = xi_statistics_from_base(base[0])
             estimates.append(estimate_two_nifbm(xi, 2.0))
         kept = [est for est in estimates if not est.degenerate]
         assert [row.estimator for row in rows] == ["H1", "H2", "a2", "b2"]
@@ -427,6 +432,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="not both"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "g_samples,grid,message",
+        [
+            ((0.0, 1.0, 2.0), ((2.0, 4),), "g_samples has 3 points, grid needs 5"),
+            # rejected before the first grid point runs
+            ((0.0, 1.0, 2.0, 3.0, 4.0), ((2.0, 4), (2.0, 8)), "has 5 points, grid needs 9"),
+            ((1.0, 2.0, 3.0), ((2.0, 2),), r"G\(0\) = 0, got 1.0"),
+            ((0.0, 0.0, 0.0), ((2.0, 2),), "must not all be zero"),
+        ],
+        ids=["size", "size-at-later-grid-point", "g0-nonzero", "all-zero"],
+    )
+    def test_malformed_g_samples(self, g_samples, grid, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(
+                model="one-nifbm", H1=0.5, mu=1.0, g_samples=g_samples, grid=grid,
+                outputs=("drift-two-point",),
+            )
+
+    def test_g_samples_size_unchecked_without_drift(self):
+        cfg = ExperimentConfig(model="one-nifbm", H1=0.5, g_samples=(0.0, 1.0))
+        assert cfg.outputs == ("noise",)
+
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="seed must be nonnegative"):
             parse_config("model = one-nifbm\nH = 0.5\nseed = -1")
@@ -495,6 +522,17 @@ class TestTableConfigs:
 
 
 class TestCli:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only `nifbm constants` needs scipy.optimize, which is slow to load
+        code = "import sys, nifbm.cli; print('scipy.optimize' in sys.modules)"
+        src = str(Path(nifbm.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.strip() == "False"
+
     def test_constants(self, capsys):
         assert main(["constants", "--H", "0.5", "--max-lag", "4"]) == 0
         out = capsys.readouterr().out
