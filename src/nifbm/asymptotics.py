@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import Tuple
 
 import numpy as np
@@ -42,6 +43,33 @@ def _check_h_range(H: float) -> float:
     return H
 
 
+def _check_n_terms(n_terms, shifts: Tuple[int, int]) -> int:
+    if not isinstance(n_terms, numbers.Integral) or n_terms < 1:
+        raise ValueError(f"n_terms must be an integer >= 1, got {n_terms!r}")
+    # n_terms >= max |shift| keeps both zeta tail arguments >= 1; below
+    # it they can reach zero or less, where the tail is inf or nan
+    widest = max(abs(shift) for shift in shifts)
+    if n_terms < widest:
+        raise ValueError(
+            f"n_terms must be at least the largest |shift| {widest}, got {n_terms}"
+        )
+    return int(n_terms)
+
+
+@functools.lru_cache(maxsize=4)
+def _kernel_table(H: float, reach: int) -> np.ndarray:
+    """gamma(H, k) at the lags k = -reach .. reach, read-only.
+
+    gamma is evaluated once, on k = 0 .. reach, and mirrored: it is
+    elementwise and even in its lag, so each entry equals a direct
+    evaluation at that lag bit for bit.
+    """
+    half = gamma(H, np.arange(reach + 1))
+    table = np.concatenate((half[:0:-1], half))
+    table.flags.writeable = False
+    return table
+
+
 @functools.lru_cache
 def gamma_square_series(
     H: float, shifts: Tuple[int, int] = (0, 0), n_terms: int = _DEFAULT_TERMS
@@ -53,13 +81,24 @@ def gamma_square_series(
     function evaluated on the leading asymptote of gamma.  The tail
     correction is exact to a relative error of order n_terms^-2, which
     keeps the absolute error well below 1e-10 at the default size.
-    Values are cached: they depend on H alone, not on h or N, so the
-    grid points of an experiment share one evaluation per H.
+
+    Both factors are slices of one kernel table per H, reaching to lag
+    n_terms + max(2, |alpha|, |beta|), so the shifts (0, 0), (0, 1) and
+    (0, 2) of sigma_tilde_one share a single evaluation of gamma.  The
+    product array and its pairwise sum are those of evaluating gamma at
+    i + alpha and i + beta directly, so the value is identical bit for
+    bit.  Values are cached: they depend on H alone, not on h or N, so
+    the grid points of an experiment share one evaluation per H.
     """
     H = _check_h_range(H)
+    n_terms = _check_n_terms(n_terms, shifts)
     alpha, beta = shifts
-    i = np.arange(-n_terms, n_terms + 1)
-    total = float(np.sum(gamma(H, i + alpha) * gamma(H, i + beta)))
+    # entry pad + k of the table is lag k - n_terms
+    pad = max(2, abs(alpha), abs(beta))
+    table = _kernel_table(H, n_terms + pad)
+    first = table[pad + alpha : pad + alpha + 2 * n_terms + 1]
+    second = table[pad + beta : pad + beta + 2 * n_terms + 1]
+    total = float(np.sum(first * second))
     c = H * (2.0 * H - 1.0)
     if c != 0.0:
         s = 4.0 - 4.0 * H

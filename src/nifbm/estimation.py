@@ -177,8 +177,13 @@ def xi_statistics_from_base(
     The sample sizes follow the shared-horizon bookkeeping: if n series
     of the coarsest factor fit, factor j uses the first n * max(factors)
     / j increments of its level.  Each level is the previous one
-    aggregated by 2.
+    aggregated by 2.  Every factor must be one of AGGREGATION_FACTORS.
     """
+    if not factors or not set(factors) <= set(AGGREGATION_FACTORS):
+        raise ValueError(
+            f"factors must be a nonempty subset of {AGGREGATION_FACTORS}, "
+            f"got {factors!r}"
+        )
     levels = {1: np.asarray(base, dtype=float)}
     jmax = max(factors)
     if levels[1].shape[-1] < base_length(factors, 1):

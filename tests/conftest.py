@@ -6,8 +6,9 @@ import numpy as np
 from hypothesis import settings
 from scipy import sparse
 from scipy.integrate import quad
+from scipy.special import zeta
 
-from nifbm.covariance import MixedParams, nifbm_cov, nifbm_var
+from nifbm.covariance import MixedParams, gamma, nifbm_cov, nifbm_var
 
 # property tests are reproducible and never time out; each test sets
 # its own max_examples
@@ -55,6 +56,24 @@ def gamma_asymptotic(H: float, n):
     if np.isscalar(n) or np.ndim(n) == 0:
         return float(out)
     return out
+
+
+def gamma_square_series_direct(H: float, shifts=(0, 0), n_terms=100_000) -> float:
+    """The gamma square series with both factors evaluated directly at
+    i + alpha and i + beta, plus the Hurwitz zeta tails: the expression
+    nifbm.asymptotics.gamma_square_series must equal bit for bit."""
+    alpha, beta = shifts
+    i = np.arange(-n_terms, n_terms + 1)
+    total = float(np.sum(gamma(H, i + alpha) * gamma(H, i + beta)))
+    c = H * (2.0 * H - 1.0)
+    if c != 0.0:
+        s = 4.0 - 4.0 * H
+        mid = 0.5 * (alpha + beta)
+        tail = c * c * (
+            zeta(s, n_terms + 1.0 + mid) + zeta(s, n_terms + 1.0 - mid)
+        )
+        total += float(tail)
+    return total
 
 
 def jacobian_one_det(theta, h: float) -> float:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
+from nifbm import asymptotics
 from nifbm.asymptotics import (
     gamma_square_series,
     jacobian_one,
@@ -20,7 +23,7 @@ from nifbm.errors import HTooLargeError
 from nifbm.estimation import forward_moment_map_one
 from nifbm.harness import empirical_estimator_cov
 
-from conftest import jacobian_one_det
+from conftest import gamma_square_series_direct, jacobian_one_det
 
 
 class TestGammaSquareSeries:
@@ -52,6 +55,54 @@ class TestGammaSquareSeries:
             gamma_square_series(0.75, (0, 0))
         with pytest.raises(HTooLargeError):
             gamma_square_series(0.9, (0, 0))
+
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("shifts", [(0, 0), (0, 1), (0, 2)])
+    def test_equals_direct_evaluation_at_default_size(self, H, shifts):
+        assert gamma_square_series(H, shifts) == gamma_square_series_direct(H, shifts)
+
+    @settings(max_examples=200)
+    @given(
+        H=st.floats(0.0, 0.75, exclude_min=True, exclude_max=True),
+        alpha=st.integers(-8, 8),
+        beta=st.integers(-8, 8),
+        n_terms=st.integers(1, 3000),
+    )
+    @example(H=0.5, alpha=0, beta=1, n_terms=1)
+    @example(H=0.3, alpha=0, beta=8, n_terms=8)
+    @example(H=0.3, alpha=0, beta=8, n_terms=7)
+    @example(H=0.5, alpha=-8, beta=8, n_terms=3000)
+    def test_equals_direct_evaluation(self, H, alpha, beta, n_terms):
+        if n_terms < max(abs(alpha), abs(beta)):
+            with pytest.raises(ValueError, match=r"largest \|shift\|"):
+                gamma_square_series(H, (alpha, beta), n_terms)
+        else:
+            expected = gamma_square_series_direct(H, (alpha, beta), n_terms)
+            assert gamma_square_series(H, (alpha, beta), n_terms) == expected
+
+    def test_one_kernel_evaluation_per_hurst(self, monkeypatch):
+        calls = []
+
+        def counting_gamma(H, n):
+            calls.append(H)
+            return gamma(H, n)
+
+        monkeypatch.setattr(asymptotics, "gamma", counting_gamma)
+        gamma_square_series.cache_clear()
+        asymptotics._kernel_table.cache_clear()
+        sigma_tilde_one(0.3456, 2.0)
+        assert calls == [0.3456]
+
+    @pytest.mark.parametrize("n_terms", [0, -3, 2.5])
+    def test_n_terms_must_be_positive_integer(self, n_terms):
+        theta = NifbmParams(0.3)
+        for call in (
+            lambda: gamma_square_series(0.3, (0, 0), n_terms),
+            lambda: sigma_tilde_one(0.3, 2.0, n_terms),
+            lambda: sigma0_one(theta, 2.0, n_terms),
+        ):
+            with pytest.raises(ValueError, match="n_terms must be an integer >= 1"):
+                call()
 
     def test_truncation_certified(self):
         # ten times more exact terms must not move the value

@@ -87,6 +87,11 @@ class TestXiStatistic:
             with pytest.raises(ValueError, match="finite"):
                 xi_statistics_from_base(np.array([1.0, bad, 1.0]), factors=(1, 2))
 
+    @pytest.mark.parametrize("factors", [(1, 3), (), (0,)])
+    def test_factors_outside_aggregation_set_rejected(self, factors):
+        with pytest.raises(ValueError, match=r"subset of \(1, 2, 4, 8\)"):
+            xi_statistics_from_base(np.ones(40), factors=factors)
+
     def test_counts_follow_shared_horizon(self):
         # factor j reads the first 8n / j increments of its level; on a
         # ramp every other count would give another value

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nifbm
-from nifbm.asymptotics import gamma_square_series
+from nifbm.asymptotics import _kernel_table, gamma_square_series
 from nifbm.cli import main
 from nifbm.covariance import (
     AGGREGATION_FACTORS,
@@ -256,6 +256,7 @@ class TestRunExperiment:
     def test_theory_series_once_per_hurst(self):
         # the series depend on H only, so two grid steps share them
         gamma_square_series.cache_clear()
+        _kernel_table.cache_clear()
         cfg = ExperimentConfig(
             model="one-nifbm",
             H1=0.3,
@@ -269,6 +270,7 @@ class TestRunExperiment:
         assert all(row.sd_theory is not None for row in rows)
         info = gamma_square_series.cache_info()
         assert (info.misses, info.hits) == (3, 3)
+        assert _kernel_table.cache_info().misses == 1
 
     def test_theory_above_three_quarters_absent(self):
         cfg = ExperimentConfig(
