@@ -23,7 +23,6 @@ from .errors import (
 )
 from .simulation import (
     DriftSpec,
-    RngSeed,
     SampleGrid,
     add_drift,
     aggregate_increments,

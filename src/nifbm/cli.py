@@ -20,6 +20,7 @@ import numpy as np
 
 from .covariance import (
     AGGREGATION_FACTORS,
+    MODEL_PARAMS,
     MixedParams,
     NifbmParams,
     check_positive,
@@ -29,14 +30,13 @@ from .covariance import (
 from .errors import NifbmError
 from .estimation import MOMENT_ESTIMATORS, MOMENT_FACTORS, xi_statistics_from_base
 from .harness import (
-    MODEL_PARAMS,
     format_results,
     parse_config,
     run_experiment,
     table_configs,
     write_results,
 )
-from .simulation import RngSeed, SampleGrid, sample_increments
+from .simulation import SampleGrid, sample_increments
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,7 +97,7 @@ def _cmd_simulate(args) -> int:
             raise NifbmError("simulate --model two-nifbm requires --H1 and --H2")
         params = MixedParams(H1=args.H1, H2=args.H2, a2=args.a2, b2=args.b2)
     grid = SampleGrid(h=args.h, N=args.N, j=args.j)
-    values = sample_increments(params, grid, [RngSeed(args.seed, args.stream)])[0]
+    values = sample_increments(params, grid, args.seed, [args.stream])[0]
     text = "\n".join(format(v, ".17g") for v in values) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -134,21 +134,14 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as handle:
-        config = parse_config(handle.read())
-    rows = run_experiment(config)
-    if args.out:
-        write_results(rows, args.out, args.format)
+def _cmd_run(args) -> int:
+    """`experiment` and `tables`: run each configuration, write all rows."""
+    if args.command == "tables":
+        configs = table_configs(args.which, args.replications, args.seed)
     else:
-        sys.stdout.write(format_results(rows, args.format))
-    return 0
-
-
-def _cmd_tables(args) -> int:
-    rows = []
-    for config in table_configs(args.which, args.replications, args.seed):
-        rows.extend(run_experiment(config))
+        with open(args.config, "r", encoding="utf-8") as handle:
+            configs = [parse_config(handle.read())]
+    rows = [row for config in configs for row in run_experiment(config)]
     if args.out:
         write_results(rows, args.out, args.format)
     else:
@@ -158,6 +151,8 @@ def _cmd_tables(args) -> int:
 
 def _cmd_constants(args) -> int:
     check_positive("window width h", args.h)
+    if args.max_lag < 0:
+        raise NifbmError(f"--max-lag must be nonnegative, got {args.max_lag}")
     sig = None
     if args.H < 0.75:
         from .asymptotics import sigma_tilde_one
@@ -184,8 +179,8 @@ def main(argv=None) -> int:
     commands = {
         "simulate": _cmd_simulate,
         "estimate": _cmd_estimate,
-        "experiment": _cmd_experiment,
-        "tables": _cmd_tables,
+        "experiment": _cmd_run,
+        "tables": _cmd_run,
         "constants": _cmd_constants,
     }
     try:

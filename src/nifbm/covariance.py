@@ -29,6 +29,7 @@ __all__ = [
     "AGGREGATION_FACTORS",
     "NifbmParams",
     "MixedParams",
+    "MODEL_PARAMS",
     "nifbm_cov",
     "nifbm_var",
     "gamma",
@@ -97,6 +98,9 @@ class MixedParams:
 
 
 Params = Union[NifbmParams, MixedParams]
+
+# the params type of each model name
+MODEL_PARAMS = {"one-nifbm": NifbmParams, "two-nifbm": MixedParams}
 
 
 def nifbm_cov(H: float, h: float, t: float, s: float) -> float:

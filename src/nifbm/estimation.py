@@ -35,6 +35,7 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .covariance import (
     AGGREGATION_FACTORS,
+    MODEL_PARAMS,
     MixedParams,
     NifbmParams,
     Params,
@@ -365,12 +366,13 @@ def drift_two_point(
 
 
 def two_stage_estimate(
-    y: np.ndarray, g: np.ndarray, h: float, model: str = "one"
+    y: np.ndarray, g: np.ndarray, h: float, model: str = "one-nifbm"
 ):
     """Two-point drift estimate, then noise estimation on the residuals.
 
     y and g are observations and drift samples at times k*h, k = 0..N,
-    with g[0] = 0.  The residual increments of y - mu_tilde * g feed the
+    with g[0] = 0, and model is a name in MODEL_PARAMS ("one-nifbm" or
+    "two-nifbm").  The residual increments of y - mu_tilde * g feed the
     moment estimators; the reported drift variance plugs the stage-2
     parameter estimates into the exact formula (0 when degenerate).
     """
@@ -389,9 +391,9 @@ def two_stage_estimate(
         )
     mu_tilde = drift_two_point(y[0], y[-1], g[-1]).mu_hat
     base = np.diff(y - mu_tilde * g)
-    kind = {"one": NifbmParams, "two": MixedParams}.get(model)
+    kind = MODEL_PARAMS.get(model)
     if kind is None:
-        raise ValueError("model must be 'one' or 'two'")
+        raise ValueError(f"model must be one of {tuple(MODEL_PARAMS)}, got {model!r}")
     xi = xi_statistics_from_base(base, factors=MOMENT_FACTORS[kind])
     noise = MOMENT_ESTIMATORS[kind](xi, h)
     variance = 0.0

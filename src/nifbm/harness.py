@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .asymptotics import sigma0_one
-from .covariance import MixedParams, NifbmParams, Params, autocov_sequence
+from .covariance import MODEL_PARAMS, MixedParams, NifbmParams, Params, autocov_sequence
 from .errors import ConfigError, HTooLargeError
 from .estimation import (
     MOMENT_FACTORS,
@@ -50,7 +50,6 @@ from .simulation import (
 from .simulation import cholesky_factor  # noqa: F401
 
 __all__ = [
-    "MODEL_PARAMS",
     "ExperimentConfig",
     "ResultRow",
     "parse_config",
@@ -70,12 +69,16 @@ CSV_HEADER = (
     "mean,sd_emp,sd_theory,degenerate,seconds"
 )
 
-# the params type of each model name
-MODEL_PARAMS = {"one-nifbm": NifbmParams, "two-nifbm": MixedParams}
 _MODES = ("direct-per-j", "aggregate")
 _OUTPUTS = ("drift-mle", "drift-two-point", "noise")
 _G_NAMES = ("benchmark-g", "linear")
 _DRIFT_ROWS = {"drift-mle": "mu_mle", "drift-two-point": "mu_two_point"}
+
+
+def _integer(name: str, value) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -100,9 +103,11 @@ class ExperimentConfig:
         if self.model not in MODEL_PARAMS:
             models = tuple(MODEL_PARAMS)
             raise ConfigError(f"model must be one of {models}, got {self.model!r}")
-        if self.model == "two-nifbm":
-            if self.H2 is None or self.b2 is None:
-                raise ConfigError("two-nifbm requires H2 and b2")
+        if self.model == "two-nifbm" and (self.H2 is None or self.b2 is None):
+            raise ConfigError("two-nifbm requires H2 and b2")
+        # numpy integers are accepted and stored as ints, here and in the grid
+        for name in ("replications", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.seed < 0:
@@ -131,6 +136,8 @@ class ExperimentConfig:
                 raise ConfigError(f"g_samples must start with G(0) = 0, got {g[0]}")
         if not self.grid:
             raise ConfigError("grid needs at least one h:N pair")
+        grid = tuple((h, _integer("grid size N", n)) for h, n in self.grid)
+        object.__setattr__(self, "grid", grid)
         for h, n in self.grid:
             if not 0.0 < h < math.inf:
                 raise ConfigError(f"grid step h must be finite and positive, got {h}")
@@ -199,10 +206,10 @@ def drift_samples(name: str, N: int, h: float) -> np.ndarray:
 
 
 def _noise_estimates(
-    params: Params, h: float, N: int, seed: int, first: int, count: int, mode: str
+    params: Params, h: float, N: int, seed: int, streams: range, mode: str
 ):
-    """Moment estimates of `count` replications, one array element per
-    replication, replication r drawn on the stream (seed, first + r).
+    """Moment estimates of one replication per stream, one array
+    element each, replication r drawn on the stream (seed, streams[r]).
     Two-process direct-per-j rescales shared unit-scale components to
     every aggregation factor; every other scheme aggregates one base
     series at step h whose coarsest aggregate has N increments.  The xi
@@ -214,13 +221,13 @@ def _noise_estimates(
     factors = MOMENT_FACTORS[type(params)]
     grid = SampleGrid(h=h, N=N if direct else base_length(factors, N))
     blocks = []
-    for seeds in seed_blocks(seed, first, count, grid.N):
+    for block in seed_blocks(streams, grid.N):
         if direct:
-            e1, e2 = sample_mixed_components(params, N, seeds)
+            e1, e2 = sample_mixed_components(params, N, seed, block)
             mixes = (combine_mixed_components(params, h, j, e1, e2) for j in factors)
             blocks.append([xi_statistic(mix) for mix in mixes])
         else:
-            base = sample_increments(params, grid, seeds)
+            base = sample_increments(params, grid, seed, block)
             xi = xi_statistics_from_base(base, factors=factors)
             blocks.append([xi[j] for j in factors])
     xi = dict(zip(factors, map(np.concatenate, zip(*blocks))))
@@ -244,14 +251,13 @@ def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
         return drift_two_point(0.0, dy.sum(axis=1), g[-1], params, h, N)
 
     names = [name for output, name in _DRIFT_ROWS.items() if output in config.outputs]
-    mu, stop = np.empty((len(names), config.replications)), 0
-    for seeds in seed_blocks(config.seed, 0, config.replications, N):
-        dy = add_drift(sample_increments(params, grid, seeds), drift)
+    mu = np.empty((len(names), config.replications))
+    for streams in seed_blocks(range(config.replications), N):
+        dy = add_drift(sample_increments(params, grid, config.seed, streams), drift)
         block = [estimate(name, dy) for name in names]
-        start, stop = stop, stop + len(seeds)
         for row, est in zip(mu, block):
             # two-point at G_N = 0 gives the scalar 0, which fills the slice
-            row[start:stop] = est.mu_hat
+            row[streams.start : streams.stop] = est.mu_hat
     return [
         (name, *_summary(row), 0, math.sqrt(est.variance))
         for name, row, est in zip(names, mu, block)
@@ -261,8 +267,8 @@ def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
 def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     """The same for the noise estimators, on the streams R .. 2R - 1;
     sd_theory comes from sigma0_one for the one-process model."""
-    reps = config.replications
-    est = _noise_estimates(params, h, N, config.seed, reps, reps, config.simulation_mode)
+    reps, mode = config.replications, config.simulation_mode
+    est = _noise_estimates(params, h, N, config.seed, range(reps, 2 * reps), mode)
     kept, degenerate = ~est.degenerate, int(np.count_nonzero(est.degenerate))
     theory = {}
     if isinstance(params, NifbmParams):
@@ -347,7 +353,7 @@ def empirical_estimator_cov(
         raise ValueError("need at least 100 replications")
     names = [f.name for f in fields(params)]
     truth = np.array(astuple(params))
-    est = _noise_estimates(params, h, N, seed, 0, replications, "direct-per-j")
+    est = _noise_estimates(params, h, N, seed, range(replications), "direct-per-j")
     kept = np.column_stack([getattr(est, name + "_hat")[~est.degenerate] for name in names])
     if len(kept) < 2:
         raise ValueError("too few non-degenerate replications")

@@ -9,17 +9,18 @@ one batched irfft, O(R N log N), with each replication's normals drawn
 from its own seed stream.  This is the package's only path sampler;
 the dense Cholesky factor is kept as an exact reference for tests.
 
-Replication (seed, stream) draws exactly what
-np.random.default_rng([seed, stream]) would draw.  Building one such
-generator per replication costs more than the draw itself, so the
-samplers compute the PCG64 states of a whole block at once instead:
-numpy's SeedSequence hash of the entropy words [seed, stream] and
-PCG64's seeding step (O'Neill 2014) are fixed public algorithms,
-reproduced here on arrays over the block's rows.  One generator per
-block is then set to each row's state in turn.
+A block of replications is addressed by one seed and its streams, a
+range of nonnegative integers; replication (seed, stream) draws
+exactly what np.random.default_rng([seed, stream]) would draw.
+Building one such generator per replication costs more than the draw
+itself, so the samplers compute the PCG64 states of a whole block at
+once instead: numpy's SeedSequence hash of the entropy words
+[seed, stream] and PCG64's seeding step (O'Neill 2014) are fixed
+public algorithms, reproduced here on arrays over the block's rows.
+One generator per block is then set to each row's state in turn.
 
 Increment series are plain float arrays with time on the last axis:
-the samplers return one row per seed, and combine_mixed_components,
+the samplers return one row per stream, and combine_mixed_components,
 aggregate_increments and add_drift take one series or an (R, N) block
 of them alike, row r of a block result being exactly the result for
 row r alone.
@@ -47,7 +48,6 @@ from .covariance import (
 from .errors import GridMismatchError, LengthError, NotPositiveDefiniteError
 
 __all__ = [
-    "RngSeed",
     "SampleGrid",
     "DriftSpec",
     "cholesky_factor",
@@ -77,18 +77,6 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
 @dataclass(frozen=True)
-class RngSeed:
-    """Seed plus replication stream index; the pair fixes the noise."""
-
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        if self.seed < 0 or self.stream < 0:
-            raise ValueError("seed and stream must be nonnegative integers")
-
-
-@dataclass(frozen=True)
 class SampleGrid:
     """Observation grid: N increments of width j*h, times t_k = k*j*h."""
 
@@ -98,8 +86,8 @@ class SampleGrid:
 
     def __post_init__(self):
         check_positive("step h", self.h)
-        if self.N < 1:
-            raise ValueError("need at least one increment")
+        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
         if self.j not in AGGREGATION_FACTORS:
             raise ValueError(
                 f"aggregation factor j must be one of {AGGREGATION_FACTORS}"
@@ -115,9 +103,13 @@ class DriftSpec:
     g_values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.mu):
+            raise ValueError(f"drift coefficient mu must be finite, got {self.mu}")
         g = np.asarray(self.g_values, dtype=float)
         if g.ndim != 1 or g.size < 2:
             raise ValueError("need G at two or more grid times")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("drift function samples must all be finite")
         if g[0] != 0.0:
             raise ValueError("drift function must satisfy G(0) = 0")
         if not np.any(g != 0.0):
@@ -141,14 +133,13 @@ def embedding_length(N: int) -> int:
     return max(1, 2 * (N - 1))
 
 
-def seed_blocks(seed: int, first_stream: int, count: int, N: int):
-    """Per-replication seeds (seed, first_stream + r) for r < count, in
-    blocks of at most BLOCK_ELEMENTS // embedding_length(N) seeds
-    (at least one), so that a sampled block stays small."""
+def seed_blocks(streams: range, N: int):
+    """The streams in order, in sub-ranges of at most
+    BLOCK_ELEMENTS // embedding_length(N) streams (at least one), so
+    that a sampled block stays small."""
     size = max(1, BLOCK_ELEMENTS // embedding_length(N))
-    for start in range(first_stream, first_stream + count, size):
-        stop = min(start + size, first_stream + count)
-        yield [RngSeed(seed, stream) for stream in range(start, stop)]
+    for i in range(0, len(streams), size):
+        yield streams[i : i + size]
 
 
 @functools.lru_cache
@@ -208,9 +199,9 @@ def _uint32_words(values: list) -> tuple:
     return words, counts
 
 
-def _stream_states(seeds: Sequence[RngSeed]) -> list:
+def _stream_states(seed: int, streams: Sequence[int]) -> list:
     """The PCG64 state of np.random.default_rng([seed, stream]) for
-    each seed, computed for all seeds at once.
+    each stream, computed for all streams at once.
 
     SeedSequence hashes the entropy words (those of seed, then those of
     stream) into a 4-word pool, hashes the pool into 4 uint64 words
@@ -220,15 +211,17 @@ def _stream_states(seeds: Sequence[RngSeed]) -> list:
     4 words; words past the fourth are mixed in one at a time, only
     into the rows that have them, so one block may mix word counts.
     """
-    seed_words, seed_counts = _uint32_words([s.seed for s in seeds])
-    stream_words, stream_counts = _uint32_words([s.stream for s in seeds])
-    lengths = seed_counts + stream_counts
-    width = max(4, seed_words.shape[1] + stream_words.shape[1])
-    entropy = np.zeros((len(seeds), width), dtype=np.uint32)
-    entropy[:, : seed_words.shape[1]] = seed_words
-    rows = np.arange(len(seeds))
-    for k in range(stream_words.shape[1]):
-        entropy[rows, seed_counts + k] = stream_words[:, k]
+    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (seed, *streams)):
+        raise ValueError("seed and stream must be nonnegative integers")
+    seed_words = _uint32_words([seed])[0]
+    stream_words, stream_counts = _uint32_words(streams)
+    # the seed's word count is its width, the same on every row
+    n_seed = seed_words.shape[1]
+    lengths = n_seed + stream_counts
+    width = max(4, n_seed + stream_words.shape[1])
+    entropy = np.zeros((len(streams), width), dtype=np.uint32)
+    entropy[:, :n_seed] = seed_words
+    entropy[:, n_seed : n_seed + stream_words.shape[1]] = stream_words
 
     consts = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (width - 4))
     pool = _hashmix(entropy[:, :4], consts[:5])
@@ -252,14 +245,13 @@ def _stream_states(seeds: Sequence[RngSeed]) -> list:
     ]
 
 
-def _stream_normals(seeds: Sequence[RngSeed], shape: tuple) -> np.ndarray:
-    """Standard normals of the given shape per seed, row r drawn in
-    order from seeds[r]'s own stream, as default_rng([seed, stream])
-    draws them."""
-    normals = np.empty((len(seeds),) + shape)
+def _stream_normals(seed: int, streams: Sequence[int], shape: tuple) -> np.ndarray:
+    """Standard normals of the given shape per stream, row r drawn in
+    order as default_rng([seed, streams[r]]) draws them."""
+    normals = np.empty((len(streams),) + shape)
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    for r, state in enumerate(_stream_states(seeds)):
+    for r, state in enumerate(_stream_states(seed, streams)):
         bit_generator.state = state
         generator.standard_normal(out=normals[r])
     return normals
@@ -283,17 +275,17 @@ def _spectral_draw(normals: np.ndarray, scale: np.ndarray, N: int) -> np.ndarray
 
 
 def sample_increments(
-    params: Params, grid: SampleGrid, seeds: Sequence[RngSeed]
+    params: Params, grid: SampleGrid, seed: int, streams: Sequence[int]
 ) -> np.ndarray:
-    """Exact zero-mean Gaussian increment series, one row per seed.
+    """Exact zero-mean Gaussian increment series, one row per stream.
 
     Circulant embedding (Davies & Harte 1987; Wood & Chan 1994): the
     Toeplitz first row is embedded in a circulant of length
     m = embedding_length(grid.N), whose eigenvalues come from one rfft.
     Each replication draws m//2 + 1 real then m//2 + 1 imaginary
-    normals from its own seed's stream, and one batched irfft maps the
-    block to paths.  Row r therefore depends only on seeds[r], not on
-    the block it was drawn in.
+    normals from its own stream (seed, streams[r]), and one batched
+    irfft maps the block to paths.  Row r therefore depends only on
+    seed and streams[r], not on the block it was drawn in.
 
     The draw is exact when the embedding is nonnegative definite.
     Eigenvalues down to -1e-8 times the largest are taken as rounding
@@ -307,26 +299,27 @@ def sample_increments(
     fails from H = 0.998 at N = 8193.
     """
     scale = _embedding_scale(params, grid.h, grid.j, grid.N)
-    return _spectral_draw(_stream_normals(seeds, (2 * scale.size,)), scale, grid.N)
+    normals = _stream_normals(seed, streams, (2 * scale.size,))
+    return _spectral_draw(normals, scale, grid.N)
 
 
 def sample_mixed_components(
-    params: MixedParams, N: int, seeds: Sequence[RngSeed]
+    params: MixedParams, N: int, seed: int, streams: Sequence[int]
 ) -> tuple:
     """Unit-scale component noises (e1, e2) for the two-process model.
 
     The component increments at width j*h have covariance
     a2*(jh)^(2H)*gamma(H, n), so a single pair of unit-gamma draws can
     be rescaled to every aggregation factor j while keeping the noise
-    shared across factors.  Returns two (len(seeds), N) arrays whose
+    shared across factors.  Returns two (len(streams), N) arrays whose
     rows have Toeplitz covariance gamma(H1, .) and gamma(H2, .),
     sampled by circulant embedding as in sample_increments; each
-    seed's stream draws component 1's normals, then component 2's.
+    stream draws component 1's normals, then component 2's.
     """
     # unit scale and unit width give the autocovariance gamma(H, .)
     scale1 = _embedding_scale(NifbmParams(params.H1), 1.0, 1, N)
     scale2 = _embedding_scale(NifbmParams(params.H2), 1.0, 1, N)
-    normals = _stream_normals(seeds, (2, 2 * scale1.size))
+    normals = _stream_normals(seed, streams, (2, 2 * scale1.size))
     return (
         _spectral_draw(normals[:, 0], scale1, N),
         _spectral_draw(normals[:, 1], scale2, N),

@@ -16,11 +16,11 @@ settings.register_profile("suite", derandomize=True, deadline=None)
 settings.load_profile("suite")
 
 
-def stream_generator(seed) -> np.random.Generator:
-    """The generator an RngSeed stands for.  The samplers compute its
-    state without building it; this is the oracle they are checked
-    against."""
-    return np.random.default_rng([seed.seed, seed.stream])
+def stream_generator(seed: int, stream: int) -> np.random.Generator:
+    """The generator of replication (seed, stream).  The samplers
+    compute its state without building it; this is the oracle they are
+    checked against."""
+    return np.random.default_rng([seed, stream])
 
 
 def fbm_cov(H: float, s: float, t: float) -> float:

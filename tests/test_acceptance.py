@@ -17,7 +17,6 @@ from nifbm import (
     ExperimentConfig,
     MixedParams,
     NifbmParams,
-    RngSeed,
     SampleGrid,
     cholesky_factor,
     estimate_one_nifbm,
@@ -327,7 +326,7 @@ def test_criterion_11_asymptotic_covariance_oracle():
     exact_s11_ok = abs(s11 - 0.5) < 1e-12 and abs(s22 - 4.0) < 1e-12
 
     factor = cholesky_factor(autocov_sequence(params, 1.0, 1, 2 * n + 1))
-    rng = stream_generator(RngSeed(2026, 0))
+    rng = stream_generator(2026, 0)
     base = factor @ rng.standard_normal((2 * n + 1, reps))
     fine = base[: 2 * n]
     coarse = 0.5 * (base[2 : 2 * n + 1 : 2] + 2.0 * base[1 : 2 * n : 2]
@@ -389,7 +388,7 @@ def test_criterion_13_long_path_ergodicity():
     eta1 = forward_moment_map_one(params, grid.h)[0]
     hits = 0
     for seed in range(100):
-        series = sample_increments(params, grid, [RngSeed(seed, 0)])[0]
+        series = sample_increments(params, grid, seed, [0])[0]
         if abs(xi_statistic(series) - eta1) / eta1 < 0.05:
             hits += 1
     report(

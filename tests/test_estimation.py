@@ -30,7 +30,6 @@ from nifbm.estimation import (
 from nifbm.harness import drift_samples
 from nifbm.simulation import (
     DriftSpec,
-    RngSeed,
     SampleGrid,
     add_drift,
     aggregate_increments,
@@ -521,7 +520,7 @@ class TestUnbiasedness:
         dg = np.diff(g)
         cov = autocov_sequence(params, 2.0, 1, n)
         grid = SampleGrid(h=2.0, N=n)
-        block = sample_increments(params, grid, [RngSeed(100, r) for r in range(n_reps)])
+        block = sample_increments(params, grid, 100, range(n_reps))
         mles, twops = [], []
         for noise in block:
             dy = add_drift(noise, DriftSpec(mu=mu, g_values=g))
@@ -536,10 +535,10 @@ class TestTwoStage:
     def test_zero_drift_matches_direct(self):
         params = NifbmParams(0.5)
         grid = SampleGrid(h=2.0, N=65)
-        noise = sample_increments(params, grid, [RngSeed(15, 0)])[0]
+        noise = sample_increments(params, grid, 15, [0])[0]
         y = np.concatenate([[0.0], np.cumsum(noise)])
         g = np.arange(66.0) * 2.0
-        drift, est = two_stage_estimate(y, g, 2.0, model="one")
+        drift, est = two_stage_estimate(y, g, 2.0, model="one-nifbm")
         # mu contribution removed exactly when mu = 0 and the estimator
         # sees residuals equal to pure noise minus a linear correction
         assert abs(drift.mu_hat) < 1.0
@@ -550,7 +549,7 @@ class TestTwoStage:
     def test_noiseless_input(self):
         g = np.arange(22.0)
         y = 4.0 * g
-        drift, est = two_stage_estimate(y, g, 1.0, model="one")
+        drift, est = two_stage_estimate(y, g, 1.0, model="one-nifbm")
         assert drift.mu_hat == pytest.approx(4.0, rel=1e-14)
         assert est.degenerate
 
@@ -559,12 +558,12 @@ class TestTwoStage:
         params = NifbmParams(0.5)
         n = 257
         grid = SampleGrid(h=1.0, N=n)
-        block = sample_increments(params, grid, [RngSeed(16, r) for r in range(100)])
+        block = sample_increments(params, grid, 16, range(100))
         g = (np.arange(n + 1.0)) ** 2  # fast-growing drift satisfies the rate check
         h_two_stage, h_direct = [], []
         for noise in block:
             y = np.concatenate([[0.0], np.cumsum(noise)]) + 4.0 * g
-            _, est = two_stage_estimate(y, g, 1.0, model="one")
+            _, est = two_stage_estimate(y, g, 1.0, model="one-nifbm")
             h_two_stage.append(est.H_hat)
             xi = xi_statistics_from_base(noise, factors=(1, 2))
             h_direct.append(estimate_one_nifbm(xi, 1.0).H_hat)
@@ -573,10 +572,10 @@ class TestTwoStage:
     def test_two_process_mode(self):
         params = MixedParams(0.6, 0.2, 1.0, 1.0)
         grid = SampleGrid(h=1.0, N=8 * 16 + 7)
-        noise = sample_increments(params, grid, [RngSeed(17, 0)])[0]
+        noise = sample_increments(params, grid, 17, [0])[0]
         g = (np.arange(grid.N + 1.0)) ** 2
         y = np.concatenate([[0.0], np.cumsum(noise)]) + 2.0 * g
-        drift, est = two_stage_estimate(y, g, 1.0, model="two")
+        drift, est = two_stage_estimate(y, g, 1.0, model="two-nifbm")
         assert drift.method == "two-point"
         assert est.H1_hat >= est.H2_hat
 
@@ -585,4 +584,10 @@ class TestTwoStage:
         g = np.sqrt(np.arange(50.0))
         y = g * 0.5
         with pytest.warns(UserWarning):
-            two_stage_estimate(y, g, 1.0, model="one")
+            two_stage_estimate(y, g, 1.0, model="one-nifbm")
+
+    @pytest.mark.parametrize("model", ["one", "three-nifbm"])
+    def test_unknown_model(self, model):
+        g = np.arange(22.0)
+        with pytest.raises(ValueError, match="model must be one of"):
+            two_stage_estimate(4.0 * g, g, 1.0, model=model)

@@ -4,9 +4,10 @@
 A refactor must leave the harness output byte-identical at a fixed seed
 apart from the wall-clock `seconds` column, which is stripped here.  The
 files under tests/golden/ cover tables 1 to 4 at 10 replications, seed
-42, one two-process aggregate-mode experiment with drift, one simulated
-series per model, and the estimate JSON of each model on its simulated
-series and of both models on a degenerate (constant) series.
+42, one two-process aggregate-mode experiment with drift, two simulated
+series per model (streams 3 and 2^32), and the estimate JSON of each
+model on its stream-3 series and of both models on a degenerate
+(constant) series.
 
 A deliberate change of the draws or of the estimators' arithmetic
 changes these files.  Regenerate them with
@@ -55,13 +56,16 @@ def golden_text(name: str) -> str:
 
 # CLI cases: golden file name -> the argument list of one `nifbm` run;
 # a "{name}" argument is the path of that golden file (an input series)
-_SIM = ["simulate", "--h", "2", "--seed", "42", "--stream", "3"]
+_SIM = ["simulate", "--h", "2", "--seed", "42"]
+_SIM_ONE = ["--model", "one-nifbm", "--H", "0.3", "--a2", "2", "--N", "64", "--j", "2"]
+_SIM_TWO = ["--model", "two-nifbm", "--H1", "0.7", "--H2", "0.3", "--a2", "2",
+            "--b2", "1.5", "--N", "255"]
 CLI_CASES = {
-    "simulate-one-nifbm.txt": _SIM + ["--model", "one-nifbm", "--H", "0.3",
-                                      "--a2", "2", "--N", "64", "--j", "2"],
-    "simulate-two-nifbm.txt": _SIM + ["--model", "two-nifbm", "--H1", "0.7",
-                                      "--H2", "0.3", "--a2", "2", "--b2", "1.5",
-                                      "--N", "255"],
+    "simulate-one-nifbm.txt": _SIM + ["--stream", "3"] + _SIM_ONE,
+    "simulate-two-nifbm.txt": _SIM + ["--stream", "3"] + _SIM_TWO,
+    # a stream of two 32-bit words: its entropy is three words long
+    "simulate-one-nifbm-stream2p32.txt": _SIM + ["--stream", "4294967296"] + _SIM_ONE,
+    "simulate-two-nifbm-stream2p32.txt": _SIM + ["--stream", "4294967296"] + _SIM_TWO,
     "constant-series.txt": None,  # input only: sixteen ones
     "estimate-one-nifbm.json": ["estimate", "--model", "one-nifbm", "--h", "4",
                                 "--in", "{simulate-one-nifbm.txt}"],

@@ -42,7 +42,6 @@ from nifbm.harness import (
     write_results,
 )
 from nifbm.simulation import (
-    RngSeed,
     SampleGrid,
     combine_mixed_components,
     sample_increments,
@@ -201,9 +200,7 @@ class TestRunExperiment:
         params = NifbmParams(0.5)
         dg = np.diff(drift_samples("benchmark-g", n, 2.0))
         cov = autocov_sequence(params, 2.0, 1, n)
-        paths = sample_increments(
-            params, SampleGrid(h=2.0, N=n), [RngSeed(3, r) for r in range(reps)]
-        )
+        paths = sample_increments(params, SampleGrid(h=2.0, N=n), 3, range(reps))
         mles = [drift_mle(path + 4.0 * dg, dg, cov).mu_hat for path in paths]
         assert rows[0].mean == float(np.mean(mles))
         assert rows[0].sd_emp == float(np.std(mles, ddof=1))
@@ -223,15 +220,15 @@ class TestRunExperiment:
         estimates = []
         # the noise stage draws on the streams reps .. 2 reps - 1
         for stream in range(reps, 2 * reps):
-            seeds = [RngSeed(seed, stream)]
             if mode == "direct-per-j":
-                e1, e2 = sample_mixed_components(params, n, seeds)
+                e1, e2 = sample_mixed_components(params, n, seed, [stream])
                 xi = {
                     j: xi_statistic(combine_mixed_components(params, 2.0, j, e1[0], e2[0]))
                     for j in AGGREGATION_FACTORS
                 }
             else:
-                base = sample_increments(params, SampleGrid(h=2.0, N=8 * n + 7), seeds)
+                grid = SampleGrid(h=2.0, N=8 * n + 7)
+                base = sample_increments(params, grid, seed, [stream])
                 xi = xi_statistics_from_base(base[0])
             estimates.append(estimate_two_nifbm(xi, 2.0))
         kept = [est for est in estimates if not est.degenerate]
@@ -459,6 +456,35 @@ class TestConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="seed must be nonnegative"):
             parse_config("model = one-nifbm\nH = 0.5\nseed = -1")
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"grid": ((2.0, 8.5),)}, "grid size N must be an integer, got 8.5"),
+            ({"grid": ((2.0, 8.0),)}, "grid size N must be an integer, got 8.0"),
+            ({"replications": 2.5}, "replications must be an integer, got 2.5"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ],
+        ids=["N", "N-float-integral", "replications", "seed"],
+    )
+    def test_non_integer_sizes(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(model="one-nifbm", H1=0.5, **kwargs)
+
+    def test_numpy_integer_sizes(self):
+        # stored as ints: the same config, the same rows and valid JSON
+        common = dict(model="one-nifbm", H1=0.5, mu=1.0, g_name="linear",
+                      outputs=("drift-two-point", "noise"))
+        ints = ExperimentConfig(grid=((2.0, 8),), replications=3, seed=1, **common)
+        numpy_ints = ExperimentConfig(
+            grid=((2.0, np.int64(8)),), replications=np.int32(3), seed=np.uint8(1),
+            **common,
+        )
+        assert numpy_ints == ints and type(numpy_ints.grid[0][1]) is int
+        rows = run_experiment(numpy_ints)
+        strip = [replace(row, seconds=0.0) for row in rows]
+        assert strip == [replace(row, seconds=0.0) for row in run_experiment(ints)]
+        assert json.loads(format_results(rows, "json"))[0]["replications"] == 3
 
     def test_n_envelope(self):
         with pytest.raises(ConfigError):
@@ -695,6 +721,21 @@ class TestCli:
             argv = ["estimate", "--model", "two-nifbm", "--h", h, "--in", str(series)]
             assert main(argv) == 1
             assert "step h must be finite and positive" in capsys.readouterr().err
+
+    def test_constants_rejects_negative_max_lag(self, capsys):
+        assert main(["constants", "--H", "0.3", "--max-lag", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-lag must be nonnegative, got -3\n"
+
+    @pytest.mark.parametrize("flag", ["--seed", "--stream"])
+    def test_simulate_rejects_negative_seed_or_stream(self, flag, capsys):
+        argv = ["simulate", "--model", "one-nifbm", "--H", "0.5", "--h", "1",
+                "--N", "4", flag, "-1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed and stream must be nonnegative integers" in captured.err
 
     def test_missing_h_for_one_process(self, capsys):
         assert (

@@ -18,7 +18,6 @@ from nifbm.errors import (
 )
 from nifbm.simulation import (
     DriftSpec,
-    RngSeed,
     SampleGrid,
     _embedding_scale,
     _stream_normals,
@@ -41,13 +40,9 @@ _WORD_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96)
 _SEED_INTS = st.one_of(st.sampled_from(_WORD_EDGES), st.integers(0, 2**128 - 1))
 
 
-def seeds(seed, n_reps):
-    return [RngSeed(seed, r) for r in range(n_reps)]
-
-
 def batch_sample(params, grid, n_reps, seed=0):
     """Replications as rows, drawn in one block by the shipped sampler."""
-    return sample_increments(params, grid, seeds(seed, n_reps))
+    return sample_increments(params, grid, seed, range(n_reps))
 
 
 class TestCholeskyFactor:
@@ -77,11 +72,11 @@ class TestSampleIncrements:
     def test_determinism(self):
         params = NifbmParams(0.3, a2=2.0)
         grid = SampleGrid(h=1.0, N=32)
-        a = sample_increments(params, grid, [RngSeed(7, 3)])
-        b = sample_increments(params, grid, [RngSeed(7, 3)])
+        a = sample_increments(params, grid, 7, [3])
+        b = sample_increments(params, grid, 7, [3])
         assert a.shape == (1, 32)
         assert np.array_equal(a, b)
-        c = sample_increments(params, grid, [RngSeed(7, 4)])
+        c = sample_increments(params, grid, 7, [4])
         assert not np.array_equal(a, c)
 
     def test_zero_mean(self):
@@ -113,35 +108,55 @@ class TestSampleIncrements:
     def test_mixed_model_sampling(self):
         params = MixedParams(0.7, 0.3, 2.0, 1.0)
         grid = SampleGrid(h=1.0, N=16, j=2)
-        assert sample_increments(params, grid, [RngSeed(1, 0)]).shape == (1, 16)
+        assert sample_increments(params, grid, 1, [0]).shape == (1, 16)
 
     def test_block_rows_equal_single_seed_draws(self):
-        # 100 replications at N = 513 span two blocks of 64 and 36 seeds
+        # 100 replications at N = 513 span two blocks of 64 and 36 streams
         params = NifbmParams(0.3)
         grid = SampleGrid(h=2.0, N=513)
-        blocks = list(seed_blocks(3, 10, 100, grid.N))
+        blocks = list(seed_blocks(range(10, 110), grid.N))
         assert [len(b) for b in blocks] == [64, 36]
-        assert blocks[1][0] == RngSeed(3, 74)
-        drawn = np.vstack([sample_increments(params, grid, b) for b in blocks])
-        whole = sample_increments(params, grid, [s for b in blocks for s in b])
+        assert blocks[1][0] == 74
+        drawn = np.vstack([sample_increments(params, grid, 3, b) for b in blocks])
+        whole = sample_increments(params, grid, 3, [s for b in blocks for s in b])
         assert np.array_equal(drawn, whole)
         for r in (0, 63, 64, 99):
-            single = sample_increments(params, grid, [RngSeed(3, 10 + r)])[0]
+            single = sample_increments(params, grid, 3, [10 + r])[0]
             assert np.array_equal(drawn[r], single)
+
+    def test_seed_blocks_cover_streams_in_order(self):
+        # at N = 513 a block holds 65536 // 1024 = 64 streams
+        blocks = list(seed_blocks(range(10, 110), 513))
+        assert blocks == [range(10, 74), range(74, 110)]
+        assert list(seed_blocks(range(5), 513)) == [range(5)]
+        assert list(seed_blocks(range(0), 513)) == []
+
+    @pytest.mark.parametrize(
+        "seed,streams",
+        [(-1, [0]), (0, [3, -1]), (1.5, [0]), (0, [3, 0.5])],
+        ids=["negative-seed", "negative-stream", "float-seed", "float-stream"],
+    )
+    def test_bad_seed_or_stream_rejected(self, seed, streams):
+        message = "seed and stream must be nonnegative integers"
+        grid = SampleGrid(h=1.0, N=8)
+        with pytest.raises(ValueError, match=message):
+            sample_increments(NifbmParams(0.3), grid, seed, streams)
+        with pytest.raises(ValueError, match=message):
+            sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 8, seed, streams)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 4)])
     def test_shortest_series(self, n, m):
         params = MixedParams(0.7, 0.3, 2.0, 1.0)
         grid = SampleGrid(h=1.0, N=n)
         assert embedding_length(n) == m
-        block = sample_increments(params, grid, seeds(4, 5))
+        block = sample_increments(params, grid, 4, range(5))
         assert block.shape == (5, n)
         for r in range(5):
-            single = sample_increments(params, grid, [RngSeed(4, r)])[0]
+            single = sample_increments(params, grid, 4, [r])[0]
             assert np.array_equal(block[r], single)
-        e1, e2 = sample_mixed_components(params, n, seeds(4, 5))
+        e1, e2 = sample_mixed_components(params, n, 4, range(5))
         assert e1.shape == e2.shape == (5, n)
-        f1, f2 = sample_mixed_components(params, n, [RngSeed(4, 2)])
+        f1, f2 = sample_mixed_components(params, n, 4, [2])
         assert np.array_equal(e1[2], f1[0]) and np.array_equal(e2[2], f2[0])
 
     def test_embedding_once_per_grid_point(self):
@@ -149,12 +164,12 @@ class TestSampleIncrements:
         # sampler's unit components are keyed by (H, N) at h = j = 1
         _embedding_scale.cache_clear()
         grid = SampleGrid(h=2.0, N=513)
-        blocks = list(seed_blocks(3, 0, 100, grid.N))
+        blocks = list(seed_blocks(range(100), grid.N))
         assert len(blocks) == 2
         for block in blocks:
-            sample_increments(NifbmParams(0.3), grid, block)
+            sample_increments(NifbmParams(0.3), grid, 3, block)
         for block in blocks:
-            sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), grid.N, block)
+            sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), grid.N, 3, block)
         info = _embedding_scale.cache_info()
         assert (info.misses, info.hits) == (3, 3)
         assert not _embedding_scale(NifbmParams(0.3), 2.0, 1, 513).flags.writeable
@@ -162,7 +177,7 @@ class TestSampleIncrements:
     def test_indefinite_embedding_names_ratio(self):
         grid = SampleGrid(h=1.0, N=1025)
         with pytest.raises(NotPositiveDefiniteError) as info:
-            sample_increments(NifbmParams(0.999), grid, [RngSeed(0)])
+            sample_increments(NifbmParams(0.999), grid, 0, [0])
         message = str(info.value)
         match = re.search(r"ratio (-[0-9.e+-]+)", message)
         assert match and float(match.group(1)) < -1e-8
@@ -170,38 +185,39 @@ class TestSampleIncrements:
 
 
 class TestStreamStates:
-    def assert_matches_default_rng(self, block):
-        states = _stream_states(block)
-        assert states == [stream_generator(s).bit_generator.state for s in block]
-        normals = _stream_normals(block, (2, 3))
-        for row, s in zip(normals, block):
-            assert np.array_equal(row, stream_generator(s).standard_normal((2, 3)))
+    def assert_matches_default_rng(self, seed, streams):
+        states = _stream_states(seed, streams)
+        generators = [stream_generator(seed, stream) for stream in streams]
+        assert states == [g.bit_generator.state for g in generators]
+        normals = _stream_normals(seed, streams, (2, 3))
+        for row, g in zip(normals, generators):
+            assert np.array_equal(row, g.standard_normal((2, 3)))
 
     def test_word_count_edges(self):
-        # every pair of edge values in one block: several seeds and every
-        # entropy length from 2 to 8 words side by side
-        block = [RngSeed(a, b) for a in _WORD_EDGES for b in _WORD_EDGES]
-        self.assert_matches_default_rng(block)
+        # one block of every edge stream per edge seed: entropy lengths
+        # 2 to 8 words, side by side within the blocks of the wider seeds
+        for seed in _WORD_EDGES:
+            self.assert_matches_default_rng(seed, _WORD_EDGES)
 
     def test_consecutive_streams(self):
         for seed in (0, 42, 2**32 - 1):
-            self.assert_matches_default_rng(seeds(seed, 500))
+            self.assert_matches_default_rng(seed, range(500))
 
-    @given(st.lists(st.builds(RngSeed, _SEED_INTS, _SEED_INTS), min_size=1, max_size=8))
+    @given(_SEED_INTS, st.lists(_SEED_INTS, min_size=1, max_size=8))
     @settings(max_examples=150)
-    def test_any_block(self, block):
-        self.assert_matches_default_rng(block)
+    def test_any_block(self, seed, streams):
+        self.assert_matches_default_rng(seed, streams)
 
     def test_empty_block(self):
-        assert _stream_states([]) == []
-        assert _stream_normals([], (4,)).shape == (0, 4)
+        assert _stream_states(0, []) == []
+        assert _stream_normals(0, [], (4,)).shape == (0, 4)
 
 
 class TestSharedComponentSampling:
     def test_determinism_and_shape(self):
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
-        e1a, e2a = sample_mixed_components(params, 64, [RngSeed(5, 1)])
-        e1b, e2b = sample_mixed_components(params, 64, [RngSeed(5, 1)])
+        e1a, e2a = sample_mixed_components(params, 64, 5, [1])
+        e1b, e2b = sample_mixed_components(params, 64, 5, [1])
         assert e1a.shape == e2a.shape == (1, 64)
         assert np.array_equal(e1a, e1b) and np.array_equal(e2a, e2b)
 
@@ -210,7 +226,7 @@ class TestSharedComponentSampling:
         # covariance at every factor
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
         n, n_reps = 8, 2 * 10**4
-        e1, e2 = sample_mixed_components(params, n, seeds(21, n_reps))
+        e1, e2 = sample_mixed_components(params, n, 21, range(n_reps))
         for j in (1, 2, 8):
             w = 2.0 * j
             vals = (
@@ -225,7 +241,7 @@ class TestSharedComponentSampling:
 
     def test_combine_helper(self):
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
-        e1, e2 = sample_mixed_components(params, 32, [RngSeed(5, 2)])
+        e1, e2 = sample_mixed_components(params, 32, 5, [2])
         series = combine_mixed_components(params, 2.0, 4, e1[0], e2[0])
         assert series.shape == (32,)
 
@@ -291,15 +307,15 @@ class TestCirculantSampler:
     def test_determinism(self):
         params = NifbmParams(0.7)
         grid = SampleGrid(h=2.0, N=512)
-        a = sample_increments(params, grid, [RngSeed(9, 0)])
-        b = sample_increments(params, grid, [RngSeed(9, 0)])
+        a = sample_increments(params, grid, 9, [0])
+        b = sample_increments(params, grid, 9, [0])
         assert np.array_equal(a, b)
 
     def test_autocovariance(self):
         params = NifbmParams(0.7)
         grid = SampleGrid(h=2.0, N=64)
         n_reps = 4000
-        rows = sample_increments(params, grid, seeds(40, n_reps))
+        rows = sample_increments(params, grid, 40, range(n_reps))
         targets = autocov_sequence(params, 2.0, 1, 6)
         for lag in (0, 1, 5):
             prods = rows[:, 0] * rows[:, lag]
@@ -323,7 +339,7 @@ class TestAddDrift:
         g = 5 * np.cos(t) - np.exp(-4 * t) + 2 * t**2
         g -= g[0]
         grid = SampleGrid(h=1.0, N=8)
-        noise = sample_increments(NifbmParams(0.4), grid, [RngSeed(2, 2)])[0]
+        noise = sample_increments(NifbmParams(0.4), grid, 2, [2])[0]
         shifted = add_drift(noise, DriftSpec(mu=4.0, g_values=g))
         assert np.sum(shifted - noise) == pytest.approx(
             4.0 * (g[-1] - g[0]), rel=1e-12
@@ -358,6 +374,9 @@ class TestTypeValidation:
             SampleGrid(h=0.0, N=4)
         with pytest.raises(ValueError):
             SampleGrid(h=1.0, N=0)
+        with pytest.raises(ValueError, match="N must be an integer"):
+            SampleGrid(h=1.0, N=2.5)
+        assert SampleGrid(h=1.0, N=np.int64(4)) == SampleGrid(h=1.0, N=4)
         with pytest.raises(ValueError):
             SampleGrid(h=1.0, N=4, j=3)
         for bad in (math.nan, math.inf):
@@ -370,6 +389,16 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             DriftSpec(mu=1.0, g_values=np.zeros(5))
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_drift_spec_rejects_non_finite_mu(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            DriftSpec(mu=mu, g_values=np.arange(4.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_drift_spec_rejects_non_finite_g(self, bad):
+        with pytest.raises(ValueError, match="must all be finite"):
+            DriftSpec(mu=1.0, g_values=np.array([0.0, bad, 1.0, 2.0]))
+
     def test_seed_validation(self):
         with pytest.raises(ValueError):
-            RngSeed(-1, 0)
+            _stream_states(-1, [0])
