@@ -39,7 +39,6 @@ from .estimation import (
     estimate_one_nifbm,
     estimate_two_nifbm,
     forward_moment_map,
-    forward_moment_map_one,
     two_point_variance,
     two_stage_estimate,
     xi_statistic,
@@ -47,7 +46,7 @@ from .estimation import (
 )
 from .asymptotics import (
     gamma_square_series,
-    jacobian_one,
+    jacobian,
     sigma0_one,
     sigma_tilde_one,
 )

@@ -6,9 +6,10 @@ series sum over integers of gamma(H, i + alpha) * gamma(H, i + beta).
 The delta method then propagates that covariance through the inverse of
 the moment map f to give the joint asymptotic covariance of
 (H_hat, a2_hat).  The window width h is an argument of every function
-here, next to the model constants (H, a2), and covariances and
-Jacobians are plain 2x2 arrays.  Only the theory lives here; the Monte
-Carlo cross-check, empirical_estimator_cov, is in nifbm.harness.
+here, next to the model constants, and covariances and Jacobians are
+plain arrays; the Jacobian of the moment map serves both models.  Only
+the theory lives here; the Monte Carlo cross-check,
+empirical_estimator_cov, is in nifbm.harness.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from typing import Tuple
 import numpy as np
 from scipy.special import zeta
 
-from .covariance import NifbmParams, check_positive, gamma
+from .covariance import NifbmParams, Params, check_positive, gamma
 from .errors import HTooLargeError
+from .estimation import MOMENT_FACTORS
 
 __all__ = [
     "gamma_square_series",
     "sigma_tilde_one",
-    "jacobian_one",
+    "jacobian",
     "sigma0_one",
 ]
 
@@ -134,37 +136,29 @@ def sigma_tilde_one(H: float, h: float, n_terms: int = _DEFAULT_TERMS) -> np.nda
     return np.array([[s11, s12], [s12, s22]])
 
 
-def jacobian_one(theta: NifbmParams, h: float) -> np.ndarray:
-    """Jacobian of the one-process moment map f at theta and window
-    width h: rows (f1, f2), columns (H, a2)."""
+def jacobian(theta: Params, h: float) -> np.ndarray:
+    """Jacobian of forward_moment_map at theta and window width h: row
+    k for the factor j = 2^k, columns in the order of fields(theta),
+    (H, a2) or (H1, H2, a2, b2): the components' Hurst indices, then
+    their squared scales."""
     check_positive("window width h", h)
-    H, a2 = theta.H, theta.a2
-    d = (2.0 * H + 1.0) * (H + 1.0)
-    x = 2.0 ** (2.0 * H)
-    hp = h ** (2.0 * H)
-    lh = math.log(h)
-    l2 = math.log(2.0)
-
-    d12 = 2.0 * hp * (x - 1.0) / d
-    d22 = 2.0 * hp * x * (x - 1.0) / d
-    d11 = (
-        2.0
-        * a2
-        * hp
-        * ((2.0 * lh * (x - 1.0) + 2.0 * l2 * x) * d - (x - 1.0) * (4.0 * H + 3.0))
-        / d**2
-    )
-    d21 = (
-        2.0
-        * a2
-        * hp
-        * (
-            (2.0 * lh * x * (x - 1.0) + 2.0 * l2 * (2.0 * x * x - x)) * d
-            - x * (x - 1.0) * (4.0 * H + 3.0)
-        )
-        / d**2
-    )
-    return np.array([[d11, d12], [d21, d22]])
+    comps = theta.components
+    jac = np.zeros((len(MOMENT_FACTORS[type(theta)]), 2 * len(comps)))
+    lh, l2 = math.log(h), math.log(2.0)
+    for i, (H, c) in enumerate(comps):
+        d = (2.0 * H + 1.0) * (H + 1.0)
+        x = 2.0 ** (2.0 * H)
+        hp = h ** (2.0 * H)
+        xk = 1.0
+        for k in range(len(jac)):
+            # d/dH of h^(2H) x^k (x - 1), over h^(2H)
+            grad = 2.0 * lh * xk * (x - 1.0) + 2.0 * l2 * ((k + 1) * xk * x - k * xk)
+            jac[k, i] = (
+                2.0 * c * hp * (grad * d - xk * (x - 1.0) * (4.0 * H + 3.0)) / d**2
+            )
+            jac[k, len(comps) + i] = 2.0 * hp * xk * (x - 1.0) / d
+            xk *= x
+    return jac
 
 
 def sigma0_one(
@@ -182,6 +176,6 @@ def sigma0_one(
     inverse Jacobian.
     """
     sig = sigma_tilde_one(theta.H, h, n_terms) * theta.a2**2
-    jac = jacobian_one(theta, h)
+    jac = jacobian(theta, h)
     inv = np.linalg.solve(jac, np.eye(2))
     return inv @ sig @ inv.T

@@ -6,21 +6,22 @@ The central object is the normalized moving average
 
 where W is fractional Brownian motion with Hurst index H.  This module
 evaluates the covariance function of X, the autocovariance of its
-equally spaced increments (through the kernel ``gamma``), and the mixed
-autocovariance for a sum of two independent such processes.  Everything
-here is a pure function of its arguments.
+equally spaced increments (through the kernel ``gamma``), summed over
+the independent components of a model.  Everything here is a pure
+function of its arguments.
 
-The parameter types hold model constants only: (H, a2) for one process
-and (H1, H2, a2, b2) for two.  The window width h is a constant of the
-sampling design and is passed like the lag count N and the aggregation
-factor j; autocovariances are returned as plain float arrays.
+The parameter types hold model constants only, and list them as
+``components``, one (H, squared scale) pair per independent process.
+The window width h is a constant of the sampling design and is passed
+like the lag count N and the aggregation factor j; autocovariances are
+returned as plain float arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 from scipy.special import binom
@@ -54,6 +55,12 @@ def _check_hurst(value: float) -> float:
     return value
 
 
+def _check_time(t: float) -> None:
+    # the process starts at time zero; NaN fails this test, unlike t < 0
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+
+
 def check_positive(name: str, value: float) -> None:
     """Raise ValueError unless value is finite and positive (NaN and
     inf pass a bare `<= 0` test, so it is not enough)."""
@@ -73,6 +80,11 @@ class NifbmParams:
     def __post_init__(self):
         _check_hurst(self.H)
         check_positive("scale a2", self.a2)
+
+    @property
+    def components(self) -> Tuple[Tuple[float, float], ...]:
+        """The model's independent (Hurst index, squared scale) pairs."""
+        return ((self.H, self.a2),)
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,10 @@ class MixedParams:
         check_positive("scale a2", self.a2)
         check_positive("scale b2", self.b2)
 
+    @property
+    def components(self) -> Tuple[Tuple[float, float], ...]:
+        return ((self.H1, self.a2), (self.H2, self.b2))
+
 
 Params = Union[NifbmParams, MixedParams]
 
@@ -111,8 +127,8 @@ def nifbm_cov(H: float, h: float, t: float, s: float) -> float:
     """
     H = _check_hurst(H)
     check_positive("window width h", h)
-    if t < 0.0 or s < 0.0:
-        raise ValueError("the process starts at time zero")
+    _check_time(t)
+    _check_time(s)
     if s < t:
         t, s = s, t
     p1 = 2.0 * H + 1.0
@@ -129,8 +145,7 @@ def nifbm_var(H: float, h: float, t: float) -> float:
     """Variance E[X_t^2] of the window average at time t >= 0."""
     H = _check_hurst(H)
     check_positive("window width h", h)
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     p1 = 2.0 * H + 1.0
     p2 = 2.0 * H + 2.0
     return ((t + h) ** p1 - t**p1) / (h * p1) - h ** (2.0 * H) / (p1 * p2)
@@ -185,12 +200,10 @@ def gamma(H: float, n) -> Union[float, np.ndarray]:
 
 
 def autocov_sequence(params: Params, h: float, j: int, N: int) -> np.ndarray:
-    """First N autocovariances of the width-j*h increment series.
-
-    For one-process params the values are a2*(jh)^(2H)*gamma(H, n); for
-    mixed params the sum of one such term per component,
-    a2*(jh)^(2H1)*gamma(H1, n) + b2*(jh)^(2H2)*gamma(H2, n).  The result
-    is the first row of a symmetric positive-definite Toeplitz matrix.
+    """First N autocovariances of the width-j*h increment series: the
+    sum of c*(jh)^(2H)*gamma(H, n) over the components (H, c) of params.
+    The result is the first row of a symmetric positive-definite
+    Toeplitz matrix.
     """
     check_positive("window width h", h)
     if j not in AGGREGATION_FACTORS:
@@ -201,13 +214,7 @@ def autocov_sequence(params: Params, h: float, j: int, N: int) -> np.ndarray:
         raise ValueError("need at least one lag")
     lags = np.arange(N)
     w = j * h
-    if isinstance(params, MixedParams):
-        values = (
-            params.a2 * w ** (2.0 * params.H1) * gamma(params.H1, lags)
-            + params.b2 * w ** (2.0 * params.H2) * gamma(params.H2, lags)
-        )
-    else:
-        values = params.a2 * w ** (2.0 * params.H) * gamma(params.H, lags)
+    values = sum(c * w ** (2.0 * H) * gamma(H, lags) for H, c in params.components)
     # the variance underflows to 0 for tiny h and large H
     check_positive("lag-0 autocovariance (a variance)", values[0])
     return values

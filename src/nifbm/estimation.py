@@ -54,7 +54,6 @@ __all__ = [
     "xi_statistics_from_base",
     "base_length",
     "forward_moment_map",
-    "forward_moment_map_one",
     "estimate_one_nifbm",
     "estimate_two_nifbm",
     "drift_mle",
@@ -203,28 +202,23 @@ def xi_statistics_from_base(
     return xi
 
 
-def forward_moment_map(theta: MixedParams, h: float) -> Tuple[float, float, float, float]:
-    """Expected xi statistics (eta_1, eta_2, eta_4, eta_8) of the
-    two-process model at window width h."""
-    check_positive("window width h", h)
-    x = 2.0 ** (2.0 * theta.H1)
-    y = 2.0 ** (2.0 * theta.H2)
-    a_big = theta.a2 * _scale_coef(theta.H1, h)
-    b_big = theta.b2 * _scale_coef(theta.H2, h)
-    eta1 = a_big * (x - 1.0) + b_big * (y - 1.0)
-    eta2 = a_big * x * (x - 1.0) + b_big * y * (y - 1.0)
-    eta4 = a_big * x * x * (x - 1.0) + b_big * y * y * (y - 1.0)
-    eta8 = a_big * x**3 * (x - 1.0) + b_big * y**3 * (y - 1.0)
-    return eta1, eta2, eta4, eta8
+def forward_moment_map(theta: Params, h: float) -> Tuple[float, ...]:
+    """Expected xi statistics eta_j of the model at window width h, one
+    per factor j of MOMENT_FACTORS[type(theta)]: the map whose inverse
+    is the model's moment estimator.
 
-
-def forward_moment_map_one(theta: NifbmParams, h: float) -> Tuple[float, float]:
-    """Expected (xi_1, xi_2) of the one-process model at window width h:
-    the map f whose inverse is the closed-form estimator."""
+    At j = 2^k, eta_j sums c * A(H) * x^k * (x - 1), with x = 2^(2H),
+    over the components (H, c) of theta.
+    """
     check_positive("window width h", h)
-    x = 2.0 ** (2.0 * theta.H)
-    a_big = theta.a2 * _scale_coef(theta.H, h)
-    return a_big * (x - 1.0), a_big * x * (x - 1.0)
+    etas = [0.0] * len(MOMENT_FACTORS[type(theta)])
+    for H, c in theta.components:
+        x = 2.0 ** (2.0 * H)
+        coef = c * _scale_coef(H, h)
+        for k in range(len(etas)):
+            etas[k] += coef * (x - 1.0)
+            coef *= x
+    return tuple(etas)
 
 
 @np.errstate(all="ignore")
@@ -328,6 +322,8 @@ def two_point_variance(params: Params, h: float, N: int, gN: float) -> float:
     check_positive("window width h", h)
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"N must be an integer >= 1, got {N!r}")
+    if not math.isfinite(gN):
+        raise ValueError(f"gN must be finite, got {gN}")
     if gN == 0.0:
         return 0.0
 
@@ -336,11 +332,7 @@ def two_point_variance(params: Params, h: float, N: int, gN: float) -> float:
         bracket = (N + 1.0) ** p + (N - 1.0) ** p - 2.0 * float(N) ** p - 2.0
         return c * h ** (2.0 * H) * bracket / ((2.0 * H + 1.0) * p)
 
-    if isinstance(params, MixedParams):
-        total = component(params.H1, params.a2) + component(params.H2, params.b2)
-    else:
-        total = component(params.H, params.a2)
-    return total / gN**2
+    return sum(component(H, c) for H, c in params.components) / gN**2
 
 
 def drift_two_point(
@@ -358,6 +350,8 @@ def drift_two_point(
     scalar 0.  The exact variance requires the noise parameters; when
     they are not supplied the variance is reported as 0.
     """
+    if not math.isfinite(gN):
+        raise ValueError(f"gN must be finite, got {gN}")
     mu_hat = (yN - y0) / gN if gN != 0.0 else 0.0
     variance = 0.0
     if params is not None and h is not None and N is not None:

@@ -64,11 +64,6 @@ __all__ = [
 
 MAX_N = 2**13
 
-CSV_HEADER = (
-    "model,estimator,H1,H2,a2,b2,mu,h,N,j_mode,replications,"
-    "mean,sd_emp,sd_theory,degenerate,seconds"
-)
-
 _MODES = ("direct-per-j", "aggregate")
 _OUTPUTS = ("drift-mle", "drift-two-point", "noise")
 _G_NAMES = ("benchmark-g", "linear")
@@ -188,6 +183,9 @@ class ResultRow:
     seconds: float
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+
 def drift_samples(name: str, N: int, h: float) -> np.ndarray:
     """Sample the named drift function at the N+1 observation points.
 
@@ -223,8 +221,8 @@ def _noise_estimates(
     blocks = []
     for block in seed_blocks(streams, grid.N):
         if direct:
-            e1, e2 = sample_mixed_components(params, N, seed, block)
-            mixes = (combine_mixed_components(params, h, j, e1, e2) for j in factors)
+            parts = sample_mixed_components(params, N, seed, block)
+            mixes = (combine_mixed_components(params, h, j, *parts) for j in factors)
             blocks.append([xi_statistic(mix) for mix in mixes])
         else:
             base = sample_increments(params, grid, seed, block)
@@ -349,8 +347,9 @@ def empirical_estimator_cov(
     is drawn on the stream (seed, r).  Degenerate replications are
     excluded and counted in the second return value.
     """
-    if replications < 100:
-        raise ValueError("need at least 100 replications")
+    for name, value, least in (("replications", replications, 100), ("N", N, 1)):
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     names = [f.name for f in fields(params)]
     truth = np.array(astuple(params))
     est = _noise_estimates(params, h, N, seed, range(replications), "direct-per-j")

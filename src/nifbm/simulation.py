@@ -38,7 +38,6 @@ from scipy.linalg import toeplitz
 
 from .covariance import (
     AGGREGATION_FACTORS,
-    MixedParams,
     NifbmParams,
     Params,
     autocov_sequence,
@@ -304,38 +303,35 @@ def sample_increments(
 
 
 def sample_mixed_components(
-    params: MixedParams, N: int, seed: int, streams: Sequence[int]
+    params: Params, N: int, seed: int, streams: Sequence[int]
 ) -> tuple:
-    """Unit-scale component noises (e1, e2) for the two-process model.
+    """Unit-scale noises of the components of params, for rescaling to
+    every aggregation factor by combine_mixed_components.
 
-    The component increments at width j*h have covariance
-    a2*(jh)^(2H)*gamma(H, n), so a single pair of unit-gamma draws can
-    be rescaled to every aggregation factor j while keeping the noise
-    shared across factors.  Returns two (len(streams), N) arrays whose
-    rows have Toeplitz covariance gamma(H1, .) and gamma(H2, .),
-    sampled by circulant embedding as in sample_increments; each
-    stream draws component 1's normals, then component 2's.
+    Component (H, c) has increments at width j*h with covariance
+    c*(jh)^(2H)*gamma(H, n), so one unit-gamma draw per component can
+    be rescaled to every factor j while keeping the noise shared across
+    factors.  Returns one (len(streams), N) array per component, whose
+    rows have Toeplitz covariance gamma(H, .), sampled by circulant
+    embedding as in sample_increments; each stream draws the
+    components' normals in order.
     """
     # unit scale and unit width give the autocovariance gamma(H, .)
-    scale1 = _embedding_scale(NifbmParams(params.H1), 1.0, 1, N)
-    scale2 = _embedding_scale(NifbmParams(params.H2), 1.0, 1, N)
-    normals = _stream_normals(seed, streams, (2, 2 * scale1.size))
-    return (
-        _spectral_draw(normals[:, 0], scale1, N),
-        _spectral_draw(normals[:, 1], scale2, N),
-    )
+    scales = [_embedding_scale(NifbmParams(H), 1.0, 1, N) for H, _ in params.components]
+    normals = _stream_normals(seed, streams, (len(scales), 2 * scales[0].size))
+    return tuple(_spectral_draw(normals[:, i], s, N) for i, s in enumerate(scales))
 
 
 def combine_mixed_components(
-    params: MixedParams, h: float, j: int, e1: np.ndarray, e2: np.ndarray
+    params: Params, h: float, j: int, *parts: np.ndarray
 ) -> np.ndarray:
-    """Increments at aggregation j from shared component noises, for
-    one pair of series or row by row for (R, N) blocks."""
+    """Increments at aggregation j from the shared component noises of
+    sample_mixed_components, one per component: the sum of
+    sqrt(c)*(jh)^H*e over the components (H, c) and their noises e, for
+    one series each or row by row for (R, N) blocks."""
     w = j * h
-    return (
-        math.sqrt(params.a2) * w**params.H1 * e1
-        + math.sqrt(params.b2) * w**params.H2 * e2
-    )
+    pairs = zip(params.components, parts, strict=True)
+    return sum(math.sqrt(c) * w**H * e for (H, c), e in pairs)
 
 
 def aggregate_increments(base: np.ndarray, j: int) -> np.ndarray:

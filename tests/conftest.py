@@ -76,6 +76,40 @@ def gamma_square_series_direct(H: float, shifts=(0, 0), n_terms=100_000) -> floa
     return total
 
 
+def jacobian_one_closed_form(theta, h: float) -> np.ndarray:
+    """The one-process moment map's Jacobian at theta and window width
+    h written out entry by entry, rows (f1, f2) and columns (H, a2):
+    the expression nifbm.asymptotics.jacobian must equal bit for bit on
+    one-process parameters."""
+    H, a2 = theta.H, theta.a2
+    d = (2.0 * H + 1.0) * (H + 1.0)
+    x = 2.0 ** (2.0 * H)
+    hp = h ** (2.0 * H)
+    lh = math.log(h)
+    l2 = math.log(2.0)
+
+    d12 = 2.0 * hp * (x - 1.0) / d
+    d22 = 2.0 * hp * x * (x - 1.0) / d
+    d11 = (
+        2.0
+        * a2
+        * hp
+        * ((2.0 * lh * (x - 1.0) + 2.0 * l2 * x) * d - (x - 1.0) * (4.0 * H + 3.0))
+        / d**2
+    )
+    d21 = (
+        2.0
+        * a2
+        * hp
+        * (
+            (2.0 * lh * x * (x - 1.0) + 2.0 * l2 * (2.0 * x * x - x)) * d
+            - x * (x - 1.0) * (4.0 * H + 3.0)
+        )
+        / d**2
+    )
+    return np.array([[d11, d12], [d21, d22]])
+
+
 def jacobian_one_det(theta, h: float) -> float:
     """Closed form of the determinant of the one-process moment map's
     Jacobian at theta and window width h; strictly negative."""

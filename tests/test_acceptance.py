@@ -23,9 +23,8 @@ from nifbm import (
     estimate_two_nifbm,
     find_h0,
     forward_moment_map,
-    forward_moment_map_one,
     gamma,
-    jacobian_one,
+    jacobian,
     nifbm_cov,
     run_experiment,
     sample_increments,
@@ -139,7 +138,7 @@ def test_criterion_05_round_trip_identity():
     for _ in range(200):
         H, h, a2 = rng.uniform(0.05, 0.95), rng.uniform(0.5, 4.0), rng.uniform(0.2, 5.0)
         theta = NifbmParams(H=H, a2=a2)
-        xi = dict(zip((1, 2), forward_moment_map_one(theta, h)))
+        xi = dict(zip((1, 2), forward_moment_map(theta, h)))
         est = estimate_one_nifbm(xi, h)
         rel = max(
             abs(est.H_hat - theta.H) / theta.H,
@@ -358,12 +357,12 @@ def test_criterion_12_jacobian():
     for _ in range(50):
         H, h, a2 = rng.uniform(0.05, 0.95), rng.uniform(0.5, 8.0), rng.uniform(0.2, 5.0)
         theta = NifbmParams(H=H, a2=a2)
-        jac = jacobian_one(theta, h)
+        jac = jacobian(theta, h)
         eps_h, eps_a = 1e-6, 1e-6 * a2
-        up_h = forward_moment_map_one(NifbmParams(H=H + eps_h, a2=a2), h)
-        dn_h = forward_moment_map_one(NifbmParams(H=H - eps_h, a2=a2), h)
-        up_a = forward_moment_map_one(NifbmParams(H=H, a2=a2 + eps_a), h)
-        dn_a = forward_moment_map_one(NifbmParams(H=H, a2=a2 - eps_a), h)
+        up_h = forward_moment_map(NifbmParams(H=H + eps_h, a2=a2), h)
+        dn_h = forward_moment_map(NifbmParams(H=H - eps_h, a2=a2), h)
+        up_a = forward_moment_map(NifbmParams(H=H, a2=a2 + eps_a), h)
+        dn_a = forward_moment_map(NifbmParams(H=H, a2=a2 - eps_a), h)
         fd = np.column_stack(
             [
                 (np.subtract(up_h, dn_h)) / (2.0 * eps_h),
@@ -385,7 +384,7 @@ def test_criterion_12_jacobian():
 def test_criterion_13_long_path_ergodicity():
     params = NifbmParams(H=0.7)
     grid = SampleGrid(h=2.0, N=2**16)
-    eta1 = forward_moment_map_one(params, grid.h)[0]
+    eta1 = forward_moment_map(params, grid.h)[0]
     hits = 0
     for seed in range(100):
         series = sample_increments(params, grid, seed, [0])[0]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.linalg import toeplitz
 from nifbm import asymptotics
 from nifbm.asymptotics import (
     gamma_square_series,
-    jacobian_one,
+    jacobian,
     sigma0_one,
     sigma_tilde_one,
 )
@@ -20,10 +21,14 @@ from nifbm.covariance import (
     gamma,
 )
 from nifbm.errors import HTooLargeError
-from nifbm.estimation import forward_moment_map_one
+from nifbm.estimation import forward_moment_map
 from nifbm.harness import empirical_estimator_cov
 
-from conftest import gamma_square_series_direct, jacobian_one_det
+from conftest import (
+    gamma_square_series_direct,
+    jacobian_one_closed_form,
+    jacobian_one_det,
+)
 
 
 class TestGammaSquareSeries:
@@ -184,14 +189,14 @@ class TestJacobian:
         for _ in range(25):
             H, h, a2 = rng.uniform(0.05, 0.95), rng.uniform(0.3, 5.0), rng.uniform(0.2, 8.0)
             theta = NifbmParams(H=H, a2=a2)
-            jac = jacobian_one(theta, h)
+            jac = jacobian(theta, h)
             step = 1e-6
-            up = forward_moment_map_one(NifbmParams(H + step, a2=a2), h)
-            dn = forward_moment_map_one(NifbmParams(H - step, a2=a2), h)
+            up = forward_moment_map(NifbmParams(H + step, a2=a2), h)
+            dn = forward_moment_map(NifbmParams(H - step, a2=a2), h)
             assert jac[0, 0] == pytest.approx((up[0] - dn[0]) / (2 * step), rel=1e-5)
             assert jac[1, 0] == pytest.approx((up[1] - dn[1]) / (2 * step), rel=1e-5)
-            up = forward_moment_map_one(NifbmParams(H, a2=a2 + step), h)
-            dn = forward_moment_map_one(NifbmParams(H, a2=a2 - step), h)
+            up = forward_moment_map(NifbmParams(H, a2=a2 + step), h)
+            dn = forward_moment_map(NifbmParams(H, a2=a2 - step), h)
             assert jac[0, 1] == pytest.approx((up[0] - dn[0]) / (2 * step), rel=1e-6)
             assert jac[1, 1] == pytest.approx((up[1] - dn[1]) / (2 * step), rel=1e-6)
 
@@ -200,14 +205,41 @@ class TestJacobian:
         for _ in range(50):
             H, h, a2 = rng.uniform(0.05, 0.95), rng.uniform(0.3, 5.0), rng.uniform(0.2, 8.0)
             theta = NifbmParams(H=H, a2=a2)
-            det = np.linalg.det(jacobian_one(theta, h))
+            det = np.linalg.det(jacobian(theta, h))
             assert det < 0.0
             assert det == pytest.approx(jacobian_one_det(theta, h), rel=1e-10)
+
+    @settings(max_examples=300)
+    @given(st.floats(0.01, 0.99), st.floats(0.1, 20.0), st.floats(0.1, 5.0))
+    def test_one_process_equals_closed_form(self, H, h, a2):
+        theta = NifbmParams(H, a2=a2)
+        assert np.array_equal(jacobian(theta, h), jacobian_one_closed_form(theta, h))
+
+    def test_two_process_finite_differences(self):
+        # columns follow fields(theta): H1, H2, a2, b2
+        rng = np.random.default_rng(22)
+        worst = 0.0
+        for _ in range(25):
+            h2 = rng.uniform(0.05, 0.85)
+            h1 = rng.uniform(h2 + 0.05, 0.95)
+            theta = MixedParams(h1, h2, rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0))
+            h = rng.uniform(0.5, 8.0)
+            jac = jacobian(theta, h)
+            assert jac.shape == (4, 4)
+            fd = np.empty((4, 4))
+            for col, field in enumerate(fields(theta)):
+                value = getattr(theta, field.name)
+                eps = 1e-6 * (value if field.name in ("a2", "b2") else 1.0)
+                up = forward_moment_map(replace(theta, **{field.name: value + eps}), h)
+                dn = forward_moment_map(replace(theta, **{field.name: value - eps}), h)
+                fd[:, col] = np.subtract(up, dn) / (2.0 * eps)
+            worst = max(worst, np.max(np.abs(jac - fd) / np.abs(jac)))
+        assert worst < 1e-5
 
     def test_df1_da2_display(self):
         theta = NifbmParams(0.5, a2=3.0)
         expected = 2 * 2.0 * (2.0 - 1.0) / (2.0 * 1.5)
-        assert jacobian_one(theta, 2.0)[0, 1] == pytest.approx(expected, rel=1e-14)
+        assert jacobian(theta, 2.0)[0, 1] == pytest.approx(expected, rel=1e-14)
 
 
 class TestSigma0:
@@ -274,3 +306,18 @@ class TestEmpiricalEstimatorCov:
     def test_replication_floor(self):
         with pytest.raises(ValueError):
             empirical_estimator_cov(NifbmParams(0.5), 1.0, 64, 50)
+
+    @pytest.mark.parametrize(
+        "N,replications,name",
+        [(16, 150.0, "replications"), (2.5, 150, "N"), (0, 150, "N"), (-3, 150, "N")],
+    )
+    def test_rejects_bad_sizes(self, N, replications, name):
+        # a float replications count raised a TypeError from range, and
+        # N = 2.5 and N = 0 errors named the base length, not N
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            empirical_estimator_cov(NifbmParams(0.3), 2.0, N, replications)
+
+    def test_accepts_numpy_integers(self):
+        N, replications = np.int64(16), np.int32(100)
+        emp, _ = empirical_estimator_cov(NifbmParams(0.3), 2.0, N, replications)
+        assert emp.shape == (2, 2)

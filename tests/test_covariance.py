@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nifbm.asymptotics import jacobian_one, sigma0_one, sigma_tilde_one
+from nifbm.asymptotics import jacobian, sigma0_one, sigma_tilde_one
 from nifbm.covariance import (
     MixedParams,
     NifbmParams,
@@ -15,7 +15,7 @@ from nifbm.covariance import (
     nifbm_cov,
     nifbm_var,
 )
-from nifbm.estimation import forward_moment_map_one
+from nifbm.estimation import forward_moment_map
 from nifbm.simulation import cholesky_factor
 
 from conftest import fbm_cov, fbm_increment_cov, gamma_asymptotic, quad_oracle
@@ -111,6 +111,13 @@ class TestNifbmCov:
         with pytest.raises(ValueError):
             nifbm_cov(0.5, 1.0, -0.5, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, bad):
+        # NaN passed the t < 0 test and gave a NaN covariance
+        for t, s in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                nifbm_cov(0.3, 1.0, t, s)
+
     def test_self_similarity_scaling(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -143,6 +150,11 @@ class TestNifbmVar:
             err_large = abs(nifbm_var(H, 1.0, 1e8) / 1e8 ** (2 * H) - 1.0)
             assert err_large < err_small
             assert err_large < 1e-3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_time(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            nifbm_var(0.3, 1.0, bad)
 
     def test_positive(self):
         rng = np.random.default_rng(4)
@@ -293,6 +305,13 @@ class TestMixedIncrementAutocov:
         with pytest.raises(ValueError):
             autocov_sequence(MixedParams(0.7, 0.3, 1, 1), 2.0, 3, 2)
 
+    @pytest.mark.parametrize("j", [1, 2, 4, 8])
+    def test_sum_of_component_sequences(self, j):
+        mixed = autocov_sequence(MixedParams(0.7, 0.2, a2=2.0, b2=5.0), 1.5, j, 64)
+        one = autocov_sequence(NifbmParams(0.7, a2=2.0), 1.5, j, 64)
+        two = autocov_sequence(NifbmParams(0.2, a2=5.0), 1.5, j, 64)
+        assert np.array_equal(mixed, one + two)
+
 
 class TestAutocovSequence:
     def test_single_element(self):
@@ -343,7 +362,7 @@ class TestParamsValidation:
     def test_nifbm_params(self):
         assert [f.name for f in dataclasses.fields(NifbmParams)] == ["H", "a2"]
         with pytest.raises(ValueError):
-            forward_moment_map_one(NifbmParams(H=0.5), 0.0)
+            forward_moment_map(NifbmParams(H=0.5), 0.0)
         with pytest.raises(ValueError):
             NifbmParams(H=0.5, a2=-1.0)
         with pytest.raises(ValueError):
@@ -355,8 +374,8 @@ class TestParamsValidation:
             NifbmParams(H=0.5, a2=bad)
         theta = NifbmParams(H=0.5)
         for call in (
-            lambda: forward_moment_map_one(theta, bad),
-            lambda: jacobian_one(theta, bad),
+            lambda: forward_moment_map(theta, bad),
+            lambda: jacobian(theta, bad),
             lambda: sigma_tilde_one(0.5, bad),
             lambda: sigma0_one(theta, bad),
         ):
@@ -365,6 +384,13 @@ class TestParamsValidation:
         for kwargs in (dict(a2=bad, b2=1.0), dict(a2=1.0, b2=bad)):
             with pytest.raises(ValueError, match="finite and positive"):
                 MixedParams(H1=0.5, H2=0.3, **kwargs)
+
+    def test_components(self):
+        # a property, not a field: fields() and astuple() are unchanged
+        assert NifbmParams(0.4, a2=2.0).components == ((0.4, 2.0),)
+        mixed = MixedParams(0.7, 0.3, 2.0, 5.0)
+        assert mixed.components == ((0.7, 2.0), (0.3, 5.0))
+        assert dataclasses.astuple(mixed) == (0.7, 0.3, 2.0, 5.0)
 
     def test_mixed_params_ordering(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from nifbm.estimation import (
     estimate_one_nifbm,
     estimate_two_nifbm,
     forward_moment_map,
-    forward_moment_map_one,
     two_point_variance,
     two_stage_estimate,
     xi_statistic,
@@ -177,10 +176,14 @@ class TestForwardMomentMap:
             y = 2.0 ** (2 * theta.H2)
             assert e4 == pytest.approx(e2 * (x + y) - e1 * x * y, rel=1e-12)
 
+    def test_one_value_per_moment_factor(self):
+        assert len(forward_moment_map(NifbmParams(0.4, a2=2.0), 2.0)) == 2
+        assert len(forward_moment_map(MixedParams(0.7, 0.3, 1.0, 1.0), 2.0)) == 4
+
     def test_single_component_limit(self):
         theta = MixedParams(H1=0.6, H2=0.2, a2=3.0, b2=1e-14)
         one = NifbmParams(H=0.6, a2=3.0)
-        f1, f2 = forward_moment_map_one(one, 2.0)
+        f1, f2 = forward_moment_map(one, 2.0)
         e1, e2, _, _ = forward_moment_map(theta, 2.0)
         assert e1 == pytest.approx(f1, rel=1e-12)
         assert e2 == pytest.approx(f2, rel=1e-12)
@@ -216,13 +219,27 @@ def test_two_point_variance_rejects_bad_n(N):
         drift_two_point(0.0, 1.0, 3.0, NifbmParams(0.3), 1.0, N)
 
 
+@pytest.mark.parametrize("gN", [math.nan, math.inf, -math.inf])
+def test_two_point_variance_rejects_non_finite_gn(gN):
+    with pytest.raises(ValueError, match="gN must be finite"):
+        two_point_variance(NifbmParams(0.3), 2.0, 3, gN)
+
+
+@pytest.mark.parametrize("gN", [math.nan, math.inf, -math.inf])
+def test_drift_two_point_rejects_non_finite_gn(gN):
+    # NaN gave a NaN estimate and a NaN variance
+    for params in (None, NifbmParams(0.3)):
+        with pytest.raises(ValueError, match="gN must be finite"):
+            drift_two_point(0.0, 1.0, gN, params, 2.0, 3)
+
+
 class TestOneProcessEstimator:
     def test_round_trip(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             H, h, a2 = rng.uniform(0.02, 0.98), rng.uniform(0.3, 5.0), rng.uniform(0.1, 10.0)
             theta = NifbmParams(H=H, a2=a2)
-            xi = dict(zip((1, 2), forward_moment_map_one(theta, h)))
+            xi = dict(zip((1, 2), forward_moment_map(theta, h)))
             est = estimate_one_nifbm(xi, h)
             assert not est.degenerate
             assert est.H_hat == pytest.approx(theta.H, abs=1e-12)
@@ -272,7 +289,7 @@ class TestTwoProcessEstimator:
     def test_equal_hurst_degenerate(self):
         # build moments with both components at the same index
         one = NifbmParams(H=0.4, a2=5.0)
-        f1, f2 = forward_moment_map_one(one, 2.0)
+        f1, f2 = forward_moment_map(one, 2.0)
         x = 2.0 ** (2 * 0.4)
         eta = {1: f1, 2: f2, 4: f2 * x, 8: f2 * x * x}
         est = estimate_two_nifbm(eta, 2.0)
@@ -393,7 +410,7 @@ class TestRoundTripProperties:
     @given(H=_HURST, h=st.floats(0.1, 10.0), a2=st.floats(0.1, 10.0))
     def test_one_process(self, H, h, a2):
         # f^-1(f(theta)) = theta for the one-process moment map
-        xi = dict(zip((1, 2), forward_moment_map_one(NifbmParams(H, a2=a2), h)))
+        xi = dict(zip((1, 2), forward_moment_map(NifbmParams(H, a2=a2), h)))
         est = estimate_one_nifbm(xi, h)
         assert not est.degenerate
         assert est.H_hat == pytest.approx(H, abs=1e-12)
