@@ -3,7 +3,6 @@ motion models: exact covariances, exact Gaussian sampling, closed-form
 parameter estimators, asymptotic variances and a Monte Carlo harness."""
 
 from .covariance import (
-    AGGREGATION_FACTORS,
     MixedParams,
     NifbmParams,
     autocov_sequence,
@@ -22,8 +21,8 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .simulation import (
+    AGGREGATION_FACTORS,
     DriftSpec,
-    SampleGrid,
     add_drift,
     aggregate_increments,
     cholesky_factor,

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .covariance import (
-    AGGREGATION_FACTORS,
     MODEL_PARAMS,
     MixedParams,
     NifbmParams,
@@ -36,7 +35,7 @@ from .harness import (
     table_configs,
     write_results,
 )
-from .simulation import SampleGrid, sample_increments
+from .simulation import AGGREGATION_FACTORS, sample_increments
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,8 +95,9 @@ def _cmd_simulate(args) -> int:
         if args.H1 is None or args.H2 is None:
             raise NifbmError("simulate --model two-nifbm requires --H1 and --H2")
         params = MixedParams(H1=args.H1, H2=args.H2, a2=args.a2, b2=args.b2)
-    grid = SampleGrid(h=args.h, N=args.N, j=args.j)
-    values = sample_increments(params, grid, args.seed, [args.stream])[0]
+    check_positive("step h", args.h)
+    width = args.j * args.h
+    values = sample_increments(params, width, args.N, args.seed, [args.stream])[0]
     text = "\n".join(format(v, ".17g") for v in values) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

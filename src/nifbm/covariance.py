@@ -12,9 +12,9 @@ function of its arguments.
 
 The parameter types hold model constants only, and list them as
 ``components``, one (H, squared scale) pair per independent process.
-The window width h is a constant of the sampling design and is passed
-like the lag count N and the aggregation factor j; autocovariances are
-returned as plain float arrays.
+The increment width h is a constant of the sampling design and is
+passed like the lag count N; autocovariances are returned as plain
+float arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from scipy.special import binom
 
 __all__ = [
-    "AGGREGATION_FACTORS",
     "NifbmParams",
     "MixedParams",
     "MODEL_PARAMS",
@@ -42,10 +41,6 @@ __all__ = [
 # roughly 4*log10(n) digits to cancellation, so we switch to a series
 # expansion in 1/n that is exact to machine precision there.
 _DIRECT_LIMIT = 1000
-
-# the aggregation factors j of increments of width j*h that the
-# samplers, the xi statistics and the moment estimators work with
-AGGREGATION_FACTORS = (1, 2, 4, 8)
 
 
 def _check_hurst(value: float) -> float:
@@ -72,7 +67,7 @@ def check_positive(name: str, value: float) -> None:
 class NifbmParams:
     """Parameters of a single scaled process: Hurst index H and squared
     scale a2 (the model is sqrt(a2) * X).  The window width h is part of
-    the sampling design, not of the model, and is passed with the grid."""
+    the sampling design, not of the model, and is passed next to it."""
 
     H: float
     a2: float = 1.0
@@ -199,22 +194,17 @@ def gamma(H: float, n) -> Union[float, np.ndarray]:
     return out
 
 
-def autocov_sequence(params: Params, h: float, j: int, N: int) -> np.ndarray:
-    """First N autocovariances of the width-j*h increment series: the
-    sum of c*(jh)^(2H)*gamma(H, n) over the components (H, c) of params.
-    The result is the first row of a symmetric positive-definite
-    Toeplitz matrix.
+def autocov_sequence(params: Params, h: float, N: int) -> np.ndarray:
+    """First N autocovariances of the width-h increment series: the sum
+    of c*h^(2H)*gamma(H, n) over the components (H, c) of params.  The
+    result is the first row of a symmetric positive-definite Toeplitz
+    matrix.
     """
     check_positive("window width h", h)
-    if j not in AGGREGATION_FACTORS:
-        raise ValueError(
-            f"aggregation factor j must be one of {AGGREGATION_FACTORS}"
-        )
-    if N < 1:
-        raise ValueError("need at least one lag")
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"N must be an integer >= 1, got {N!r}")
     lags = np.arange(N)
-    w = j * h
-    values = sum(c * w ** (2.0 * H) * gamma(H, lags) for H, c in params.components)
+    values = sum(c * h ** (2.0 * H) * gamma(H, lags) for H, c in params.components)
     # the variance underflows to 0 for tiny h and large H
     check_positive("lag-0 autocovariance (a variance)", values[0])
     return values

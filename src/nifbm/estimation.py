@@ -34,7 +34,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .covariance import (
-    AGGREGATION_FACTORS,
     MODEL_PARAMS,
     MixedParams,
     NifbmParams,
@@ -42,7 +41,7 @@ from .covariance import (
     check_positive,
 )
 from .errors import LengthError, ZeroDenominatorError
-from .simulation import aggregate_increments
+from .simulation import AGGREGATION_FACTORS, aggregate_increments
 
 __all__ = [
     "MOMENT_FACTORS",
@@ -157,8 +156,10 @@ def xi_statistic(series: np.ndarray) -> Union[float, np.ndarray]:
     """Mean squared value of an increment series (a float), or of each
     row of an (R, N) block (an array)."""
     values = np.asarray(series, dtype=float)
-    if values.shape[-1] == 0:
-        raise LengthError("cannot form a xi statistic from an empty series")
+    if values.ndim == 0 or values.shape[-1] == 0:
+        raise LengthError(
+            f"a xi statistic needs a nonempty series, got shape {values.shape}"
+        )
     xi = np.mean(values**2, axis=-1)
     return float(xi) if values.ndim == 1 else xi
 

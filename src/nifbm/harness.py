@@ -39,7 +39,6 @@ from .estimation import (
 )
 from .simulation import (
     DriftSpec,
-    SampleGrid,
     add_drift,
     combine_mixed_components,
     sample_increments,
@@ -100,6 +99,8 @@ class ExperimentConfig:
             raise ConfigError(f"model must be one of {models}, got {self.model!r}")
         if self.model == "two-nifbm" and (self.H2 is None or self.b2 is None):
             raise ConfigError("two-nifbm requires H2 and b2")
+        if self.model == "one-nifbm" and (self.H2 is not None or self.b2 is not None):
+            raise ConfigError("one-nifbm takes no H2 or b2")
         # numpy integers are accepted and stored as ints, here and in the grid
         for name in ("replications", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
@@ -207,41 +208,42 @@ def _noise_estimates(
     params: Params, h: float, N: int, seed: int, streams: range, mode: str
 ):
     """Moment estimates of one replication per stream, one array
-    element each, replication r drawn on the stream (seed, streams[r]).
-    Two-process direct-per-j rescales shared unit-scale components to
-    every aggregation factor; every other scheme aggregates one base
-    series at step h whose coarsest aggregate has N increments.  The xi
-    statistics are computed once per seed block and factor, the
+    element each, replication r drawn on the stream (seed, streams[r]),
+    and the scheme that drew them.  Two-process direct-per-j rescales
+    shared unit-scale components to every width j*h; every other case,
+    the one-process model in either mode included, is "aggregate": one
+    base series at step h whose coarsest aggregate has N increments.
+    The xi statistics are computed once per seed block and factor, the
     estimates in one call on all the blocks' statistics.
     """
     mixed = isinstance(params, MixedParams)
     direct = mixed and mode == "direct-per-j"
     factors = MOMENT_FACTORS[type(params)]
-    grid = SampleGrid(h=h, N=N if direct else base_length(factors, N))
+    n_base = N if direct else base_length(factors, N)
     blocks = []
-    for block in seed_blocks(streams, grid.N):
+    for block in seed_blocks(streams, n_base):
         if direct:
             parts = sample_mixed_components(params, N, seed, block)
-            mixes = (combine_mixed_components(params, h, j, *parts) for j in factors)
+            mixes = (combine_mixed_components(params, j * h, *parts) for j in factors)
             blocks.append([xi_statistic(mix) for mix in mixes])
         else:
-            base = sample_increments(params, grid, seed, block)
+            base = sample_increments(params, h, n_base, seed, block)
             xi = xi_statistics_from_base(base, factors=factors)
             blocks.append([xi[j] for j in factors])
     xi = dict(zip(factors, map(np.concatenate, zip(*blocks))))
     # called by this module's names, which benchmarks/tracing.py wraps
     estimate = estimate_two_nifbm if mixed else estimate_one_nifbm
-    return estimate(xi, h)
+    return estimate(xi, h), "direct-per-j" if direct else "aggregate"
 
 
 def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
-    """(row name, mean, sd_emp, degenerate count, sd_theory) of each
-    requested drift estimator, run once per seed block of drifted rows
-    on the streams 0 .. R - 1."""
+    """(row name, mean, sd_emp, degenerate count, sd_theory, j_mode) of
+    each requested drift estimator, run once per seed block of drifted
+    rows on the streams 0 .. R - 1."""
     g = config.g_samples
     g = drift_samples(config.g_name, N, h) if g is None else np.asarray(g, dtype=float)
     drift, dg = DriftSpec(mu=config.mu, g_values=g), np.diff(g)
-    cov, grid = autocov_sequence(params, h, 1, N), SampleGrid(h=h, N=N)
+    cov = autocov_sequence(params, h, N)
 
     def estimate(name, dy):
         if name == "mu_mle":
@@ -251,22 +253,23 @@ def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     names = [name for output, name in _DRIFT_ROWS.items() if output in config.outputs]
     mu = np.empty((len(names), config.replications))
     for streams in seed_blocks(range(config.replications), N):
-        dy = add_drift(sample_increments(params, grid, config.seed, streams), drift)
+        dy = add_drift(sample_increments(params, h, N, config.seed, streams), drift)
         block = [estimate(name, dy) for name in names]
         for row, est in zip(mu, block):
             # two-point at G_N = 0 gives the scalar 0, which fills the slice
             row[streams.start : streams.stop] = est.mu_hat
     return [
-        (name, *_summary(row), 0, math.sqrt(est.variance))
+        (name, *_summary(row), 0, math.sqrt(est.variance), config.simulation_mode)
         for name, row, est in zip(names, mu, block)
     ]
 
 
 def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
-    """The same for the noise estimators, on the streams R .. 2R - 1;
-    sd_theory comes from sigma0_one for the one-process model."""
+    """The same for the noise estimators, on the streams R .. 2R - 1,
+    j_mode naming the scheme that ran; sd_theory comes from sigma0_one
+    for the one-process model."""
     reps, mode = config.replications, config.simulation_mode
-    est = _noise_estimates(params, h, N, config.seed, range(reps, 2 * reps), mode)
+    est, mode = _noise_estimates(params, h, N, config.seed, range(reps, 2 * reps), mode)
     kept, degenerate = ~est.degenerate, int(np.count_nonzero(est.degenerate))
     theory = {}
     if isinstance(params, NifbmParams):
@@ -278,7 +281,7 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     # one row per parameter field, summarising the estimate field name + "_hat"
     return [
         (f.name, *_summary(getattr(est, f.name + "_hat")[kept]), degenerate,
-         theory.get(f.name))
+         theory.get(f.name), mode)
         for f in fields(params)
     ]
 
@@ -310,7 +313,7 @@ def _run_grid_point(
             mu=config.mu if want_drift else None,
             h=h,
             N=N,
-            j_mode=config.simulation_mode,
+            j_mode=j_mode,
             replications=config.replications,
             mean=mean,
             sd_emp=sd,
@@ -318,7 +321,7 @@ def _run_grid_point(
             degenerate=degenerate,
             seconds=seconds,
         )
-        for name, mean, sd, degenerate, sd_theory in stages
+        for name, mean, sd, degenerate, sd_theory, j_mode in stages
     ]
 
 
@@ -352,7 +355,7 @@ def empirical_estimator_cov(
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     names = [f.name for f in fields(params)]
     truth = np.array(astuple(params))
-    est = _noise_estimates(params, h, N, seed, range(replications), "direct-per-j")
+    est, _ = _noise_estimates(params, h, N, seed, range(replications), "direct-per-j")
     kept = np.column_stack([getattr(est, name + "_hat")[~est.degenerate] for name in names])
     if len(kept) < 2:
         raise ValueError("too few non-degenerate replications")

@@ -37,17 +37,15 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .covariance import (
-    AGGREGATION_FACTORS,
     NifbmParams,
     Params,
     autocov_sequence,
-    check_positive,
     gamma,  # unused here, but benchmarks/tracing.py wraps it at this module
 )
 from .errors import GridMismatchError, LengthError, NotPositiveDefiniteError
 
 __all__ = [
-    "SampleGrid",
+    "AGGREGATION_FACTORS",
     "DriftSpec",
     "cholesky_factor",
     "embedding_length",
@@ -73,24 +71,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-
-
-@dataclass(frozen=True)
-class SampleGrid:
-    """Observation grid: N increments of width j*h, times t_k = k*j*h."""
-
-    h: float
-    N: int
-    j: int = 1
-
-    def __post_init__(self):
-        check_positive("step h", self.h)
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
-        if self.j not in AGGREGATION_FACTORS:
-            raise ValueError(
-                f"aggregation factor j must be one of {AGGREGATION_FACTORS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -142,12 +122,12 @@ def seed_blocks(streams: range, N: int):
 
 
 @functools.lru_cache
-def _embedding_scale(params: Params, h: float, j: int, N: int) -> np.ndarray:
+def _embedding_scale(params: Params, h: float, N: int) -> np.ndarray:
     """Spectral scale sqrt(lambda * m / 2) of the circulant embedding of
-    autocov_sequence(params, h, j, N), read-only; raises when the
-    embedding is indefinite.  Cached, so the seed blocks of a grid point
-    share one autocovariance and one rfft."""
-    row = autocov_sequence(params, h, j, N)
+    autocov_sequence(params, h, N), read-only; raises when the embedding
+    is indefinite.  Cached, so the seed blocks of a grid point share one
+    autocovariance and one rfft."""
+    row = autocov_sequence(params, h, N)
     circ = np.concatenate([row, row[-2:0:-1]])
     eig = np.fft.rfft(circ).real
     if eig.min() < -_EIG_TOL * eig.max():
@@ -274,13 +254,14 @@ def _spectral_draw(normals: np.ndarray, scale: np.ndarray, N: int) -> np.ndarray
 
 
 def sample_increments(
-    params: Params, grid: SampleGrid, seed: int, streams: Sequence[int]
+    params: Params, h: float, N: int, seed: int, streams: Sequence[int]
 ) -> np.ndarray:
-    """Exact zero-mean Gaussian increment series, one row per stream.
+    """Exact zero-mean Gaussian series of N increments of width h, one
+    row per stream.
 
     Circulant embedding (Davies & Harte 1987; Wood & Chan 1994): the
     Toeplitz first row is embedded in a circulant of length
-    m = embedding_length(grid.N), whose eigenvalues come from one rfft.
+    m = embedding_length(N), whose eigenvalues come from one rfft.
     Each replication draws m//2 + 1 real then m//2 + 1 imaginary
     normals from its own stream (seed, streams[r]), and one batched
     irfft maps the block to paths.  Row r therefore depends only on
@@ -297,41 +278,45 @@ def sample_increments(
     Cholesky of the same Toeplitz matrix still succeeds at N = 1025 but
     fails from H = 0.998 at N = 8193.
     """
-    scale = _embedding_scale(params, grid.h, grid.j, grid.N)
+    scale = _embedding_scale(params, h, N)
     normals = _stream_normals(seed, streams, (2 * scale.size,))
-    return _spectral_draw(normals, scale, grid.N)
+    return _spectral_draw(normals, scale, N)
 
 
 def sample_mixed_components(
     params: Params, N: int, seed: int, streams: Sequence[int]
 ) -> tuple:
     """Unit-scale noises of the components of params, for rescaling to
-    every aggregation factor by combine_mixed_components.
+    every width by combine_mixed_components.
 
-    Component (H, c) has increments at width j*h with covariance
-    c*(jh)^(2H)*gamma(H, n), so one unit-gamma draw per component can
-    be rescaled to every factor j while keeping the noise shared across
-    factors.  Returns one (len(streams), N) array per component, whose
+    Component (H, c) has increments at width w with covariance
+    c*w^(2H)*gamma(H, n), so one unit-gamma draw per component can be
+    rescaled to every width w = j*h while keeping the noise shared
+    across the aggregation factors j.  Returns one (len(streams), N) array per component, whose
     rows have Toeplitz covariance gamma(H, .), sampled by circulant
     embedding as in sample_increments; each stream draws the
     components' normals in order.
     """
     # unit scale and unit width give the autocovariance gamma(H, .)
-    scales = [_embedding_scale(NifbmParams(H), 1.0, 1, N) for H, _ in params.components]
+    scales = [_embedding_scale(NifbmParams(H), 1.0, N) for H, _ in params.components]
     normals = _stream_normals(seed, streams, (len(scales), 2 * scales[0].size))
     return tuple(_spectral_draw(normals[:, i], s, N) for i, s in enumerate(scales))
 
 
 def combine_mixed_components(
-    params: Params, h: float, j: int, *parts: np.ndarray
+    params: Params, w: float, *parts: np.ndarray
 ) -> np.ndarray:
-    """Increments at aggregation j from the shared component noises of
+    """Increments at width w from the shared component noises of
     sample_mixed_components, one per component: the sum of
-    sqrt(c)*(jh)^H*e over the components (H, c) and their noises e, for
+    sqrt(c)*w^H*e over the components (H, c) and their noises e, for
     one series each or row by row for (R, N) blocks."""
-    w = j * h
     pairs = zip(params.components, parts, strict=True)
     return sum(math.sqrt(c) * w**H * e for (H, c), e in pairs)
+
+
+# the aggregation factors j of increments of width j*h that the
+# aggregation, the xi statistics and the moment estimators work with
+AGGREGATION_FACTORS = (1, 2, 4, 8)
 
 
 def aggregate_increments(base: np.ndarray, j: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from nifbm import (
     ExperimentConfig,
     MixedParams,
     NifbmParams,
-    SampleGrid,
     cholesky_factor,
     estimate_one_nifbm,
     estimate_two_nifbm,
@@ -103,7 +102,7 @@ def test_criterion_04_positive_definiteness():
     for H in np.arange(0.1, 0.91, 0.1):
         for h in (2.0, 4.0, 16.0):
             params = NifbmParams(H=round(float(H), 1))
-            cholesky_factor(autocov_sequence(params, h, 1, n))
+            cholesky_factor(autocov_sequence(params, h, n))
             tried += 1
     elapsed = time.perf_counter() - start
     report(
@@ -228,7 +227,7 @@ def test_criterion_08_drift_benchmark_two_process():
     params = MixedParams(H1=0.3, H2=0.1, a2=1.0, b2=1.0)
     h, n = 2.0, 2**7
     g = harness.drift_samples("benchmark-g", n, h)
-    cov = autocov_sequence(params, h, 1, n)
+    cov = autocov_sequence(params, h, n)
     sd_mle = drift_mle(np.zeros(n), np.diff(g), cov).variance ** 0.5
     anchor_ok = abs(sd_mle - 0.00015) <= 0.1 * 0.00015
 
@@ -239,7 +238,7 @@ def test_criterion_08_drift_benchmark_two_process():
                 p = MixedParams(H1=h1, H2=h2, a2=1.0, b2=1.0)
                 gg = harness.drift_samples("benchmark-g", nn, hh)
                 v_mle = drift_mle(
-                    np.zeros(nn), np.diff(gg), autocov_sequence(p, hh, 1, nn)
+                    np.zeros(nn), np.diff(gg), autocov_sequence(p, hh, nn)
                 ).variance
                 v_two = two_point_variance(p, hh, nn, gg[-1])
                 dominance_ok = dominance_ok and v_mle <= v_two * (1 + 1e-12)
@@ -324,7 +323,7 @@ def test_criterion_11_asymptotic_covariance_oracle():
     s11, s12, s22 = tilde[0, 0], tilde[0, 1], tilde[1, 1]
     exact_s11_ok = abs(s11 - 0.5) < 1e-12 and abs(s22 - 4.0) < 1e-12
 
-    factor = cholesky_factor(autocov_sequence(params, 1.0, 1, 2 * n + 1))
+    factor = cholesky_factor(autocov_sequence(params, 1.0, 2 * n + 1))
     rng = stream_generator(2026, 0)
     base = factor @ rng.standard_normal((2 * n + 1, reps))
     fine = base[: 2 * n]
@@ -383,11 +382,10 @@ def test_criterion_12_jacobian():
 
 def test_criterion_13_long_path_ergodicity():
     params = NifbmParams(H=0.7)
-    grid = SampleGrid(h=2.0, N=2**16)
-    eta1 = forward_moment_map(params, grid.h)[0]
+    eta1 = forward_moment_map(params, 2.0)[0]
     hits = 0
     for seed in range(100):
-        series = sample_increments(params, grid, seed, [0])[0]
+        series = sample_increments(params, 2.0, 2**16, seed, [0])[0]
         if abs(xi_statistic(series) - eta1) / eta1 < 0.05:
             hits += 1
     report(

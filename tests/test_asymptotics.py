@@ -148,7 +148,7 @@ class TestSigmaTilde:
         # must be its large-N limits
         H, h, n = 0.4, 1.5, 400
         base_n = 2 * n + 1
-        row = autocov_sequence(NifbmParams(H), h, 1, base_n)
+        row = autocov_sequence(NifbmParams(H), h, base_n)
         cov = toeplitz(row)
         m1 = np.zeros((base_n, base_n))
         for k in range(2 * n):
@@ -273,7 +273,7 @@ class TestIsserlisMc:
     def test_cov_of_squares(self):
         # for jointly Gaussian (X1, X2): cov(X1^2, X2^2) = 2 cov(X1,X2)^2
         params = NifbmParams(0.7)
-        row = autocov_sequence(params, 1.0, 1, 2)
+        row = autocov_sequence(params, 1.0, 2)
         ell = np.linalg.cholesky(toeplitz(row))
         n_reps = 10**5
         z = np.random.default_rng(22).standard_normal((2, n_reps))

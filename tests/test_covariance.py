@@ -245,10 +245,10 @@ class TestGammaAsymptotic:
 
 class TestIncrementAutocov:
     def test_examples(self):
-        assert autocov_sequence(NifbmParams(0.5), 2.0, 1, 1)[0] == pytest.approx(
+        assert autocov_sequence(NifbmParams(0.5), 2.0, 1)[0] == pytest.approx(
             4.0 / 3.0, rel=1e-14
         )
-        assert autocov_sequence(NifbmParams(0.5), 1.0, 1, 4)[3] == pytest.approx(
+        assert autocov_sequence(NifbmParams(0.5), 1.0, 4)[3] == pytest.approx(
             0.0, abs=1e-13
         )
 
@@ -271,7 +271,7 @@ class TestIncrementAutocov:
 
                 assembled = cc(t + h, a + h) - cc(t + h, a) - cc(t, a + h) + cc(t, a)
                 spread.append(assembled)
-                assert autocov_sequence(params, h, 1, n + 1)[n] == pytest.approx(
+                assert autocov_sequence(params, h, n + 1)[n] == pytest.approx(
                     assembled, abs=1e-10 * max(1.0, h ** (2 * H))
                 )
             scale = max(abs(v) for v in spread) + 1e-12
@@ -283,62 +283,58 @@ class TestMixedIncrementAutocov:
         params = MixedParams(H1=0.6, H2=0.2, a2=3.0, b2=1e-300)
         single = NifbmParams(H=0.6)
         for n in range(5):
-            assert autocov_sequence(params, 2.0, 2, n + 1)[n] == pytest.approx(
-                3.0 * autocov_sequence(single, 4.0, 1, n + 1)[n], rel=1e-12
+            assert autocov_sequence(params, 4.0, n + 1)[n] == pytest.approx(
+                3.0 * autocov_sequence(single, 4.0, n + 1)[n], rel=1e-12
             )
 
     def test_brownian_zero_lags(self):
         params = MixedParams(H1=0.5 + 1e-12, H2=0.5 - 1e-12, a2=1.0, b2=1.0)
         for n in (2, 3, 9):
-            assert autocov_sequence(params, 1.0, 1, n + 1)[n] == pytest.approx(
+            assert autocov_sequence(params, 1.0, n + 1)[n] == pytest.approx(
                 0.0, abs=1e-10
             )
 
     def test_formula_evaluation(self):
         params = MixedParams(H1=0.7, H2=0.3, a2=4.0, b2=4.0)
         expected = 4 * 4.0**1.4 * gamma(0.7, 1) + 4 * 4.0**0.6 * gamma(0.3, 1)
-        assert autocov_sequence(params, 2.0, 2, 2)[1] == pytest.approx(
+        assert autocov_sequence(params, 4.0, 2)[1] == pytest.approx(
             expected, rel=1e-14
         )
 
-    def test_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            autocov_sequence(MixedParams(0.7, 0.3, 1, 1), 2.0, 3, 2)
-
     @pytest.mark.parametrize("j", [1, 2, 4, 8])
     def test_sum_of_component_sequences(self, j):
-        mixed = autocov_sequence(MixedParams(0.7, 0.2, a2=2.0, b2=5.0), 1.5, j, 64)
-        one = autocov_sequence(NifbmParams(0.7, a2=2.0), 1.5, j, 64)
-        two = autocov_sequence(NifbmParams(0.2, a2=5.0), 1.5, j, 64)
+        mixed = autocov_sequence(MixedParams(0.7, 0.2, a2=2.0, b2=5.0), 1.5 * j, 64)
+        one = autocov_sequence(NifbmParams(0.7, a2=2.0), 1.5 * j, 64)
+        two = autocov_sequence(NifbmParams(0.2, a2=5.0), 1.5 * j, 64)
         assert np.array_equal(mixed, one + two)
 
 
 class TestAutocovSequence:
     def test_single_element(self):
-        seq = autocov_sequence(NifbmParams(0.6, a2=3.0), 2.0, 1, 1)
+        seq = autocov_sequence(NifbmParams(0.6, a2=3.0), 2.0, 1)
         assert len(seq) == 1
         assert seq[0] == pytest.approx(
-            3.0 * autocov_sequence(NifbmParams(0.6), 2.0, 1, 1)[0], rel=1e-14
+            3.0 * autocov_sequence(NifbmParams(0.6), 2.0, 1)[0], rel=1e-14
         )
 
     def test_brownian_example(self):
-        seq = autocov_sequence(NifbmParams(0.5), 1.0, 1, 8)
+        seq = autocov_sequence(NifbmParams(0.5), 1.0, 8)
         expected = [2 / 3, 1 / 6, 0, 0, 0, 0, 0, 0]
         assert np.allclose(seq, expected, atol=1e-14)
 
     def test_positive_definite_grid(self):
         for H in np.arange(0.1, 1.0, 0.1):
             for n in (8, 256):
-                seq = autocov_sequence(NifbmParams(round(float(H), 1)), 2.0, 1, n)
+                seq = autocov_sequence(NifbmParams(round(float(H), 1)), 2.0, n)
                 cholesky_factor(seq)  # raises on failure
 
     def test_mixed_positive_definite(self):
-        seq = autocov_sequence(MixedParams(0.7, 0.2, 2.0, 5.0), 1.5, 4, 256)
+        seq = autocov_sequence(MixedParams(0.7, 0.2, 2.0, 5.0), 6.0, 256)
         cholesky_factor(seq)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            autocov_sequence(NifbmParams(0.5), 1.0, 1, 0)
+            autocov_sequence(NifbmParams(0.5), 1.0, 0)
 
 
 class TestFindH0:
@@ -403,7 +399,7 @@ class TestParamsValidation:
     def test_autocov_sequence_invariant(self):
         # (1e-300)^1.8 underflows to 0, so the variance does too
         with pytest.raises(ValueError, match="lag-0 autocovariance"):
-            autocov_sequence(NifbmParams(0.9), 1e-300, 1, 2)
+            autocov_sequence(NifbmParams(0.9), 1e-300, 2)
 
     @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("params", [NifbmParams(0.3), MixedParams(0.7, 0.3, 1.0, 2.0)])
@@ -412,7 +408,7 @@ class TestParamsValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
-                autocov_sequence(params, h, 1, 3)
+                autocov_sequence(params, h, 3)
             with pytest.raises(ValueError, match=message):
                 nifbm_cov(0.5, h, 1.0, 2.0)
             with pytest.raises(ValueError, match=message):

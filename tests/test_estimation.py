@@ -29,7 +29,6 @@ from nifbm.estimation import (
 from nifbm.harness import drift_samples
 from nifbm.simulation import (
     DriftSpec,
-    SampleGrid,
     add_drift,
     aggregate_increments,
     cholesky_factor,
@@ -64,8 +63,10 @@ class TestXiStatistic:
         assert xi_statistic(np.array([1.0, -1.0, 2.0])) == pytest.approx(2.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(LengthError):
-            xi_statistic(np.array([]))
+        # a 0-d value holds no series either
+        for value in (np.array([]), 3.0, np.array(3.0)):
+            with pytest.raises(LengthError, match="needs a nonempty series"):
+                xi_statistic(value)
 
     def test_short_base_rejected(self):
         # factor 8 needs 15 base increments for one coarse increment
@@ -104,8 +105,7 @@ class TestXiStatistic:
         # Monte Carlo mean of xi against its expectation
         params = MixedParams(0.6, 0.2, 1.0, 2.0)
         h = 2.0
-        grid = SampleGrid(h=h, N=64)
-        factor = cholesky_factor(autocov_sequence(params, h, 1, 64))
+        factor = cholesky_factor(autocov_sequence(params, h, 64))
         n_reps = 2000
         z = np.random.default_rng(8).standard_normal((64, n_reps))
         vals = ((factor @ z) ** 2).mean(axis=0)
@@ -136,7 +136,7 @@ class TestBlockStatistics:
     def test_rows_equal_single_series(self, block, other, h1, h2, h, j):
         params = MixedParams(H1=h1, H2=h2, a2=2.0, b2=0.5)
         other = np.resize(other, block.shape)
-        mixed = combine_mixed_components(params, h, j, block, other)
+        mixed = combine_mixed_components(params, j * h, block, other)
         xi = xi_statistic(block)
         stats = xi_statistics_from_base(block)
         one = estimate_one_nifbm(stats, h)
@@ -146,7 +146,7 @@ class TestBlockStatistics:
         for r, row in enumerate(block):
             assert xi[r] == xi_statistic(row)
             assert np.array_equal(
-                mixed[r], combine_mixed_components(params, h, j, row, other[r])
+                mixed[r], combine_mixed_components(params, j * h, row, other[r])
             )
             if j > 1:
                 assert np.array_equal(
@@ -446,7 +446,7 @@ class TestDriftMle:
 
     def test_noiseless_exact(self):
         params = MixedParams(0.7, 0.2, 1.0, 1.0)
-        cov = autocov_sequence(params, 2.0, 1, 32)
+        cov = autocov_sequence(params, 2.0, 32)
         dg = np.diff(drift_samples("benchmark-g", 32, 2.0))
         est = drift_mle(3.25 * dg, dg, cov)
         assert est.mu_hat == pytest.approx(3.25, rel=1e-10)
@@ -455,7 +455,7 @@ class TestDriftMle:
         # an (R, N) block shares one factorization; each row's estimate
         # is bit-identical to that of the row alone, which is a float
         params = MixedParams(0.6, 0.2, 1.0, 2.0)
-        cov = autocov_sequence(params, 2.0, 1, 40)
+        cov = autocov_sequence(params, 2.0, 40)
         dg = np.diff(drift_samples("benchmark-g", 40, 2.0))
         rows = np.random.default_rng(3).standard_normal((7, 40)) + 2.0 * dg
         block = drift_mle(rows, dg, cov)
@@ -468,7 +468,7 @@ class TestDriftMle:
 
     def test_zero_drift_rejected(self):
         params = NifbmParams(0.5)
-        cov = autocov_sequence(params, 1.0, 1, 4)
+        cov = autocov_sequence(params, 1.0, 4)
         with pytest.raises(ZeroDenominatorError):
             drift_mle(np.ones(4), np.zeros(4), cov)
 
@@ -476,7 +476,7 @@ class TestDriftMle:
         from scipy.linalg import toeplitz
 
         params = NifbmParams(0.3, a2=2.0)
-        cov = autocov_sequence(params, 2.0, 1, 16)
+        cov = autocov_sequence(params, 2.0, 16)
         dg = np.diff(drift_samples("benchmark-g", 16, 2.0))
         est = drift_mle(np.ones(16), dg, cov)
         expected = 1.0 / (dg @ np.linalg.solve(toeplitz(cov), dg))
@@ -524,7 +524,7 @@ class TestEfficiency:
             else:
                 params = random_mixed(rng)
             g = drift_samples("benchmark-g", n, h)
-            cov = autocov_sequence(params, h, 1, n)
+            cov = autocov_sequence(params, h, n)
             mle = drift_mle(np.zeros(n) + 1.0, np.diff(g), cov)
             assert mle.variance <= two_point_variance(params, h, n, g[-1]) * (1 + 1e-9)
 
@@ -535,9 +535,8 @@ class TestUnbiasedness:
         n, n_reps, mu = 32, 400, 4.0
         g = drift_samples("benchmark-g", n, 2.0)
         dg = np.diff(g)
-        cov = autocov_sequence(params, 2.0, 1, n)
-        grid = SampleGrid(h=2.0, N=n)
-        block = sample_increments(params, grid, 100, range(n_reps))
+        cov = autocov_sequence(params, 2.0, n)
+        block = sample_increments(params, 2.0, n, 100, range(n_reps))
         mles, twops = [], []
         for noise in block:
             dy = add_drift(noise, DriftSpec(mu=mu, g_values=g))
@@ -551,8 +550,7 @@ class TestUnbiasedness:
 class TestTwoStage:
     def test_zero_drift_matches_direct(self):
         params = NifbmParams(0.5)
-        grid = SampleGrid(h=2.0, N=65)
-        noise = sample_increments(params, grid, 15, [0])[0]
+        noise = sample_increments(params, 2.0, 65, 15, [0])[0]
         y = np.concatenate([[0.0], np.cumsum(noise)])
         g = np.arange(66.0) * 2.0
         drift, est = two_stage_estimate(y, g, 2.0, model="one-nifbm")
@@ -574,8 +572,7 @@ class TestTwoStage:
         # stage-2 Hurst estimate should be close to the no-drift one
         params = NifbmParams(0.5)
         n = 257
-        grid = SampleGrid(h=1.0, N=n)
-        block = sample_increments(params, grid, 16, range(100))
+        block = sample_increments(params, 1.0, n, 16, range(100))
         g = (np.arange(n + 1.0)) ** 2  # fast-growing drift satisfies the rate check
         h_two_stage, h_direct = [], []
         for noise in block:
@@ -588,9 +585,9 @@ class TestTwoStage:
 
     def test_two_process_mode(self):
         params = MixedParams(0.6, 0.2, 1.0, 1.0)
-        grid = SampleGrid(h=1.0, N=8 * 16 + 7)
-        noise = sample_increments(params, grid, 17, [0])[0]
-        g = (np.arange(grid.N + 1.0)) ** 2
+        n = 8 * 16 + 7
+        noise = sample_increments(params, 1.0, n, 17, [0])[0]
+        g = (np.arange(n + 1.0)) ** 2
         y = np.concatenate([[0.0], np.cumsum(noise)]) + 2.0 * g
         drift, est = two_stage_estimate(y, g, 1.0, model="two-nifbm")
         assert drift.method == "two-point"

@@ -17,12 +17,7 @@ from hypothesis import strategies as st
 import nifbm
 from nifbm.asymptotics import _kernel_table, gamma_square_series
 from nifbm.cli import main
-from nifbm.covariance import (
-    AGGREGATION_FACTORS,
-    MixedParams,
-    NifbmParams,
-    autocov_sequence,
-)
+from nifbm.covariance import MixedParams, NifbmParams, autocov_sequence
 from nifbm.errors import ConfigError
 from nifbm.estimation import (
     drift_mle,
@@ -42,7 +37,7 @@ from nifbm.harness import (
     write_results,
 )
 from nifbm.simulation import (
-    SampleGrid,
+    AGGREGATION_FACTORS,
     combine_mixed_components,
     sample_increments,
     sample_mixed_components,
@@ -152,6 +147,20 @@ class TestRunExperiment:
         assert rows["H"].sd_theory is not None
         assert abs(rows["H"].mean - 0.5) < 0.2
 
+    def test_one_process_noise_rows_name_the_aggregate_scheme(self):
+        # one-process noise always aggregates one base series, whatever
+        # the mode; drift rows keep the configured mode
+        cfg = small_drift_config(outputs=("drift-mle", "noise"))
+        assert cfg.simulation_mode == "direct-per-j"
+        modes = {r.estimator: r.j_mode for r in run_experiment(cfg)}
+        assert modes == {"mu_mle": "direct-per-j", "H": "aggregate", "a2": "aggregate"}
+
+        def noise_rows(config):
+            rows = run_experiment(replace(config, outputs=("noise",)))
+            return [replace(row, seconds=0.0) for row in rows]
+
+        assert noise_rows(cfg) == noise_rows(replace(cfg, simulation_mode="aggregate"))
+
     def test_noise_rows_two_process(self):
         cfg = ExperimentConfig(
             model="two-nifbm",
@@ -199,8 +208,8 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         params = NifbmParams(0.5)
         dg = np.diff(drift_samples("benchmark-g", n, 2.0))
-        cov = autocov_sequence(params, 2.0, 1, n)
-        paths = sample_increments(params, SampleGrid(h=2.0, N=n), 3, range(reps))
+        cov = autocov_sequence(params, 2.0, n)
+        paths = sample_increments(params, 2.0, n, 3, range(reps))
         mles = [drift_mle(path + 4.0 * dg, dg, cov).mu_hat for path in paths]
         assert rows[0].mean == float(np.mean(mles))
         assert rows[0].sd_emp == float(np.std(mles, ddof=1))
@@ -223,12 +232,11 @@ class TestRunExperiment:
             if mode == "direct-per-j":
                 e1, e2 = sample_mixed_components(params, n, seed, [stream])
                 xi = {
-                    j: xi_statistic(combine_mixed_components(params, 2.0, j, e1[0], e2[0]))
+                    j: xi_statistic(combine_mixed_components(params, 2.0 * j, e1[0], e2[0]))
                     for j in AGGREGATION_FACTORS
                 }
             else:
-                grid = SampleGrid(h=2.0, N=8 * n + 7)
-                base = sample_increments(params, grid, seed, [stream])
+                base = sample_increments(params, 2.0, 8 * n + 7, seed, [stream])
                 xi = xi_statistics_from_base(base[0])
             estimates.append(estimate_two_nifbm(xi, 2.0))
         kept = [est for est in estimates if not est.degenerate]
@@ -393,6 +401,12 @@ class TestConfigValidation:
     def test_two_process_needs_h2(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(model="two-nifbm", H1=0.5)
+
+    @pytest.mark.parametrize("extra", ["H2 = 0.3", "b2 = 7", "H2 = 0.3\nb2 = 7"])
+    def test_one_process_rejects_second_process(self, extra):
+        text = f"model = one-nifbm\nH = 0.5\n{extra}\noutputs = noise"
+        with pytest.raises(ConfigError, match="one-nifbm takes no H2 or b2"):
+            parse_config(text)
 
     def test_drift_without_g(self):
         with pytest.raises(ConfigError):
@@ -721,6 +735,16 @@ class TestCli:
             argv = ["estimate", "--model", "two-nifbm", "--h", h, "--in", str(series)]
             assert main(argv) == 1
             assert "step h must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h", ["-1", "nan", "0"])
+    def test_simulate_rejects_bad_step_before_scaling(self, h, capsys):
+        # --h is checked itself, not as the width j*h
+        argv = ["simulate", "--model", "one-nifbm", "--H", "0.5", "--h", h,
+                "--N", "4", "--j", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"step h must be finite and positive, got {float(h)}" in captured.err
 
     def test_constants_rejects_negative_max_lag(self, capsys):
         assert main(["constants", "--H", "0.3", "--max-lag", "-3"]) == 1

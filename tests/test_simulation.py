@@ -18,7 +18,6 @@ from nifbm.errors import (
 )
 from nifbm.simulation import (
     DriftSpec,
-    SampleGrid,
     _embedding_scale,
     _stream_normals,
     _stream_states,
@@ -40,9 +39,9 @@ _WORD_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96)
 _SEED_INTS = st.one_of(st.sampled_from(_WORD_EDGES), st.integers(0, 2**128 - 1))
 
 
-def batch_sample(params, grid, n_reps, seed=0):
+def batch_sample(params, h, N, n_reps, seed=0):
     """Replications as rows, drawn in one block by the shipped sampler."""
-    return sample_increments(params, grid, seed, range(n_reps))
+    return sample_increments(params, h, N, seed, range(n_reps))
 
 
 class TestCholeskyFactor:
@@ -57,7 +56,7 @@ class TestCholeskyFactor:
         assert np.array_equal(cholesky_factor(row), np.eye(6))
 
     def test_reconstruction(self):
-        seq = autocov_sequence(NifbmParams(0.7), 2.0, 1, 256)
+        seq = autocov_sequence(NifbmParams(0.7), 2.0, 256)
         factor = cholesky_factor(seq)
         target = toeplitz(seq)
         err = np.linalg.norm(factor @ factor.T - target) / np.linalg.norm(target)
@@ -71,57 +70,51 @@ class TestCholeskyFactor:
 class TestSampleIncrements:
     def test_determinism(self):
         params = NifbmParams(0.3, a2=2.0)
-        grid = SampleGrid(h=1.0, N=32)
-        a = sample_increments(params, grid, 7, [3])
-        b = sample_increments(params, grid, 7, [3])
+        a = sample_increments(params, 1.0, 32, 7, [3])
+        b = sample_increments(params, 1.0, 32, 7, [3])
         assert a.shape == (1, 32)
         assert np.array_equal(a, b)
-        c = sample_increments(params, grid, 7, [4])
+        c = sample_increments(params, 1.0, 32, 7, [4])
         assert not np.array_equal(a, c)
 
     def test_zero_mean(self):
         params = NifbmParams(0.6)
-        grid = SampleGrid(h=1.0, N=8)
-        samples = batch_sample(params, grid, 10**4, seed=11)
-        sd0 = np.sqrt(autocov_sequence(params, 1.0, 1, 1)[0])
+        samples = batch_sample(params, 1.0, 8, 10**4, seed=11)
+        sd0 = np.sqrt(autocov_sequence(params, 1.0, 1)[0])
         assert abs(samples[:, 0].mean()) < 4.0 * sd0 / 100.0
 
     def test_lag3_brownian_uncorrelated(self):
         params = NifbmParams(0.5)
-        grid = SampleGrid(h=1.0, N=8)
-        samples = batch_sample(params, grid, 10**4, seed=12)
+        samples = batch_sample(params, 1.0, 8, 10**4, seed=12)
         prods = samples[:, 0] * samples[:, 3]
         se = prods.std(ddof=1) / np.sqrt(len(prods))
         assert abs(prods.mean()) < 4.0 * se
 
     def test_distributional_correctness(self):
         params = NifbmParams(0.7)
-        grid = SampleGrid(h=2.0, N=64)
         n_reps = 2 * 10**4
-        samples = batch_sample(params, grid, n_reps, seed=13)
+        samples = batch_sample(params, 2.0, 64, n_reps, seed=13)
         emp = samples.T @ samples / n_reps
-        target = toeplitz(autocov_sequence(params, 2.0, 1, 64))
+        target = toeplitz(autocov_sequence(params, 2.0, 64))
         # SE of a product-moment estimate of cov(X_i, X_j)
         se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n_reps)
         assert np.all(np.abs(emp - target) < 5.0 * se)
 
     def test_mixed_model_sampling(self):
         params = MixedParams(0.7, 0.3, 2.0, 1.0)
-        grid = SampleGrid(h=1.0, N=16, j=2)
-        assert sample_increments(params, grid, 1, [0]).shape == (1, 16)
+        assert sample_increments(params, 2.0, 16, 1, [0]).shape == (1, 16)
 
     def test_block_rows_equal_single_seed_draws(self):
         # 100 replications at N = 513 span two blocks of 64 and 36 streams
         params = NifbmParams(0.3)
-        grid = SampleGrid(h=2.0, N=513)
-        blocks = list(seed_blocks(range(10, 110), grid.N))
+        blocks = list(seed_blocks(range(10, 110), 513))
         assert [len(b) for b in blocks] == [64, 36]
         assert blocks[1][0] == 74
-        drawn = np.vstack([sample_increments(params, grid, 3, b) for b in blocks])
-        whole = sample_increments(params, grid, 3, [s for b in blocks for s in b])
+        drawn = np.vstack([sample_increments(params, 2.0, 513, 3, b) for b in blocks])
+        whole = sample_increments(params, 2.0, 513, 3, [s for b in blocks for s in b])
         assert np.array_equal(drawn, whole)
         for r in (0, 63, 64, 99):
-            single = sample_increments(params, grid, 3, [10 + r])[0]
+            single = sample_increments(params, 2.0, 513, 3, [10 + r])[0]
             assert np.array_equal(drawn[r], single)
 
     def test_seed_blocks_cover_streams_in_order(self):
@@ -138,21 +131,19 @@ class TestSampleIncrements:
     )
     def test_bad_seed_or_stream_rejected(self, seed, streams):
         message = "seed and stream must be nonnegative integers"
-        grid = SampleGrid(h=1.0, N=8)
         with pytest.raises(ValueError, match=message):
-            sample_increments(NifbmParams(0.3), grid, seed, streams)
+            sample_increments(NifbmParams(0.3), 1.0, 8, seed, streams)
         with pytest.raises(ValueError, match=message):
             sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 8, seed, streams)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 4)])
     def test_shortest_series(self, n, m):
         params = MixedParams(0.7, 0.3, 2.0, 1.0)
-        grid = SampleGrid(h=1.0, N=n)
         assert embedding_length(n) == m
-        block = sample_increments(params, grid, 4, range(5))
+        block = sample_increments(params, 1.0, n, 4, range(5))
         assert block.shape == (5, n)
         for r in range(5):
-            single = sample_increments(params, grid, 4, [r])[0]
+            single = sample_increments(params, 1.0, n, 4, [r])[0]
             assert np.array_equal(block[r], single)
         e1, e2 = sample_mixed_components(params, n, 4, range(5))
         assert e1.shape == e2.shape == (5, n)
@@ -161,23 +152,21 @@ class TestSampleIncrements:
 
     def test_embedding_once_per_grid_point(self):
         # the seed blocks of a grid point share one embedding; the mixed
-        # sampler's unit components are keyed by (H, N) at h = j = 1
+        # sampler's unit components are keyed by (H, N) at width 1
         _embedding_scale.cache_clear()
-        grid = SampleGrid(h=2.0, N=513)
-        blocks = list(seed_blocks(range(100), grid.N))
+        blocks = list(seed_blocks(range(100), 513))
         assert len(blocks) == 2
         for block in blocks:
-            sample_increments(NifbmParams(0.3), grid, 3, block)
+            sample_increments(NifbmParams(0.3), 2.0, 513, 3, block)
         for block in blocks:
-            sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), grid.N, 3, block)
+            sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 513, 3, block)
         info = _embedding_scale.cache_info()
         assert (info.misses, info.hits) == (3, 3)
-        assert not _embedding_scale(NifbmParams(0.3), 2.0, 1, 513).flags.writeable
+        assert not _embedding_scale(NifbmParams(0.3), 2.0, 513).flags.writeable
 
     def test_indefinite_embedding_names_ratio(self):
-        grid = SampleGrid(h=1.0, N=1025)
         with pytest.raises(NotPositiveDefiniteError) as info:
-            sample_increments(NifbmParams(0.999), grid, 0, [0])
+            sample_increments(NifbmParams(0.999), 1.0, 1025, 0, [0])
         message = str(info.value)
         match = re.search(r"ratio (-[0-9.e+-]+)", message)
         assert match and float(match.group(1)) < -1e-8
@@ -234,7 +223,7 @@ class TestSharedComponentSampling:
                 + np.sqrt(params.b2) * w**params.H2 * e2
             )
             for lag in (0, 1, 3):
-                target = autocov_sequence(params, 2.0, j, lag + 1)[lag]
+                target = autocov_sequence(params, 2.0 * j, lag + 1)[lag]
                 prods = vals[:, 0] * vals[:, lag]
                 se = prods.std(ddof=1) / np.sqrt(n_reps)
                 assert abs(prods.mean() - target) < 5.0 * se
@@ -242,7 +231,7 @@ class TestSharedComponentSampling:
     def test_combine_helper(self):
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
         e1, e2 = sample_mixed_components(params, 32, 5, [2])
-        series = combine_mixed_components(params, 2.0, 4, e1[0], e2[0])
+        series = combine_mixed_components(params, 8.0, e1[0], e2[0])
         assert series.shape == (32,)
 
 
@@ -274,28 +263,27 @@ class TestAggregation:
         # and compare with the direct width-2h formula
         params = MixedParams(0.65, 0.25, 2.0, 3.0)
         n_base, n_out = 41, 20
-        base_cov = toeplitz(autocov_sequence(params, 1.5, 1, n_base))
+        base_cov = toeplitz(autocov_sequence(params, 1.5, n_base))
         agg = np.zeros((n_out, n_base))
         for k in range(n_out):
             agg[k, 2 * k] = 0.5
             agg[k, 2 * k + 1] = 1.0
             agg[k, 2 * k + 2] = 0.5
         pushed = agg @ base_cov @ agg.T
-        direct = toeplitz(autocov_sequence(params, 1.5, 2, n_out))
+        direct = toeplitz(autocov_sequence(params, 3.0, n_out))
         assert np.allclose(pushed, direct, rtol=1e-10, atol=1e-9)
 
     def test_aggregated_covariance_monte_carlo(self):
         params = NifbmParams(0.7)
-        grid = SampleGrid(h=1.0, N=17)
         n_reps = 10**4
-        samples = batch_sample(params, grid, n_reps, seed=31)
+        samples = batch_sample(params, 1.0, 17, n_reps, seed=31)
         agg = np.zeros((8, 17))
         for k in range(8):
             agg[k, 2 * k] = 0.5
             agg[k, 2 * k + 1] = 1.0
             agg[k, 2 * k + 2] = 0.5
         out = samples @ agg.T
-        targets = autocov_sequence(params, 1.0, 2, 3)
+        targets = autocov_sequence(params, 2.0, 3)
         for lag in (0, 2):
             target = targets[lag]
             prods = out[:, 0] * out[:, lag]
@@ -306,17 +294,15 @@ class TestAggregation:
 class TestCirculantSampler:
     def test_determinism(self):
         params = NifbmParams(0.7)
-        grid = SampleGrid(h=2.0, N=512)
-        a = sample_increments(params, grid, 9, [0])
-        b = sample_increments(params, grid, 9, [0])
+        a = sample_increments(params, 2.0, 512, 9, [0])
+        b = sample_increments(params, 2.0, 512, 9, [0])
         assert np.array_equal(a, b)
 
     def test_autocovariance(self):
         params = NifbmParams(0.7)
-        grid = SampleGrid(h=2.0, N=64)
         n_reps = 4000
-        rows = sample_increments(params, grid, 40, range(n_reps))
-        targets = autocov_sequence(params, 2.0, 1, 6)
+        rows = sample_increments(params, 2.0, 64, 40, range(n_reps))
+        targets = autocov_sequence(params, 2.0, 6)
         for lag in (0, 1, 5):
             prods = rows[:, 0] * rows[:, lag]
             se = prods.std(ddof=1) / np.sqrt(n_reps)
@@ -338,8 +324,7 @@ class TestAddDrift:
         t = np.arange(9, dtype=float)
         g = 5 * np.cos(t) - np.exp(-4 * t) + 2 * t**2
         g -= g[0]
-        grid = SampleGrid(h=1.0, N=8)
-        noise = sample_increments(NifbmParams(0.4), grid, 2, [2])[0]
+        noise = sample_increments(NifbmParams(0.4), 1.0, 8, 2, [2])[0]
         shifted = add_drift(noise, DriftSpec(mu=4.0, g_values=g))
         assert np.sum(shifted - noise) == pytest.approx(
             4.0 * (g[-1] - g[0]), rel=1e-12
@@ -370,18 +355,23 @@ class TestAddDrift:
 
 class TestTypeValidation:
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            SampleGrid(h=0.0, N=4)
-        with pytest.raises(ValueError):
-            SampleGrid(h=1.0, N=0)
-        with pytest.raises(ValueError, match="N must be an integer"):
-            SampleGrid(h=1.0, N=2.5)
-        assert SampleGrid(h=1.0, N=np.int64(4)) == SampleGrid(h=1.0, N=4)
-        with pytest.raises(ValueError):
-            SampleGrid(h=1.0, N=4, j=3)
-        for bad in (math.nan, math.inf):
+        # the width h and the length N of every sampler call are checked
+        # by autocov_sequence, which both samplers go through
+        params, mixed = NifbmParams(0.5), MixedParams(0.7, 0.3, 2.0, 1.0)
+        for bad in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and positive"):
-                SampleGrid(h=bad, N=4)
+                sample_increments(params, bad, 4, 0, [0])
+        for bad in (0, 2.5):
+            with pytest.raises(ValueError, match="N must be an integer"):
+                autocov_sequence(params, 1.0, bad)
+            with pytest.raises(ValueError, match="N must be an integer"):
+                sample_increments(params, 1.0, bad, 0, [0])
+            with pytest.raises(ValueError, match="N must be an integer"):
+                sample_mixed_components(mixed, bad, 0, [0])
+        assert np.array_equal(
+            sample_increments(params, 1.0, np.int64(4), 0, [0]),
+            sample_increments(params, 1.0, 4, 0, [0]),
+        )
 
     def test_drift_spec_validation(self):
         with pytest.raises(ValueError):
