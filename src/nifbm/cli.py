@@ -35,7 +35,7 @@ from .harness import (
     table_configs,
     write_results,
 )
-from .simulation import AGGREGATION_FACTORS, sample_increments
+from .simulation import sample_increments
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,10 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--H1", type=float, help="larger Hurst index (two-nifbm)")
     sim.add_argument("--H2", type=float, help="smaller Hurst index (two-nifbm)")
     sim.add_argument("--a2", type=float, default=1.0)
-    sim.add_argument("--b2", type=float, default=1.0)
+    sim.add_argument("--b2", type=float, help="second scale (two-nifbm, default 1)")
     sim.add_argument("--h", type=float, required=True)
     sim.add_argument("--N", type=int, required=True)
-    sim.add_argument("--j", type=int, default=1, choices=AGGREGATION_FACTORS)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--stream", type=int, default=0)
     sim.add_argument("--out", default=None, help="output path (default stdout)")
@@ -90,14 +89,18 @@ def _cmd_simulate(args) -> int:
     if args.model == "one-nifbm":
         if args.H is None:
             raise NifbmError("simulate --model one-nifbm requires --H")
+        if (args.H1, args.H2, args.b2) != (None, None, None):
+            raise NifbmError("simulate --model one-nifbm takes no --H1, --H2 or --b2")
         params = NifbmParams(H=args.H, a2=args.a2)
     else:
         if args.H1 is None or args.H2 is None:
             raise NifbmError("simulate --model two-nifbm requires --H1 and --H2")
-        params = MixedParams(H1=args.H1, H2=args.H2, a2=args.a2, b2=args.b2)
+        if args.H is not None:
+            raise NifbmError("simulate --model two-nifbm takes no --H")
+        b2 = 1.0 if args.b2 is None else args.b2
+        params = MixedParams(H1=args.H1, H2=args.H2, a2=args.a2, b2=b2)
     check_positive("step h", args.h)
-    width = args.j * args.h
-    values = sample_increments(params, width, args.N, args.seed, [args.stream])[0]
+    values = sample_increments(params, args.h, args.N, args.seed, [args.stream])[0]
     text = "\n".join(format(v, ".17g") for v in values) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -187,6 +187,8 @@ def xi_statistics_from_base(
         )
     levels = {1: np.asarray(base, dtype=float)}
     jmax = max(factors)
+    if levels[1].ndim == 0:
+        raise LengthError(f"xi statistics need a series, got shape {levels[1].shape}")
     if levels[1].shape[-1] < base_length(factors, 1):
         raise LengthError(
             f"series of length {levels[1].shape[-1]} too short to aggregate by {jmax}"

@@ -4,9 +4,10 @@ An experiment fixes a model, parameter values, an optional drift, a
 grid of (h, N) pairs and a replication count.  The model parameters
 are built once per experiment; the window width h belongs to the grid
 and is passed next to them.  Each grid point is one pipeline: drift
-stage (one estimator call per seed block), noise stage (xi statistics
-per seed block, then one estimator call on all replications, shared
-with empirical_estimator_cov), then one row per requested estimator
+stage (paths drawn per seed block, then one call of each estimator on
+all replications), noise stage (xi statistics per seed block, then one
+estimator call on all replications, shared with
+empirical_estimator_cov), then one row per requested estimator
 with the empirical mean and standard deviation of the non-degenerate
 replications (nan if there are none), the theoretical standard
 deviation where a closed form exists, and the count of degenerate
@@ -61,12 +62,14 @@ __all__ = [
     "CSV_HEADER",
 ]
 
+# every path is sampled by FFT circulant embedding; the one dense step
+# left is drift_mle's N x N Toeplitz factorization, which this bounds
 MAX_N = 2**13
 
 _MODES = ("direct-per-j", "aggregate")
 _OUTPUTS = ("drift-mle", "drift-two-point", "noise")
 _G_NAMES = ("benchmark-g", "linear")
-_DRIFT_ROWS = {"drift-mle": "mu_mle", "drift-two-point": "mu_two_point"}
+_DRIFT_OUTPUTS = ("drift-mle", "drift-two-point")
 
 
 def _integer(name: str, value) -> int:
@@ -117,7 +120,7 @@ class ExperimentConfig:
         for name in self.outputs:
             if name not in _OUTPUTS:
                 raise ConfigError(f"unknown output {name!r}; choose from {_OUTPUTS}")
-        want_drift = any(o in _DRIFT_ROWS for o in self.outputs)
+        want_drift = any(o in _DRIFT_OUTPUTS for o in self.outputs)
         if want_drift and self.g_name is None and self.g_samples is None:
             raise ConfigError("drift estimators need a drift function g")
         if self.g_name is not None and self.g_samples is not None:
@@ -141,17 +144,6 @@ class ExperimentConfig:
                 raise ConfigError(f"grid size N must be in [2, {MAX_N}], got {n}")
             if want_drift and g is not None and len(g) != n + 1:
                 raise ConfigError(f"g_samples has {len(g)} points, grid needs {n + 1}")
-            if (
-                self.model == "two-nifbm"
-                and self.simulation_mode == "aggregate"
-                and "noise" in self.outputs
-                and base_length(MOMENT_FACTORS[MixedParams], n) > MAX_N
-            ):
-                raise ConfigError(
-                    "two-nifbm aggregate-mode noise estimation needs a base "
-                    f"series of 8N+7 <= {MAX_N} increments; reduce N or use "
-                    "direct-per-j"
-                )
         try:
             self.make_params()
         except ValueError as exc:
@@ -238,29 +230,24 @@ def _noise_estimates(
 
 def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     """(row name, mean, sd_emp, degenerate count, sd_theory, j_mode) of
-    each requested drift estimator, run once per seed block of drifted
-    rows on the streams 0 .. R - 1."""
+    each requested drift estimator on the drifted streams 0 .. R - 1,
+    drawn per seed block, then estimated in one call per estimator."""
     g = config.g_samples
     g = drift_samples(config.g_name, N, h) if g is None else np.asarray(g, dtype=float)
-    drift, dg = DriftSpec(mu=config.mu, g_values=g), np.diff(g)
-    cov = autocov_sequence(params, h, N)
-
-    def estimate(name, dy):
-        if name == "mu_mle":
-            return drift_mle(dy, dg, cov)
-        return drift_two_point(0.0, dy.sum(axis=1), g[-1], params, h, N)
-
-    names = [name for output, name in _DRIFT_ROWS.items() if output in config.outputs]
-    mu = np.empty((len(names), config.replications))
-    for streams in seed_blocks(range(config.replications), N):
-        dy = add_drift(sample_increments(params, h, N, config.seed, streams), drift)
-        block = [estimate(name, dy) for name in names]
-        for row, est in zip(mu, block):
-            # two-point at G_N = 0 gives the scalar 0, which fills the slice
-            row[streams.start : streams.stop] = est.mu_hat
+    seed, blocks = config.seed, seed_blocks(range(config.replications), N)
+    noise = np.concatenate([sample_increments(params, h, N, seed, b) for b in blocks])
+    dy = add_drift(noise, DriftSpec(mu=config.mu, g_values=g))
+    estimates = {}
+    if "drift-mle" in config.outputs:
+        estimates["mu_mle"] = drift_mle(dy, np.diff(g), autocov_sequence(params, h, N))
+    if "drift-two-point" in config.outputs:
+        y_n = dy.sum(axis=1)
+        estimates["mu_two_point"] = drift_two_point(0.0, y_n, g[-1], params, h, N)
+    # two-point at G_N = 0 gives the scalar 0, broadcast over the rows
     return [
-        (name, *_summary(row), 0, math.sqrt(est.variance), config.simulation_mode)
-        for name, row, est in zip(names, mu, block)
+        (name, *_summary(np.broadcast_to(est.mu_hat, len(dy))), 0,
+         math.sqrt(est.variance), config.simulation_mode)
+        for name, est in estimates.items()
     ]
 
 
@@ -297,7 +284,7 @@ def _run_grid_point(
     config: ExperimentConfig, params: Params, h: float, N: int
 ) -> List[ResultRow]:
     t_start = time.perf_counter()
-    want_drift = any(output in _DRIFT_ROWS for output in config.outputs)
+    want_drift = any(output in _DRIFT_OUTPUTS for output in config.outputs)
     stages = _drift_stage(config, params, h, N) if want_drift else []
     if "noise" in config.outputs:
         stages += _noise_stage(config, params, h, N)

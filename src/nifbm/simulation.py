@@ -332,6 +332,8 @@ def aggregate_increments(base: np.ndarray, j: int) -> np.ndarray:
             f"target aggregation factor must be one of {AGGREGATION_FACTORS[1:]}"
         )
     values = np.asarray(base, dtype=float)
+    if values.ndim == 0:
+        raise LengthError(f"aggregation needs a series, got shape {values.shape}")
     length = values.shape[-1]
     for _ in range(int(round(math.log2(j)))):
         n_out = (values.shape[-1] - 1) // 2
@@ -347,6 +349,8 @@ def add_drift(increments: np.ndarray, drift: DriftSpec) -> np.ndarray:
     """Add mu * (G(t_{k+1}) - G(t_k)) to each increment of a series, or
     to each row of an (R, N) array of increment series."""
     values = np.asarray(increments, dtype=float)
+    if values.ndim == 0:
+        raise LengthError(f"a drift needs a series, got shape {values.shape}")
     if drift.g_values.size != values.shape[-1] + 1:
         raise GridMismatchError(
             f"drift sampled at {drift.g_values.size} points, "

@@ -56,10 +56,10 @@ def golden_text(name: str) -> str:
 
 # CLI cases: golden file name -> the argument list of one `nifbm` run;
 # a "{name}" argument is the path of that golden file (an input series)
-_SIM = ["simulate", "--h", "2", "--seed", "42"]
-_SIM_ONE = ["--model", "one-nifbm", "--H", "0.3", "--a2", "2", "--N", "64", "--j", "2"]
+_SIM = ["simulate", "--seed", "42"]
+_SIM_ONE = ["--model", "one-nifbm", "--H", "0.3", "--a2", "2", "--N", "64", "--h", "4"]
 _SIM_TWO = ["--model", "two-nifbm", "--H1", "0.7", "--H2", "0.3", "--a2", "2",
-            "--b2", "1.5", "--N", "255"]
+            "--b2", "1.5", "--N", "255", "--h", "2"]
 CLI_CASES = {
     "simulate-one-nifbm.txt": _SIM + ["--stream", "3"] + _SIM_ONE,
     "simulate-two-nifbm.txt": _SIM + ["--stream", "3"] + _SIM_TWO,

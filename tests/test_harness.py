@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nifbm
+import nifbm.harness as harness
+import nifbm.simulation as simulation
 from nifbm.asymptotics import _kernel_table, gamma_square_series
 from nifbm.cli import main
 from nifbm.covariance import MixedParams, NifbmParams, autocov_sequence
@@ -27,6 +29,7 @@ from nifbm.estimation import (
 )
 from nifbm.harness import (
     CSV_HEADER,
+    MAX_N,
     ExperimentConfig,
     ResultRow,
     drift_samples,
@@ -41,6 +44,7 @@ from nifbm.simulation import (
     combine_mixed_components,
     sample_increments,
     sample_mixed_components,
+    seed_blocks,
 )
 
 
@@ -200,7 +204,7 @@ class TestRunExperiment:
 
     def test_drift_blocks_match_per_replication(self):
         # N = 600 samples in blocks of 65536 // 1198 = 54 seeds: 54, 54, 12;
-        # each block's GLS estimates must equal the one-series ones exactly
+        # the GLS estimates of all rows must equal the one-series ones exactly
         n, reps = 600, 120
         cfg = small_drift_config(
             grid=((2.0, n),), replications=reps, outputs=("drift-mle",)
@@ -213,6 +217,40 @@ class TestRunExperiment:
         mles = [drift_mle(path + 4.0 * dg, dg, cov).mu_hat for path in paths]
         assert rows[0].mean == float(np.mean(mles))
         assert rows[0].sd_emp == float(np.std(mles, ddof=1))
+
+    def test_drift_estimators_once_per_grid_point(self, monkeypatch):
+        # N = 2048, R = 40 draws three seed blocks (16, 16, 8) and still
+        # factorizes the covariance once
+        n, reps = 2048, 40
+        assert len(list(seed_blocks(range(reps), n))) == 3
+        calls = []
+
+        def counted(name):
+            original = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("drift_mle", "drift_two_point"):
+            monkeypatch.setattr(harness, name, counted(name))
+        cfg = small_drift_config(grid=((2.0, n),), replications=reps)
+        rows = run_experiment(cfg)
+        assert sorted(calls) == ["drift_mle", "drift_two_point"]
+        assert [row.estimator for row in rows] == ["mu_mle", "mu_two_point"]
+
+    def test_drift_rows_independent_of_block_size(self, monkeypatch):
+        cfg = small_drift_config(replications=7)
+        rows = run_experiment(cfg)
+        # one stream per seed block
+        monkeypatch.setattr(simulation, "BLOCK_ELEMENTS", 1)
+        assert len(list(seed_blocks(range(7), 16))) == 7
+        single = run_experiment(cfg)
+        assert [replace(r, seconds=0.0) for r in single] == [
+            replace(r, seconds=0.0) for r in rows
+        ]
 
     @pytest.mark.parametrize("mode", ["direct-per-j", "aggregate"])
     def test_noise_blocks_match_per_replication(self, mode):
@@ -521,18 +559,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
-    def test_two_process_aggregate_cap(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(
-                model="two-nifbm",
-                H1=0.5,
-                H2=0.3,
-                a2=1.0,
-                b2=1.0,
-                grid=((2.0, 2**12),),
-                simulation_mode="aggregate",
-                outputs=("noise",),
-            )
+    def test_two_process_aggregate_envelope(self):
+        # the base series of 8N + 7 increments is sampled by FFT, so N is
+        # bounded by MAX_N alone, as for every other model and mode
+        common = dict(model="two-nifbm", H1=0.5, H2=0.3, a2=1.0, b2=1.0,
+                      simulation_mode="aggregate", outputs=("noise",))
+        ExperimentConfig(grid=((2.0, 2**12),), **common)
+        cfg = ExperimentConfig(grid=((2.0, MAX_N),), replications=2, **common)
+        rows = run_experiment(cfg)
+        assert [row.estimator for row in rows] == ["H1", "H2", "a2", "b2"]
+        assert all(row.N == MAX_N and row.replications == 2 for row in rows)
 
 
 class TestDriftSamples:
@@ -738,9 +774,8 @@ class TestCli:
 
     @pytest.mark.parametrize("h", ["-1", "nan", "0"])
     def test_simulate_rejects_bad_step_before_scaling(self, h, capsys):
-        # --h is checked itself, not as the width j*h
-        argv = ["simulate", "--model", "one-nifbm", "--H", "0.5", "--h", h,
-                "--N", "4", "--j", "2"]
+        # --h is checked before any sampling, and named in the message
+        argv = ["simulate", "--model", "one-nifbm", "--H", "0.5", "--h", h, "--N", "4"]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -760,6 +795,34 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "seed and stream must be nonnegative integers" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--model", "one-nifbm", "--H", "0.3", "--H2", "0.1", "--b2", "5"],
+             "one-nifbm takes no --H1, --H2 or --b2"),
+            (["--model", "one-nifbm", "--H", "0.3", "--b2", "1"],
+             "one-nifbm takes no --H1, --H2 or --b2"),
+            (["--model", "one-nifbm", "--H", "0.3", "--H1", "0.7"],
+             "one-nifbm takes no --H1, --H2 or --b2"),
+            (["--model", "two-nifbm", "--H", "0.3", "--H1", "0.7", "--H2", "0.1"],
+             "two-nifbm takes no --H"),
+        ],
+        ids=["one-H2-b2", "one-b2", "one-H1", "two-H"],
+    )
+    def test_simulate_rejects_other_model_flags(self, argv, message, capsys):
+        assert main(["simulate", "--h", "2", "--N", "4"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_simulate_two_process_b2_defaults_to_one(self, capsys):
+        argv = ["simulate", "--model", "two-nifbm", "--H1", "0.7", "--H2", "0.1",
+                "--h", "2", "--N", "4"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--b2", "1"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_missing_h_for_one_process(self, capsys):
         assert (

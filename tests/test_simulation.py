@@ -16,6 +16,7 @@ from nifbm.errors import (
     LengthError,
     NotPositiveDefiniteError,
 )
+from nifbm.estimation import xi_statistics_from_base
 from nifbm.simulation import (
     DriftSpec,
     _embedding_scale,
@@ -354,6 +355,20 @@ class TestAddDrift:
 
 
 class TestTypeValidation:
+    @pytest.mark.parametrize("value", [3.0, np.array(3.0)], ids=["float", "0-d"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            xi_statistics_from_base,
+            lambda x: aggregate_increments(x, 2),
+            lambda x: add_drift(x, DriftSpec(1.0, np.array([0.0, 1.0]))),
+        ],
+        ids=["xi_statistics_from_base", "aggregate_increments", "add_drift"],
+    )
+    def test_zero_dimensional_series_rejected(self, call, value):
+        with pytest.raises(LengthError, match=re.escape("got shape ()")):
+            call(value)
+
     def test_grid_validation(self):
         # the width h and the length N of every sampler call are checked
         # by autocov_sequence, which both samplers go through
