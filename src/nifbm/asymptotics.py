@@ -20,7 +20,6 @@ import numbers
 from typing import Tuple
 
 import numpy as np
-from scipy.special import zeta
 
 from .covariance import NifbmParams, Params, check_positive, gamma
 from .errors import HTooLargeError
@@ -56,6 +55,65 @@ def _check_n_terms(n_terms, shifts: Tuple[int, int]) -> int:
             f"n_terms must be at least the largest |shift| {widest}, got {n_terms}"
         )
     return int(n_terms)
+
+
+# Euler-Maclaurin coefficients (2k)! / B_2k of the cephes Hurwitz zeta
+_ZETA_A = (
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,
+    7.47242496e10,
+    -2.950130727918164224e12,
+    1.1646782814350067249e14,
+    -4.5979787224074726105e15,
+    1.8152105401943546773e17,
+    -7.1661652561756670113e18,
+)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def zeta(x: float, q: float) -> float:
+    """Hurwitz zeta function, the sum of (k + q)^-x over k >= 0, for
+    x > 1 and q > 0, equal bit for bit to scipy.special.zeta(x, q).
+
+    This is the cephes algorithm scipy evaluates: a direct sum of at
+    least 9 terms, continued until k + q > 9 or a term falls below
+    MACHEP of the sum, then the Euler-Maclaurin tail with up to 12
+    coefficients, stopping at the first below MACHEP; above q = 1e8
+    the two-term asymptotic expansion (DLMF 25.11.43).
+    """
+    if not (x > 1.0 and q > 0.0):
+        raise ValueError(f"need x > 1 and q > 0, got x = {x}, q = {q}")
+    if q > 1e8:
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
+    total = q**-x
+    a, i, b = q, 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-x
+        total += b
+        if abs(b / total) < _MACHEP:
+            return total
+    w = a
+    total += b * w / (x - 1.0)
+    total -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coef in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        total += t
+        if abs(t / total) < _MACHEP:
+            return total
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return total
 
 
 @functools.lru_cache(maxsize=4)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.special import binom
 
 __all__ = [
     "NifbmParams",
@@ -156,6 +155,31 @@ def _gamma_direct(p: float, n: np.ndarray) -> np.ndarray:
     )
 
 
+def binom(p: float, k: int) -> float:
+    """The binomial coefficient p choose k for real p > 0 and integer k
+    in [0, 20), equal bit for bit to scipy.special.binom(p, k).
+
+    This is scipy's multiplication formula for integer k, with the same
+    order of products and the same rescaling above 1e50.  For an
+    integer p it is 0 when k > p, as scipy's general branch gives
+    there, and it uses the symmetric k -> p - k when k > p / 2.
+    """
+    if not (p > 0.0 and 0 <= k < 20):
+        raise ValueError(f"need p > 0 and an integer k in [0, 20), got {p}, {k}")
+    if p == math.floor(p) and k > p / 2:
+        if k > p:
+            return 0.0
+        k = int(p) - k
+    num = den = 1.0
+    for i in range(1, k + 1):
+        num *= i + p - k
+        den *= i
+        if abs(num) > 1e50:
+            num /= den
+            den = 1.0
+    return num / den
+
+
 def _gamma_series(p: float, n: np.ndarray) -> np.ndarray:
     # Fourth central difference of x^p at x = n, expanded in powers of
     # 1/n.  The odd and the k <= 2 even terms cancel exactly; the
@@ -216,8 +240,24 @@ def find_h0(tol: float = 1e-9) -> float:
     Below this Hurst value consecutive increments are negatively
     correlated, above it positively (unlike plain fBm, where the switch
     happens at 1/2).
-    """
-    # imported here: scipy.optimize is slow to load and only this needs it
-    from scipy.optimize import bisect
 
-    return float(bisect(lambda H: gamma(H, 1), 0.1, 0.5, xtol=tol))
+    The bisection is scipy.optimize.bisect's, step for step, with
+    absolute tolerance tol, relative tolerance 4 eps and at most 100
+    halvings, so the root equals bisect(..., 0.1, 0.5, xtol=tol).  The
+    bracket ends are no roots: gamma(H, 1) is negative at 0.1 and 1/6
+    at 0.5.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    rtol = 4.0 * np.finfo(float).eps
+    lo, step = 0.1, 0.4
+    f_lo = gamma(lo, 1)
+    for _ in range(100):
+        step *= 0.5
+        mid = lo + step
+        f_mid = gamma(mid, 1)
+        if f_mid * f_lo >= 0.0:
+            lo = mid
+        if f_mid == 0.0 or abs(step) < tol + rtol * abs(mid):
+            return mid
+    raise RuntimeError(f"bisection did not converge in 100 steps, at {lo}")

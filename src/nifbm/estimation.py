@@ -31,7 +31,6 @@ from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .covariance import (
     MODEL_PARAMS,
@@ -40,8 +39,18 @@ from .covariance import (
     Params,
     check_positive,
 )
-from .errors import LengthError, ZeroDenominatorError
-from .simulation import AGGREGATION_FACTORS, aggregate_increments
+from .errors import (
+    LengthError,
+    NifbmError,
+    NotPositiveDefiniteError,
+    ZeroDenominatorError,
+)
+from .simulation import (
+    AGGREGATION_FACTORS,
+    aggregate_increments,
+    embedding_eigenvalues,
+    embedding_length,
+)
 
 __all__ = [
     "MOMENT_FACTORS",
@@ -62,6 +71,10 @@ __all__ = [
 ]
 
 _LOG4 = 2.0 * math.log(2.0)
+
+# drift_mle's conjugate-gradient solve stops once the residual norm is
+# at most this fraction of the right-hand side's
+_CG_RTOL = 1e-12
 
 # the aggregation factors j at which each model's xi statistics are
 # taken and its moment estimator reads them
@@ -282,6 +295,56 @@ def estimate_two_nifbm(xi: Xi, h: float) -> TwoNifbmEstimate:
 MOMENT_ESTIMATORS = {NifbmParams: estimate_one_nifbm, MixedParams: estimate_two_nifbm}
 
 
+def _toeplitz_solve(cov: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve T x = b for the symmetric Toeplitz matrix T whose first
+    row is cov, by preconditioned conjugate gradients.
+
+    T p is one rfft/irfft pair on the minimal circulant embedding of
+    cov.  The preconditioner is T. Chan's optimal circulant, first row
+    c_k = ((N - k) t_k + k t_(N-k)) / N (Chan 1988), positive definite
+    whenever T is, and applied by one rfft/irfft pair of length N.  The
+    iteration stops at a residual norm of _CG_RTOL times that of b;
+    exact arithmetic needs at most N steps, and N + 20 are allowed.
+    A nonpositive preconditioner eigenvalue or curvature p'Tp proves T
+    indefinite and raises NotPositiveDefiniteError.  Unlike a Cholesky
+    factorization, CG cannot see negative directions of T that the
+    Krylov space of b never reaches: there it converges.
+    """
+    n, m = len(cov), embedding_length(len(cov))
+    spectrum = embedding_eigenvalues(cov)
+    k = np.arange(n)
+    wrapped = np.concatenate(([0.0], cov[:0:-1]))
+    chan = np.fft.rfft(((n - k) * cov + k * wrapped) / n).real
+    if not chan.min() > 0.0:
+        raise NotPositiveDefiniteError(
+            f"Toeplitz covariance is not positive definite: its circulant "
+            f"preconditioner has the eigenvalue {chan.min():.3g}"
+        )
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    x = np.zeros(n)
+    r = b.copy()
+    p = z = irfft(rfft(r) / chan, n)
+    rz = r @ z
+    stop = (_CG_RTOL * _CG_RTOL) * (b @ b)
+    for _ in range(n + 20):
+        tp = irfft(spectrum * rfft(p, m), m)[:n]
+        curvature = p @ tp
+        if not curvature > 0.0:
+            raise NotPositiveDefiniteError(
+                "Toeplitz covariance is not positive definite: conjugate "
+                f"gradients met the curvature {curvature:.3g}"
+            )
+        step = rz / curvature
+        x += step * p
+        r -= step * tp
+        if r @ r <= stop:
+            return x
+        z = irfft(rfft(r) / chan, n)
+        rz, rz_prev = r @ z, rz
+        p = z + (rz / rz_prev) * p
+    raise NifbmError(f"conjugate gradients did not converge in {n + 20} steps")
+
+
 def drift_mle(
     delta_y: np.ndarray,
     delta_g: np.ndarray,
@@ -290,11 +353,13 @@ def drift_mle(
     """Generalized-least-squares drift estimate with exact variance.
 
     cov is the autocovariance sequence of the noise increments, the
-    first row of their Toeplitz covariance.  Solves with its Cholesky
-    factor (two triangular solves); no matrix is inverted explicitly.
-    delta_y is one increment series, giving a float mu_hat, or an
-    (R, N) array of series, giving one mu_hat per row from the same
-    factorization.
+    first row of their Toeplitz covariance T.  The GLS weight T^-1
+    delta_g comes from one preconditioned conjugate-gradient solve
+    (_toeplitz_solve), O(N log N) per step with no N x N matrix
+    formed; the estimate is delta_y'T^-1 delta_g / delta_g'T^-1
+    delta_g and the variance 1 / delta_g'T^-1 delta_g.  delta_y is one
+    increment series, giving a float mu_hat, or an (R, N) array of
+    series, giving one mu_hat per row from the same solve.
     """
     dy = np.asarray(delta_y, dtype=float)
     dg = np.asarray(delta_g, dtype=float)
@@ -302,9 +367,13 @@ def drift_mle(
         raise LengthError("increments, drift increments and covariance must align")
     if not np.any(dg != 0.0):
         raise ZeroDenominatorError("drift increments vanish identically")
-    factor = cho_factor(toeplitz(cov), lower=True)
-    solved_g = cho_solve(factor, dg)
+    solved_g = _toeplitz_solve(np.asarray(cov, dtype=float), dg)
     denom = float(dg @ solved_g)
+    # denom is the curvature x'Tx at the solution x
+    if not denom > 0.0:
+        raise NotPositiveDefiniteError(
+            f"Toeplitz covariance is not positive definite: g'T^-1 g = {denom:.3g}"
+        )
     # one dot product per row: a stacked matmul rounds each row exactly
     # as solved_g @ row does, where a matrix-vector product does not
     mu_hat = (dy[..., None, :] @ solved_g[:, None])[..., 0, 0] / denom

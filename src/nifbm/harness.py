@@ -62,8 +62,10 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-# every path is sampled by FFT circulant embedding; the one dense step
-# left is drift_mle's N x N Toeplitz factorization, which this bounds
+# no step is dense: paths are sampled by FFT circulant embedding and
+# drift_mle solves by FFT-preconditioned conjugate gradients.  This is
+# the largest N at which the embedding's definiteness and the solver's
+# iteration counts have been measured
 MAX_N = 2**13
 
 _MODES = ("direct-per-j", "aggregate")
@@ -231,12 +233,15 @@ def _noise_estimates(
 def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     """(row name, mean, sd_emp, degenerate count, sd_theory, j_mode) of
     each requested drift estimator on the drifted streams 0 .. R - 1,
-    drawn per seed block, then estimated in one call per estimator."""
+    drawn and drifted per seed block into one (R, N) array, then
+    estimated in one call per estimator."""
     g = config.g_samples
     g = drift_samples(config.g_name, N, h) if g is None else np.asarray(g, dtype=float)
-    seed, blocks = config.seed, seed_blocks(range(config.replications), N)
-    noise = np.concatenate([sample_increments(params, h, N, seed, b) for b in blocks])
-    dy = add_drift(noise, DriftSpec(mu=config.mu, g_values=g))
+    drift = DriftSpec(mu=config.mu, g_values=g)
+    dy = np.empty((config.replications, N))
+    for block in seed_blocks(range(config.replications), N):
+        noise = sample_increments(params, h, N, config.seed, block)
+        dy[block.start : block.stop] = add_drift(noise, drift)
     estimates = {}
     if "drift-mle" in config.outputs:
         estimates["mu_mle"] = drift_mle(dy, np.diff(g), autocov_sequence(params, h, N))

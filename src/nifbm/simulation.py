@@ -34,7 +34,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import toeplitz
+# numpy loads these two lazily; importing them here keeps their load
+# time in the import of the package, not in its first draw
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .covariance import (
     NifbmParams,
@@ -49,6 +52,7 @@ __all__ = [
     "DriftSpec",
     "cholesky_factor",
     "embedding_length",
+    "embedding_eigenvalues",
     "seed_blocks",
     "sample_increments",
     "sample_mixed_components",
@@ -99,8 +103,10 @@ class DriftSpec:
 def cholesky_factor(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of the Toeplitz matrix whose
     first row is the given autocovariance sequence."""
+    row = np.asarray(cov, dtype=float)
+    lags = np.arange(row.size)
     try:
-        return np.linalg.cholesky(toeplitz(np.asarray(cov, dtype=float)))
+        return np.linalg.cholesky(row[np.abs(lags[:, None] - lags)])
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             "Toeplitz covariance is not positive definite"
@@ -110,6 +116,14 @@ def cholesky_factor(cov: np.ndarray) -> np.ndarray:
 def embedding_length(N: int) -> int:
     """Length of the minimal circulant embedding of N autocovariances."""
     return max(1, 2 * (N - 1))
+
+
+def embedding_eigenvalues(row: np.ndarray) -> np.ndarray:
+    """The rfft half of the eigenvalues of the minimal circulant
+    embedding of a symmetric Toeplitz first row: the circulant of
+    length embedding_length(len(row)) whose first row is row followed
+    by row[-2:0:-1]."""
+    return np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real
 
 
 def seed_blocks(streams: range, N: int):
@@ -127,16 +141,15 @@ def _embedding_scale(params: Params, h: float, N: int) -> np.ndarray:
     autocov_sequence(params, h, N), read-only; raises when the embedding
     is indefinite.  Cached, so the seed blocks of a grid point share one
     autocovariance and one rfft."""
-    row = autocov_sequence(params, h, N)
-    circ = np.concatenate([row, row[-2:0:-1]])
-    eig = np.fft.rfft(circ).real
+    eig = embedding_eigenvalues(autocov_sequence(params, h, N))
+    m = embedding_length(N)
     if eig.min() < -_EIG_TOL * eig.max():
         raise NotPositiveDefiniteError(
             "circulant embedding is not nonnegative definite: min/max "
             f"eigenvalue ratio {eig.min() / eig.max():.3g} below "
-            f"-{_EIG_TOL:g} at embedding length {circ.size}"
+            f"-{_EIG_TOL:g} at embedding length {m}"
         )
-    scale = np.sqrt(np.clip(eig, 0.0, None) * circ.size / 2.0)
+    scale = np.sqrt(np.clip(eig, 0.0, None) * m / 2.0)
     scale.flags.writeable = False
     return scale
 
@@ -311,7 +324,12 @@ def combine_mixed_components(
     sqrt(c)*w^H*e over the components (H, c) and their noises e, for
     one series each or row by row for (R, N) blocks."""
     pairs = zip(params.components, parts, strict=True)
-    return sum(math.sqrt(c) * w**H * e for (H, c), e in pairs)
+    terms = (math.sqrt(c) * w**H * e for (H, c), e in pairs)
+    # each term is a new array, so the sum can accumulate in the first
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
 # the aggregation factors j of increments of width j*h that the

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import settings
 from scipy import sparse
 from scipy.integrate import quad
+from scipy.linalg import cho_factor, cho_solve, toeplitz
 from scipy.special import zeta
 
 from nifbm.covariance import MixedParams, gamma, nifbm_cov, nifbm_var
@@ -74,6 +75,17 @@ def gamma_square_series_direct(H: float, shifts=(0, 0), n_terms=100_000) -> floa
         )
         total += float(tail)
     return total
+
+
+def gls_oracle(cov: np.ndarray, delta_g: np.ndarray):
+    """GLS drift weight T^-1 g / (g'T^-1 g) and variance 1 / (g'T^-1 g)
+    for the Toeplitz covariance T with first row cov, by dense Cholesky:
+    the exact reference nifbm.estimation.drift_mle's iterative solve is
+    checked against.  Raises LinAlgError when T is not positive
+    definite."""
+    solved = cho_solve(cho_factor(toeplitz(cov), lower=True), delta_g)
+    denom = float(delta_g @ solved)
+    return solved / denom, 1.0 / denom
 
 
 def jacobian_one_closed_form(theta, h: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.special
 from scipy.linalg import toeplitz
 
 from nifbm import asymptotics
@@ -13,6 +14,7 @@ from nifbm.asymptotics import (
     jacobian,
     sigma0_one,
     sigma_tilde_one,
+    zeta,
 )
 from nifbm.covariance import (
     MixedParams,
@@ -29,6 +31,26 @@ from conftest import (
     jacobian_one_closed_form,
     jacobian_one_det,
 )
+
+
+class TestZeta:
+    @settings(max_examples=500)
+    @given(
+        x=st.floats(1.0, 4.0, exclude_min=True),
+        q=st.one_of(st.floats(1.0, 1e5 + 2.0), st.floats(1e-3, 20.0), st.floats(1e7, 1e10)),
+    )
+    def test_equals_scipy(self, x, q):
+        # the Hurwitz zeta tails of the gamma square series, bit for bit;
+        # the last range crosses the asymptotic branch at q = 1e8
+        assert zeta(x, q) == float(scipy.special.zeta(x, q))
+
+    def test_riemann_value(self):
+        assert zeta(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
+
+    def test_rejects_outside_domain(self):
+        for x, q in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.0), (2.0, -1.5), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                zeta(x, q)
 
 
 class TestGammaSquareSeries:

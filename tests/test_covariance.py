@@ -4,12 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nifbm.asymptotics import jacobian, sigma0_one, sigma_tilde_one
 from nifbm.covariance import (
     MixedParams,
     NifbmParams,
     autocov_sequence,
+    binom,
     find_h0,
     gamma,
     nifbm_cov,
@@ -346,6 +351,42 @@ class TestFindH0:
         h0 = find_h0()
         assert gamma(h0 - 0.05, 1) < 0.0
         assert gamma(h0 + 0.05, 1) > 0.0
+
+    @settings(max_examples=60)
+    @given(tol=st.one_of(st.floats(5e-324, 0.2), st.sampled_from((1e-9, 2e-12))))
+    def test_equals_scipy_bisect(self, tol):
+        expected = scipy.optimize.bisect(lambda H: gamma(H, 1), 0.1, 0.5, xtol=tol)
+        assert find_h0(tol) == expected
+
+    def test_rejects_nonpositive_tol(self):
+        for tol in (0.0, -1e-9, math.nan):
+            with pytest.raises(ValueError):
+                find_h0(tol)
+
+
+class TestBinom:
+    @settings(max_examples=500)
+    @given(
+        p=st.one_of(
+            st.floats(2.0, 4.0, exclude_min=True, exclude_max=True),
+            st.floats(1e-3, 30.0),
+            st.integers(1, 30).map(float),
+        ),
+        k=st.integers(0, 19),
+    )
+    def test_equals_scipy(self, p, k):
+        # bit for bit, signed zeros included
+        expected = float(scipy.special.binom(p, k))
+        assert np.asarray(binom(p, k)).tobytes() == np.asarray(expected).tobytes()
+
+    def test_integer_p_below_k_is_zero(self):
+        # p = 2H + 2 = 3 at H = 1/2: every series coefficient vanishes
+        assert [binom(3.0, k) for k in range(4, 18, 2)] == [0.0] * 7
+
+    def test_rejects_outside_domain(self):
+        for p, k in ((0.0, 4), (-1.5, 4), (2.5, 20), (2.5, -1), (math.nan, 4)):
+            with pytest.raises(ValueError):
+                binom(p, k)
 
 
 class TestParamsValidation:

@@ -4,9 +4,10 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import toeplitz
 
 from nifbm.covariance import (
     MixedParams,
@@ -14,7 +15,7 @@ from nifbm.covariance import (
     autocov_sequence,
     find_h0,
 )
-from nifbm.errors import LengthError, ZeroDenominatorError
+from nifbm.errors import LengthError, NotPositiveDefiniteError, ZeroDenominatorError
 from nifbm.estimation import (
     drift_mle,
     drift_two_point,
@@ -36,7 +37,7 @@ from nifbm.simulation import (
     sample_increments,
 )
 
-from conftest import two_point_variance_assembled
+from conftest import gls_oracle, two_point_variance_assembled
 
 
 def random_mixed(rng, min_gap=0.05):
@@ -473,14 +474,66 @@ class TestDriftMle:
             drift_mle(np.ones(4), np.zeros(4), cov)
 
     def test_variance_matches_quadratic_form(self):
-        from scipy.linalg import toeplitz
-
         params = NifbmParams(0.3, a2=2.0)
         cov = autocov_sequence(params, 2.0, 16)
         dg = np.diff(drift_samples("benchmark-g", 16, 2.0))
         est = drift_mle(np.ones(16), dg, cov)
         expected = 1.0 / (dg @ np.linalg.solve(toeplitz(cov), dg))
         assert est.variance == pytest.approx(expected, rel=1e-10)
+
+
+    @settings(max_examples=40)
+    @given(
+        H1=st.floats(0.001, 0.995),
+        H2=st.one_of(st.none(), st.floats(0.001, 0.995)),
+        h=st.sampled_from((0.5, 2.0, 4.0)),
+        n=st.integers(2, 2048),
+        g_name=st.sampled_from(("benchmark-g", "linear")),
+    )
+    @example(H1=0.995, H2=None, h=2.0, n=2048, g_name="linear")
+    @example(H1=0.001, H2=None, h=4.0, n=2048, g_name="benchmark-g")
+    @example(H1=0.995, H2=0.001, h=0.5, n=2048, g_name="linear")
+    def test_matches_dense_gls(self, H1, H2, h, n, g_name):
+        # the weight T^-1 g / g'T^-1 g, read off as mu_hat of the unit
+        # series, is compared in the norm of T: that is the error of
+        # mu_hat in units of its standard deviation.  Entry by entry it
+        # can lose up to cond(T) times the solver tolerance near H = 1
+        if H2 is None:
+            params = NifbmParams(H1, a2=1.5)
+        else:
+            assume(H1 != H2)
+            params = MixedParams(max(H1, H2), min(H1, H2), 1.0, 2.0)
+        cov = autocov_sequence(params, h, n)
+        dg = np.diff(drift_samples(g_name, n, h))
+        weight, variance = gls_oracle(cov, dg)
+        est = drift_mle(np.eye(n), dg, cov)
+        err = est.mu_hat - weight
+        assert err @ toeplitz(cov) @ err <= (1e-10) ** 2 * variance
+        assert est.variance == pytest.approx(variance, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "cov, dg, reason",
+        [
+            # the circulant preconditioner has the eigenvalue -1/3
+            ([1.0, 2.0, 0.0], [1.0, 1.0, 1.0], "preconditioner"),
+            # a positive definite preconditioner; the Krylov space of
+            # this dg reaches the eigenvalue -0.5 of T
+            ([1.0, 0.0, 0.0, 1.5], [1.0, 2.0, 3.0, 4.0], "curvature"),
+        ],
+    )
+    def test_indefinite_raises(self, cov, dg, reason):
+        with pytest.raises(NotPositiveDefiniteError, match=reason):
+            drift_mle(np.zeros(len(cov)), np.array(dg), np.array(cov))
+
+    def test_numerically_indefinite_kernel_raises(self):
+        # at H = 0.999 and N = 2048 the kernel's Toeplitz matrix has a
+        # negative eigenvalue in floating point; dense Cholesky fails too
+        cov = autocov_sequence(NifbmParams(0.999), 2.0, 2048)
+        dg = np.diff(drift_samples("linear", 2048, 2.0))
+        with pytest.raises(np.linalg.LinAlgError):
+            gls_oracle(cov, dg)
+        with pytest.raises(NotPositiveDefiniteError):
+            drift_mle(np.zeros(2048), dg, cov)
 
 
 class TestDriftTwoPoint:

@@ -600,16 +600,27 @@ class TestTableConfigs:
 
 
 class TestCli:
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # only `nifbm constants` needs scipy.optimize, which is slow to load
-        code = "import sys, nifbm.cli; print('scipy.optimize' in sys.modules)"
+    def test_runs_without_scipy(self):
+        # the package runs on numpy alone: neither its import nor a drift
+        # table nor the constants (with find_h0) load any scipy module
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "import nifbm.cli",
+            "def scipy_modules():",
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))",
+            "print(scipy_modules())",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert nifbm.cli.main(['tables', '--which', '1', '--replications', '2']) == 0",
+            "    assert nifbm.cli.main(['constants', '--H', '0.3']) == 0",
+            "print(scipy_modules())",
+        ])
         src = str(Path(nifbm.__file__).resolve().parents[1])
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": path},
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.splitlines() == ["[]", "[]"]
 
     def test_constants(self, capsys):
         assert main(["constants", "--H", "0.5", "--max-lag", "4"]) == 0
