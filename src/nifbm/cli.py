@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .asymptotics import sigma_tilde_one
 from .covariance import (
     MODEL_PARAMS,
     MixedParams,
@@ -26,7 +27,7 @@ from .covariance import (
     find_h0,
     gamma,
 )
-from .errors import NifbmError
+from .errors import HTooLargeError, NifbmError
 from .estimation import MOMENT_ESTIMATORS, MOMENT_FACTORS, xi_statistics_from_base
 from .harness import (
     format_results,
@@ -156,12 +157,11 @@ def _cmd_constants(args) -> int:
     check_positive("window width h", args.h)
     if args.max_lag < 0:
         raise NifbmError(f"--max-lag must be nonnegative, got {args.max_lag}")
-    sig = None
-    if args.H < 0.75:
-        from .asymptotics import sigma_tilde_one
-
-        # evaluated first: an overflow must not follow a partial output
+    # evaluated first: an overflow must not follow a partial output
+    try:
         sig = sigma_tilde_one(args.H, args.h)
+    except HTooLargeError:
+        sig = None
     lags = np.arange(args.max_lag + 1)
     values = gamma(args.H, lags)
     print(f"H = {args.H}, h = {args.h}")

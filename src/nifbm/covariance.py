@@ -137,12 +137,7 @@ def nifbm_cov(H: float, h: float, t: float, s: float) -> float:
 
 def nifbm_var(H: float, h: float, t: float) -> float:
     """Variance E[X_t^2] of the window average at time t >= 0."""
-    H = _check_hurst(H)
-    check_positive("window width h", h)
-    _check_time(t)
-    p1 = 2.0 * H + 1.0
-    p2 = 2.0 * H + 2.0
-    return ((t + h) ** p1 - t**p1) / (h * p1) - h ** (2.0 * H) / (p1 * p2)
+    return nifbm_cov(H, h, t, t)
 
 
 def _gamma_direct(p: float, n: np.ndarray) -> np.ndarray:

@@ -10,14 +10,11 @@ from its own seed stream.  This is the package's only path sampler;
 the dense Cholesky factor is kept as an exact reference for tests.
 
 A block of replications is addressed by one seed and its streams, a
-range of nonnegative integers; replication (seed, stream) draws
-exactly what np.random.default_rng([seed, stream]) would draw.
-Building one such generator per replication costs more than the draw
-itself, so the samplers compute the PCG64 states of a whole block at
-once instead: numpy's SeedSequence hash of the entropy words
-[seed, stream] and PCG64's seeding step (O'Neill 2014) are fixed
-public algorithms, reproduced here on arrays over the block's rows.
-One generator per block is then set to each row's state in turn.
+range of nonnegative integers below 2^128; replication (seed, stream)
+draws exactly what np.random.Generator(np.random.PCG64(seed)
+.jumped(stream)) would draw.  The samplers build one PCG64(seed) per
+block and move it to each stream by that jump's public step,
+(phi - 1) * 2^128 per stream (PCG64.advance, O(log) in the distance).
 
 Increment series are plain float arrays with time on the last axis:
 the samplers return one row per stream, and combine_mixed_components,
@@ -68,13 +65,9 @@ BLOCK_ELEMENTS = 2**16
 # embedding eigenvalues above -_EIG_TOL * max are rounding, clipped to 0
 _EIG_TOL = 1e-8
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx,
-# unchanged since numpy 1.17) and the PCG64 128-bit LCG multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# PCG64.jumped's step per jump: (phi - 1) * 2^128, odd, so the streams
+# of one seed are 2^128 distinct states of its 2^128-periodic sequence
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
 @dataclass(frozen=True)
@@ -154,97 +147,21 @@ def _embedding_scale(params: Params, h: float, N: int) -> np.ndarray:
     return scale
 
 
-def _hash_constants(const: int, mult: int, count: int) -> np.ndarray:
-    """SeedSequence's running hash constant before each of `count`
-    hashmix calls, then after the last: c_{k+1} = c_k * mult mod 2^32."""
-    consts = [const]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of values[..., i] as its i-th call in a
-    run of consecutive calls, consts holding that run's constants."""
-    values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ (values >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of a pool word x with a hashed word y."""
-    value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return value ^ (value >> 16)
-
-
-def _uint32_words(values: list) -> tuple:
-    """Little-endian 32-bit words of nonnegative integers, one
-    zero-padded row each, and each value's word count (0 has one)."""
-    ints = np.array(values, dtype=object)
-    width = max(1, -(-int(max(values, default=0)).bit_length() // 32))
-    words = np.empty((len(values), width), dtype=np.uint32)
-    counts = np.ones(len(values), dtype=int)
-    for k in range(width):
-        shifted = ints >> 32 * k
-        words[:, k] = shifted & _MASK32
-        if k:
-            counts += shifted != 0
-    return words, counts
-
-
-def _stream_states(seed: int, streams: Sequence[int]) -> list:
-    """The PCG64 state of np.random.default_rng([seed, stream]) for
-    each stream, computed for all streams at once.
-
-    SeedSequence hashes the entropy words (those of seed, then those of
-    stream) into a 4-word pool, hashes the pool into 4 uint64 words
-    w0..w3, and PCG64 seeds itself with initstate w0:w1 and increment
-    w2:w3, shifted left with its low bit set, by two LCG steps from 0.
-    Entropy shorter than the pool hashes exactly as if zero-padded to
-    4 words; words past the fourth are mixed in one at a time, only
-    into the rows that have them, so one block may mix word counts.
-    """
-    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (seed, *streams)):
-        raise ValueError("seed and stream must be nonnegative integers")
-    seed_words = _uint32_words([seed])[0]
-    stream_words, stream_counts = _uint32_words(streams)
-    # the seed's word count is its width, the same on every row
-    n_seed = seed_words.shape[1]
-    lengths = n_seed + stream_counts
-    width = max(4, n_seed + stream_words.shape[1])
-    entropy = np.zeros((len(streams), width), dtype=np.uint32)
-    entropy[:, :n_seed] = seed_words
-    entropy[:, n_seed : n_seed + stream_words.shape[1]] = stream_words
-
-    consts = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (width - 4))
-    pool = _hashmix(entropy[:, :4], consts[:5])
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        k = 4 + 3 * src
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], consts[k : k + 4]))
-    for i in range(4, width):
-        k = 16 + 4 * (i - 4)
-        mixed = _mix(pool, _hashmix(entropy[:, [i]], consts[k : k + 5]))
-        pool = np.where((i < lengths)[:, None], mixed, pool)
-
-    half = _hashmix(np.tile(pool, 2), _hash_constants(_INIT_B, _MULT_B, 8))
-    w = half.astype("<u4").view("<u8").astype(object)
-    inc = ((w[:, 2] << 64 | w[:, 3]) << 1 | 1) & _MASK128
-    state = ((inc + (w[:, 0] << 64 | w[:, 1])) * _PCG64_MULT + inc) & _MASK128
-    return [
-        {"bit_generator": "PCG64", "state": {"state": s, "inc": i},
-         "has_uint32": 0, "uinteger": 0}
-        for s, i in zip(state.tolist(), inc.tolist())
-    ]
-
-
 def _stream_normals(seed: int, streams: Sequence[int], shape: tuple) -> np.ndarray:
     """Standard normals of the given shape per stream, row r drawn in
-    order as default_rng([seed, streams[r]]) draws them."""
+    order as Generator(PCG64(seed).jumped(streams[r])) draws them."""
+    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (seed, *streams)):
+        raise ValueError("seed and stream must be nonnegative integers")
+    if any(stream >= 2**128 for stream in streams):
+        # jumped wraps modulo 2^128: jumped(2**128) is jumped(0)
+        raise ValueError("stream must be below 2**128")
     normals = np.empty((len(streams),) + shape)
-    bit_generator = np.random.PCG64(0)
+    bit_generator = np.random.PCG64(seed)
+    start = bit_generator.state
     generator = np.random.Generator(bit_generator)
-    for r, state in enumerate(_stream_states(seed, streams)):
-        bit_generator.state = state
+    for r, stream in enumerate(streams):
+        bit_generator.state = start
+        bit_generator.advance(int(stream) * _JUMP % 2**128)
         generator.standard_normal(out=normals[r])
     return normals
 
@@ -276,9 +193,9 @@ def sample_increments(
     Toeplitz first row is embedded in a circulant of length
     m = embedding_length(N), whose eigenvalues come from one rfft.
     Each replication draws m//2 + 1 real then m//2 + 1 imaginary
-    normals from its own stream (seed, streams[r]), and one batched
-    irfft maps the block to paths.  Row r therefore depends only on
-    seed and streams[r], not on the block it was drawn in.
+    normals from its own stream, PCG64(seed).jumped(streams[r]), and
+    one batched irfft maps the block to paths.  Row r therefore depends
+    only on seed and streams[r], not on the block it was drawn in.
 
     The draw is exact when the embedding is nonnegative definite.
     Eigenvalues down to -1e-8 times the largest are taken as rounding

@@ -18,10 +18,11 @@ settings.load_profile("suite")
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
-    """The generator of replication (seed, stream).  The samplers
-    compute its state without building it; this is the oracle they are
-    checked against."""
-    return np.random.default_rng([seed, stream])
+    """The generator of replication (seed, stream): numpy's PCG64(seed)
+    jumped `stream` times.  The samplers move one bit generator to each
+    stream instead of building this; it is the oracle they are checked
+    against."""
+    return np.random.Generator(np.random.PCG64(seed).jumped(stream))
 
 
 def fbm_cov(H: float, s: float, t: float) -> float:

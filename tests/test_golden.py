@@ -63,7 +63,7 @@ _SIM_TWO = ["--model", "two-nifbm", "--H1", "0.7", "--H2", "0.3", "--a2", "2",
 CLI_CASES = {
     "simulate-one-nifbm.txt": _SIM + ["--stream", "3"] + _SIM_ONE,
     "simulate-two-nifbm.txt": _SIM + ["--stream", "3"] + _SIM_TWO,
-    # a stream of two 32-bit words: its entropy is three words long
+    # a stream of 33 bits: the jump is not limited to 32-bit streams
     "simulate-one-nifbm-stream2p32.txt": _SIM + ["--stream", "4294967296"] + _SIM_ONE,
     "simulate-two-nifbm-stream2p32.txt": _SIM + ["--stream", "4294967296"] + _SIM_TWO,
     "constant-series.txt": None,  # input only: sixteen ones

@@ -21,7 +21,6 @@ from nifbm.simulation import (
     DriftSpec,
     _embedding_scale,
     _stream_normals,
-    _stream_states,
     add_drift,
     aggregate_increments,
     cholesky_factor,
@@ -35,9 +34,12 @@ from scipy.linalg import toeplitz
 
 from conftest import stream_generator
 
-# one to four 32-bit words each, so one block mixes entropy lengths 2..8
+# the edges of one to four 32-bit words
 _WORD_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96)
 _SEED_INTS = st.one_of(st.sampled_from(_WORD_EDGES), st.integers(0, 2**128 - 1))
+
+
+_NOT_NATURAL = "seed and stream must be nonnegative integers"
 
 
 def batch_sample(params, h, N, n_reps, seed=0):
@@ -126,12 +128,14 @@ class TestSampleIncrements:
         assert list(seed_blocks(range(0), 513)) == []
 
     @pytest.mark.parametrize(
-        "seed,streams",
-        [(-1, [0]), (0, [3, -1]), (1.5, [0]), (0, [3, 0.5])],
-        ids=["negative-seed", "negative-stream", "float-seed", "float-stream"],
+        "seed,streams,message",
+        [(-1, [0], _NOT_NATURAL), (0, [3, -1], _NOT_NATURAL),
+         (1.5, [0], _NOT_NATURAL), (0, [3, 0.5], _NOT_NATURAL),
+         (0, [3, 2**128], r"stream must be below 2\*\*128")],
+        ids=["negative-seed", "negative-stream", "float-seed", "float-stream",
+             "stream-past-period"],
     )
-    def test_bad_seed_or_stream_rejected(self, seed, streams):
-        message = "seed and stream must be nonnegative integers"
+    def test_bad_seed_or_stream_rejected(self, seed, streams, message):
         with pytest.raises(ValueError, match=message):
             sample_increments(NifbmParams(0.3), 1.0, 8, seed, streams)
         with pytest.raises(ValueError, match=message):
@@ -175,32 +179,52 @@ class TestSampleIncrements:
 
 
 class TestStreamStates:
-    def assert_matches_default_rng(self, seed, streams):
-        states = _stream_states(seed, streams)
-        generators = [stream_generator(seed, stream) for stream in streams]
-        assert states == [g.bit_generator.state for g in generators]
+    def assert_matches_jumped(self, seed, streams):
         normals = _stream_normals(seed, streams, (2, 3))
-        for row, g in zip(normals, generators):
-            assert np.array_equal(row, g.standard_normal((2, 3)))
+        assert normals.shape == (len(streams), 2, 3)
+        for row, stream in zip(normals, streams):
+            expected = stream_generator(seed, stream).standard_normal((2, 3))
+            assert np.array_equal(row, expected)
 
     def test_word_count_edges(self):
-        # one block of every edge stream per edge seed: entropy lengths
-        # 2 to 8 words, side by side within the blocks of the wider seeds
+        # one block of every edge stream per edge seed
         for seed in _WORD_EDGES:
-            self.assert_matches_default_rng(seed, _WORD_EDGES)
+            self.assert_matches_jumped(seed, _WORD_EDGES)
 
     def test_consecutive_streams(self):
         for seed in (0, 42, 2**32 - 1):
-            self.assert_matches_default_rng(seed, range(500))
+            self.assert_matches_jumped(seed, range(500))
 
     @given(_SEED_INTS, st.lists(_SEED_INTS, min_size=1, max_size=8))
     @settings(max_examples=150)
     def test_any_block(self, seed, streams):
-        self.assert_matches_default_rng(seed, streams)
+        self.assert_matches_jumped(seed, streams)
 
     def test_empty_block(self):
-        assert _stream_states(0, []) == []
         assert _stream_normals(0, [], (4,)).shape == (0, 4)
+
+    def test_stream_beyond_period_rejected(self):
+        # jumped wraps modulo 2^128: jumped(2**128) would repeat stream 0
+        self.assert_matches_jumped(7, [2**128 - 1])
+        message = r"stream must be below 2\*\*128"
+        for streams in ([2**128], [0, 2**128 + 5]):
+            with pytest.raises(ValueError, match=message):
+                _stream_normals(7, streams, (3,))
+
+    def test_streams_independent_across_jump(self):
+        # first increments of 4000 consecutive streams at N = 8: each
+        # correlation over n pairs is within 4/sqrt(n) of 0
+        def assert_uncorrelated(x, y):
+            assert abs(np.corrcoef(x, y)[0, 1]) < 4.0 / math.sqrt(x.size)
+
+        streams = range(4000)
+        first = sample_increments(NifbmParams(0.3), 1.0, 8, 11, streams)[:, 0]
+        e1, e2 = sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 8, 11, streams)
+        for x in (first, e1[:, 0], e2[:, 0]):
+            for gap in (1, 1000):
+                assert_uncorrelated(x[:-gap], x[gap:])
+        # the two components drawn on one stream
+        assert_uncorrelated(e1[:, 0], e2[:, 0])
 
 
 class TestSharedComponentSampling:
@@ -406,4 +430,4 @@ class TestTypeValidation:
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
-            _stream_states(-1, [0])
+            _stream_normals(-1, [0], (1,))
