@@ -21,18 +21,18 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .simulation import (
-    AGGREGATION_FACTORS,
     DriftSpec,
     add_drift,
-    aggregate_increments,
     cholesky_factor,
     sample_increments,
     sample_mixed_components,
 )
 from .estimation import (
+    AGGREGATION_FACTORS,
     DriftEstimate,
     OneNifbmEstimate,
     TwoNifbmEstimate,
+    aggregate_increments,
     drift_mle,
     drift_two_point,
     estimate_one_nifbm,

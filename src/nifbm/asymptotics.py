@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from typing import Tuple
 
 import numpy as np
 
-from .covariance import NifbmParams, Params, check_positive, gamma
+from .covariance import NifbmParams, Params, check_positive, gamma, is_integer
 from .errors import HTooLargeError
 from .estimation import MOMENT_FACTORS
 
@@ -45,7 +44,7 @@ def _check_h_range(H: float) -> float:
 
 
 def _check_n_terms(n_terms, shifts: Tuple[int, int]) -> int:
-    if not isinstance(n_terms, numbers.Integral) or n_terms < 1:
+    if not is_integer(n_terms) or n_terms < 1:
         raise ValueError(f"n_terms must be an integer >= 1, got {n_terms!r}")
     # n_terms >= max |shift| keeps both zeta tail arguments >= 1; below
     # it they can reach zero or less, where the tail is inf or nan
@@ -130,7 +129,7 @@ def _kernel_table(H: float, reach: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache
+@functools.lru_cache(typed=True)
 def gamma_square_series(
     H: float, shifts: Tuple[int, int] = (0, 0), n_terms: int = _DEFAULT_TERMS
 ) -> float:
@@ -147,8 +146,9 @@ def gamma_square_series(
     (0, 2) of sigma_tilde_one share a single evaluation of gamma.  The
     product array and its pairwise sum are those of evaluating gamma at
     i + alpha and i + beta directly, so the value is identical bit for
-    bit.  Values are cached: they depend on H alone, not on h or N, so
-    the grid points of an experiment share one evaluation per H.
+    bit.  Values are cached (typed, so a bool or float n_terms is checked,
+    not read from an equal int's entry): they depend on H alone, not on h
+    or N, so the grid points of an experiment share one evaluation per H.
     """
     H = _check_h_range(H)
     n_terms = _check_n_terms(n_terms, shifts)

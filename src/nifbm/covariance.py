@@ -62,6 +62,11 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool, which subclasses int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NifbmParams:
     """Parameters of a single scaled process: Hurst index H and squared
@@ -220,7 +225,7 @@ def autocov_sequence(params: Params, h: float, N: int) -> np.ndarray:
     matrix.
     """
     check_positive("window width h", h)
-    if not isinstance(N, (int, np.integer)) or N < 1:
+    if not is_integer(N) or N < 1:
         raise ValueError(f"N must be an integer >= 1, got {N!r}")
     lags = np.arange(N)
     values = sum(c * h ** (2.0 * H) * gamma(H, lags) for H, c in params.components)

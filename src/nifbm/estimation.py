@@ -2,13 +2,14 @@
 
 Two families live here.  Moment estimators invert the map from model
 parameters to the expected mean squared increments at aggregation
-factors j, the xi statistics, given as a {j: value} dict.  The factors
-of each model are stated once, in MOMENT_FACTORS: j = 1, 2 for one
-process, all of 1, 2, 4, 8 for two via a quadratic whose roots are
-2^(2*H1) and 2^(2*H2); MOMENT_ESTIMATORS holds each model's estimator,
-called as (xi, h).  Drift estimators are the exact
-generalized-least-squares MLE and a crude two-point alternative, both
-with exact finite-sample variances.
+factors j, the xi statistics, read from one base series by repeated
+doubling steps (aggregate_increments) and given as a {j: value} dict.
+The factors of each model are stated once, in MOMENT_FACTORS: j = 1, 2
+for one process, all of AGGREGATION_FACTORS = (1, 2, 4, 8) for two via
+a quadratic whose roots are 2^(2*H1) and 2^(2*H2); MOMENT_ESTIMATORS
+holds each model's estimator, called as (xi, h).  Drift estimators are
+the exact generalized-least-squares MLE and a crude two-point
+alternative, both with exact finite-sample variances.
 
 The xi statistics and the moment estimators take plain arrays: one
 series gives floats, an (R, N) block of series (or R values of each
@@ -38,6 +39,7 @@ from .covariance import (
     NifbmParams,
     Params,
     check_positive,
+    is_integer,
 )
 from .errors import (
     LengthError,
@@ -45,19 +47,16 @@ from .errors import (
     NotPositiveDefiniteError,
     ZeroDenominatorError,
 )
-from .simulation import (
-    AGGREGATION_FACTORS,
-    aggregate_increments,
-    embedding_eigenvalues,
-    embedding_length,
-)
+from .simulation import embedding_eigenvalues, embedding_length
 
 __all__ = [
+    "AGGREGATION_FACTORS",
     "MOMENT_FACTORS",
     "MOMENT_ESTIMATORS",
     "DriftEstimate",
     "OneNifbmEstimate",
     "TwoNifbmEstimate",
+    "aggregate_increments",
     "xi_statistic",
     "xi_statistics_from_base",
     "base_length",
@@ -76,8 +75,9 @@ _LOG4 = 2.0 * math.log(2.0)
 # at most this fraction of the right-hand side's
 _CG_RTOL = 1e-12
 
-# the aggregation factors j at which each model's xi statistics are
-# taken and its moment estimator reads them
+# the aggregation factors j (increments of width j*h) of the xi
+# statistics, and those at which each model's moment estimator reads them
+AGGREGATION_FACTORS = (1, 2, 4, 8)
 MOMENT_FACTORS = {NifbmParams: AGGREGATION_FACTORS[:2], MixedParams: AGGREGATION_FACTORS}
 
 Xi = Dict[int, Union[float, np.ndarray]]
@@ -177,6 +177,19 @@ def xi_statistic(series: np.ndarray) -> Union[float, np.ndarray]:
     return float(xi) if values.ndim == 1 else xi
 
 
+def aggregate_increments(base: np.ndarray) -> np.ndarray:
+    """Increments at twice the base width from base increments on the
+    last axis (one series or an (R, M) block): the doubling step
+    y_k = (x_{2k} + 2 x_{2k+1} + x_{2k+2}) / 2, of length (M - 1) // 2.
+    """
+    values = np.asarray(base, dtype=float)
+    n = (values.shape[-1] - 1) // 2 if values.ndim else 0
+    if n < 1:
+        raise LengthError(f"aggregation needs 3 or more increments, got shape {values.shape}")
+    x = values[..., : 2 * n + 1]
+    return 0.5 * (x[..., 2::2] + 2.0 * x[..., 1::2] + x[..., :-1:2])
+
+
 def base_length(factors: Tuple[int, ...], n: int) -> int:
     """The shortest base series whose coarsest aggregate has n increments."""
     return max(factors) * (n + 1) - 1
@@ -190,8 +203,8 @@ def xi_statistics_from_base(
 
     The sample sizes follow the shared-horizon bookkeeping: if n series
     of the coarsest factor fit, factor j uses the first n * max(factors)
-    / j increments of its level.  Each level is the previous one
-    aggregated by 2.  Every factor must be one of AGGREGATION_FACTORS.
+    / j increments of its level, the previous level after one doubling
+    step, aggregate_increments.  Every factor must be in AGGREGATION_FACTORS.
     """
     if not factors or not set(factors) <= set(AGGREGATION_FACTORS):
         raise ValueError(
@@ -208,7 +221,7 @@ def xi_statistics_from_base(
         )
     j = 2
     while j <= jmax:
-        levels[j] = aggregate_increments(levels[j // 2], 2)
+        levels[j] = aggregate_increments(levels[j // 2])
         j *= 2
     n_coarse = levels[jmax].shape[-1]
     xi = {j: xi_statistic(levels[j][..., : n_coarse * (jmax // j)]) for j in factors}
@@ -363,7 +376,7 @@ def drift_mle(
     """
     dy = np.asarray(delta_y, dtype=float)
     dg = np.asarray(delta_g, dtype=float)
-    if dy.shape[-1] != dg.size or dg.size != len(cov):
+    if dg.ndim != 1 or dy.shape[-1] != dg.size or dg.size != len(cov):
         raise LengthError("increments, drift increments and covariance must align")
     if not np.any(dg != 0.0):
         raise ZeroDenominatorError("drift increments vanish identically")
@@ -392,7 +405,7 @@ def two_point_variance(params: Params, h: float, N: int, gN: float) -> float:
     - 2 N^(2H+2) - 2) / ((2H+1)(2H+2)).  N must be an integer >= 1.
     """
     check_positive("window width h", h)
-    if not isinstance(N, (int, np.integer)) or N < 1:
+    if not is_integer(N) or N < 1:
         raise ValueError(f"N must be an integer >= 1, got {N!r}")
     if not math.isfinite(gN):
         raise ValueError(f"gN must be finite, got {gN}")
@@ -418,16 +431,18 @@ def drift_two_point(
     """Drift estimate from the first and last observations only.
 
     yN may be an array of last observations, one per replication; the
-    estimate is then an array too, except for gN = 0, where it is the
-    scalar 0.  The exact variance requires the noise parameters; when
-    they are not supplied the variance is reported as 0.
+    estimate is then an array too, +0.0 in every element for gN = 0.
+    The exact variance needs params, h and N; when none is supplied it
+    is reported as 0, and some without the others raise ValueError.
     """
     if not math.isfinite(gN):
         raise ValueError(f"gN must be finite, got {gN}")
-    mu_hat = (yN - y0) / gN if gN != 0.0 else 0.0
-    variance = 0.0
-    if params is not None and h is not None and N is not None:
-        variance = two_point_variance(params, h, N, gN)
+    missing = [name for name, v in (("params", params), ("h", h), ("N", N)) if v is None]
+    if 0 < len(missing) < 3:
+        raise ValueError(f"exact variance needs params, h and N, missing: {', '.join(missing)}")
+    zero = np.zeros(np.shape(yN)) if np.ndim(yN) else 0.0
+    mu_hat = (yN - y0) / gN if gN != 0.0 else zero
+    variance = 0.0 if missing else two_point_variance(params, h, N, gN)
     return DriftEstimate(mu_hat=mu_hat, variance=variance, method="two-point")
 
 

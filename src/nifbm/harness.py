@@ -26,7 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .asymptotics import sigma0_one
-from .covariance import MODEL_PARAMS, MixedParams, NifbmParams, Params, autocov_sequence
+from .covariance import (
+    MODEL_PARAMS, MixedParams, NifbmParams, Params, autocov_sequence, is_integer,
+)
 from .errors import ConfigError, HTooLargeError
 from .estimation import (
     MOMENT_FACTORS,
@@ -64,8 +66,9 @@ __all__ = [
 
 # no step is dense: paths are sampled by FFT circulant embedding and
 # drift_mle solves by FFT-preconditioned conjugate gradients.  This is
-# the largest N at which the embedding's definiteness and the solver's
-# iteration counts have been measured
+# the largest N at which the solver's iteration counts were measured;
+# the embedding of the longest base it admits, 8N + 7 increments, is
+# tested nonnegative definite for nine H from 0.01 to 0.99
 MAX_N = 2**13
 
 _MODES = ("direct-per-j", "aggregate")
@@ -75,7 +78,7 @@ _DRIFT_OUTPUTS = ("drift-mle", "drift-two-point")
 
 
 def _integer(name: str, value) -> int:
-    if not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -248,10 +251,8 @@ def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     if "drift-two-point" in config.outputs:
         y_n = dy.sum(axis=1)
         estimates["mu_two_point"] = drift_two_point(0.0, y_n, g[-1], params, h, N)
-    # two-point at G_N = 0 gives the scalar 0, broadcast over the rows
     return [
-        (name, *_summary(np.broadcast_to(est.mu_hat, len(dy))), 0,
-         math.sqrt(est.variance), config.simulation_mode)
+        (name, *_summary(est.mu_hat), 0, math.sqrt(est.variance), config.simulation_mode)
         for name, est in estimates.items()
     ]
 
@@ -343,7 +344,7 @@ def empirical_estimator_cov(
     excluded and counted in the second return value.
     """
     for name, value, least in (("replications", replications, 100), ("N", N, 1)):
-        if not isinstance(value, (int, np.integer)) or value < least:
+        if not is_integer(value) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     names = [f.name for f in fields(params)]
     truth = np.array(astuple(params))

@@ -17,10 +17,11 @@ block and move it to each stream by that jump's public step,
 (phi - 1) * 2^128 per stream (PCG64.advance, O(log) in the distance).
 
 Increment series are plain float arrays with time on the last axis:
-the samplers return one row per stream, and combine_mixed_components,
-aggregate_increments and add_drift take one series or an (R, N) block
-of them alike, row r of a block result being exactly the result for
-row r alone.
+the samplers return one row per stream, and combine_mixed_components
+and add_drift take one series or an (R, N) block of them alike, row r
+of a block result being exactly the result for row r alone.  This
+module only draws paths and adds drift; aggregating them to coarser
+widths is the xi statistics' step, in nifbm.estimation.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from .covariance import (
     Params,
     autocov_sequence,
     gamma,  # unused here, but benchmarks/tracing.py wraps it at this module
+    is_integer,
 )
 from .errors import GridMismatchError, LengthError, NotPositiveDefiniteError
 
 __all__ = [
-    "AGGREGATION_FACTORS",
     "DriftSpec",
     "cholesky_factor",
     "embedding_length",
@@ -54,7 +55,6 @@ __all__ = [
     "sample_increments",
     "sample_mixed_components",
     "combine_mixed_components",
-    "aggregate_increments",
     "add_drift",
 ]
 
@@ -128,12 +128,12 @@ def seed_blocks(streams: range, N: int):
         yield streams[i : i + size]
 
 
-@functools.lru_cache
+@functools.lru_cache(typed=True)
 def _embedding_scale(params: Params, h: float, N: int) -> np.ndarray:
     """Spectral scale sqrt(lambda * m / 2) of the circulant embedding of
     autocov_sequence(params, h, N), read-only; raises when the embedding
     is indefinite.  Cached, so the seed blocks of a grid point share one
-    autocovariance and one rfft."""
+    autocovariance and one rfft; typed, so that N = True is checked."""
     eig = embedding_eigenvalues(autocov_sequence(params, h, N))
     m = embedding_length(N)
     if eig.min() < -_EIG_TOL * eig.max():
@@ -150,7 +150,7 @@ def _embedding_scale(params: Params, h: float, N: int) -> np.ndarray:
 def _stream_normals(seed: int, streams: Sequence[int], shape: tuple) -> np.ndarray:
     """Standard normals of the given shape per stream, row r drawn in
     order as Generator(PCG64(seed).jumped(streams[r])) draws them."""
-    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (seed, *streams)):
+    if not all(is_integer(v) and v >= 0 for v in (seed, *streams)):
         raise ValueError("seed and stream must be nonnegative integers")
     if any(stream >= 2**128 for stream in streams):
         # jumped wraps modulo 2^128: jumped(2**128) is jumped(0)
@@ -202,11 +202,13 @@ def sample_increments(
     and clipped to zero; anything lower raises NotPositiveDefiniteError
     naming the min/max eigenvalue ratio and the embedding length.  For
     the kernel gamma(H, .) the smallest ratio is positive for H from
-    0.001 to 0.995 at N <= 8193 and for H <= 0.98 up to N = 65537; the
-    check fails only next to H = 1, from H = 0.998 at N = 1025, 2049
-    and 8193 (ratio -4.8e-7 at H = 0.999, N = 1025), where dense
-    Cholesky of the same Toeplitz matrix still succeeds at N = 1025 but
-    fails from H = 0.998 at N = 8193.
+    0.001 to 0.995 at N <= 8193, for H <= 0.98 up to N = 65537, and for
+    nine H from 0.01 to 0.99 at N = 65543, the longest base the harness
+    samples (down to 5.3e-8 at H = 0.99).  The check fails only next to
+    H = 1, from H = 0.998 at N = 1025, 2049 and 8193 (ratio -4.8e-7 at
+    H = 0.999, N = 1025), where dense Cholesky of the same Toeplitz
+    matrix still succeeds at N = 1025 but fails from H = 0.998 at
+    N = 8193.
     """
     scale = _embedding_scale(params, h, N)
     normals = _stream_normals(seed, streams, (2 * scale.size,))
@@ -247,37 +249,6 @@ def combine_mixed_components(
     for term in terms:
         total += term
     return total
-
-
-# the aggregation factors j of increments of width j*h that the
-# aggregation, the xi statistics and the moment estimators work with
-AGGREGATION_FACTORS = (1, 2, 4, 8)
-
-
-def aggregate_increments(base: np.ndarray, j: int) -> np.ndarray:
-    """Increments at width j times the base width, from base increments
-    on the last axis (one series or an (R, M) block).
-
-    One doubling step maps x to y with y_k = (x_{2k+2} + 2 x_{2k+1} +
-    x_{2k}) / 2, shrinking the length from M to (M - 1) // 2; the step
-    is applied log2(j) times.
-    """
-    if j not in AGGREGATION_FACTORS[1:]:
-        raise ValueError(
-            f"target aggregation factor must be one of {AGGREGATION_FACTORS[1:]}"
-        )
-    values = np.asarray(base, dtype=float)
-    if values.ndim == 0:
-        raise LengthError(f"aggregation needs a series, got shape {values.shape}")
-    length = values.shape[-1]
-    for _ in range(int(round(math.log2(j)))):
-        n_out = (values.shape[-1] - 1) // 2
-        if n_out < 1:
-            raise LengthError(f"series of length {length} too short to aggregate by {j}")
-        values = 0.5 * (values[..., 2 : 2 * n_out + 1 : 2]
-                        + 2.0 * values[..., 1 : 2 * n_out : 2]
-                        + values[..., 0 : 2 * n_out - 1 : 2])
-    return values
 
 
 def add_drift(increments: np.ndarray, drift: DriftSpec) -> np.ndarray:

@@ -17,6 +17,7 @@ from nifbm.covariance import (
 )
 from nifbm.errors import LengthError, NotPositiveDefiniteError, ZeroDenominatorError
 from nifbm.estimation import (
+    aggregate_increments,
     drift_mle,
     drift_two_point,
     estimate_one_nifbm,
@@ -31,7 +32,6 @@ from nifbm.harness import drift_samples
 from nifbm.simulation import (
     DriftSpec,
     add_drift,
-    aggregate_increments,
     cholesky_factor,
     combine_mixed_components,
     sample_increments,
@@ -98,9 +98,10 @@ class TestXiStatistic:
         n = 5
         base = np.arange(8 * n + 7.0)
         stats = xi_statistics_from_base(base)
+        level = base
         for j, count in {1: 8 * n, 2: 4 * n, 4: 2 * n, 8: n}.items():
-            level = base if j == 1 else aggregate_increments(base, j)
             assert stats[j] == xi_statistic(level[:count])
+            level = aggregate_increments(level)
 
     def test_mean_squared_increment_limit(self):
         # Monte Carlo mean of xi against its expectation
@@ -149,10 +150,11 @@ class TestBlockStatistics:
             assert np.array_equal(
                 mixed[r], combine_mixed_components(params, j * h, row, other[r])
             )
-            if j > 1:
-                assert np.array_equal(
-                    aggregate_increments(block, j)[r], aggregate_increments(row, j)
-                )
+            agg_block, agg_row = block, row
+            for _ in range(j.bit_length() - 1):  # log2(j) doubling steps
+                agg_block = aggregate_increments(agg_block)
+                agg_row = aggregate_increments(agg_row)
+                assert np.array_equal(agg_block[r], agg_row)
             single = xi_statistics_from_base(row)
             assert single.keys() == stats.keys()
             assert all(stats[k][r] == single[k] for k in single)
@@ -473,6 +475,12 @@ class TestDriftMle:
         with pytest.raises(ZeroDenominatorError):
             drift_mle(np.ones(4), np.zeros(4), cov)
 
+    def test_drift_increments_must_be_a_series(self):
+        # four values, as many as cov, but not one series
+        cov = autocov_sequence(NifbmParams(0.5), 1.0, 4)
+        with pytest.raises(LengthError, match="must align"):
+            drift_mle(np.ones(4), np.ones((2, 2)), cov)
+
     def test_variance_matches_quadratic_form(self):
         params = NifbmParams(0.3, a2=2.0)
         cov = autocov_sequence(params, 2.0, 16)
@@ -554,7 +562,28 @@ class TestDriftTwoPoint:
         assert est.method == "two-point"
 
     def test_zero_denominator(self):
-        assert drift_two_point(0.0, 5.0, 0.0).mu_hat == 0.0
+        # +0.0 per last observation: a float for one, an array for several
+        scalar = drift_two_point(0.0, -5.0, 0.0).mu_hat
+        assert type(scalar) is float and (scalar, math.copysign(1.0, scalar)) == (0.0, 1.0)
+        rows = drift_two_point(0.0, np.array([5.0, -5.0, np.nan]), 0.0).mu_hat
+        assert rows.shape == (3,) and np.array_equal(rows, np.zeros(3))
+        assert not np.signbit(rows).any()
+
+    @pytest.mark.parametrize(
+        "given, missing",
+        [
+            ({"params": NifbmParams(0.3)}, "h, N"),
+            ({"h": 1.0}, "params, N"),
+            ({"N": 3}, "params, h"),
+            ({"params": NifbmParams(0.3), "h": 1.0}, "N"),
+            ({"params": NifbmParams(0.3), "N": 3}, "h"),
+            ({"h": 1.0, "N": 3}, "params"),
+        ],
+    )
+    def test_partial_variance_arguments_rejected(self, given, missing):
+        # some of params, h and N silently gave variance 0
+        with pytest.raises(ValueError, match=f"needs params, h and N, missing: {missing}$"):
+            drift_two_point(0.0, 1.0, 3.0, **given)
 
     def test_variance_closed_form_vs_assembled(self):
         rng = np.random.default_rng(13)

@@ -23,6 +23,7 @@ from nifbm.cli import main
 from nifbm.covariance import MixedParams, NifbmParams, autocov_sequence
 from nifbm.errors import ConfigError
 from nifbm.estimation import (
+    AGGREGATION_FACTORS,
     drift_mle,
     estimate_two_nifbm,
     xi_statistic,
@@ -41,7 +42,6 @@ from nifbm.harness import (
     write_results,
 )
 from nifbm.simulation import (
-    AGGREGATION_FACTORS,
     combine_mixed_components,
     sample_increments,
     sample_mixed_components,
@@ -302,6 +302,9 @@ class TestRunExperiment:
         assert (two.mean, two.sd_emp, two.sd_theory) == (0.0, 0.0, 0.0)
         assert two.degenerate == 0
         assert np.isfinite(rows["mu_mle"].mean)
+        # one +0.0 per replication, as the harness summarises them
+        mu_hat = nifbm.drift_two_point(0.0, -np.ones(cfg.replications), 0.0).mu_hat
+        assert mu_hat.shape == (cfg.replications,) and not np.signbit(mu_hat).any()
 
     def test_theory_series_once_per_hurst(self):
         # the series depend on H only, so two grid steps share them
@@ -436,6 +439,53 @@ class TestParseConfig:
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("model one-nifbm")
+
+
+_ONE = NifbmParams(0.5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ExperimentConfig(model="one-nifbm", H1=0.5, replications=True),
+         ConfigError, "replications must be an integer"),
+        (lambda: ExperimentConfig(model="one-nifbm", H1=0.5, seed=True),
+         ConfigError, "seed must be an integer"),
+        (lambda: autocov_sequence(_ONE, 1.0, True), ValueError, "N must be an integer"),
+        (lambda: sample_increments(_ONE, 1.0, True, 0, [0]), ValueError,
+         "N must be an integer"),
+        (lambda: sample_increments(_ONE, 1.0, 4, 0, [True]), ValueError,
+         "seed and stream must be nonnegative integers"),
+        (lambda: sample_increments(_ONE, 1.0, 4, True, [0]), ValueError,
+         "seed and stream must be nonnegative integers"),
+        (lambda: nifbm.two_point_variance(_ONE, 1.0, True, 3.0), ValueError,
+         "N must be an integer"),
+        (lambda: harness.empirical_estimator_cov(_ONE, 1.0, True, 100), ValueError,
+         "N must be an integer"),
+        (lambda: gamma_square_series(0.3, (0, 0), True), ValueError,
+         "n_terms must be an integer"),
+    ],
+    ids=["replications", "seed", "autocov-N", "sampler-N", "stream", "sampler-seed",
+         "two-point-N", "empirical-cov-N", "n_terms"],
+)
+def test_bool_rejected_where_integer_required(call, error, message):
+    # bool subclasses int, so each check must exclude it by name;
+    # numpy integers stay accepted
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_caches_do_not_bypass_integer_checks():
+    # True == 1 and 64.0 == 64 hash alike: caches keyed on equality
+    # alone answered them from the int's entry without the check
+    sample_increments(_ONE, 1.0, 1, 0, [0])
+    sample_increments(_ONE, 1.0, 64, 0, [0])
+    gamma_square_series(0.3, (0, 0), 1)
+    for bad in (True, 64.0):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            sample_increments(_ONE, 1.0, bad, 0, [0])
+    with pytest.raises(ValueError, match="n_terms must be an integer"):
+        gamma_square_series(0.3, (0, 0), True)
 
 
 class TestConfigValidation:
@@ -609,7 +659,9 @@ class TestTableConfigs:
 class TestCli:
     def test_runs_without_scipy(self):
         # the package runs on numpy alone: neither its import nor a drift
-        # table nor the constants (with find_h0) load any scipy module
+        # table, the one-process aggregate noise table with sigma0_one
+        # theory (3), the two-process shared-noise table (4) nor the
+        # constants (with find_h0) load any scipy module
         code = "\n".join([
             "import contextlib, io, sys",
             "import nifbm.cli",
@@ -617,7 +669,8 @@ class TestCli:
             "    return sorted(m for m in sys.modules if m.startswith('scipy'))",
             "print(scipy_modules())",
             "with contextlib.redirect_stdout(io.StringIO()):",
-            "    assert nifbm.cli.main(['tables', '--which', '1', '--replications', '2']) == 0",
+            "    for which in '134':",
+            "        assert nifbm.cli.main(['tables', '--which', which, '--replications', '2']) == 0",
             "    assert nifbm.cli.main(['constants', '--H', '0.3']) == 0",
             "print(scipy_modules())",
         ])

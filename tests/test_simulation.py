@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nifbm
+import nifbm.simulation as simulation
 from nifbm.covariance import (
     MixedParams,
     NifbmParams,
@@ -16,15 +18,21 @@ from nifbm.errors import (
     LengthError,
     NotPositiveDefiniteError,
 )
-from nifbm.estimation import xi_statistics_from_base
+from nifbm.estimation import (
+    AGGREGATION_FACTORS,
+    aggregate_increments,
+    base_length,
+    xi_statistics_from_base,
+)
+from nifbm.harness import MAX_N
 from nifbm.simulation import (
     DriftSpec,
     _embedding_scale,
     _stream_normals,
     add_drift,
-    aggregate_increments,
     cholesky_factor,
     combine_mixed_components,
+    embedding_eigenvalues,
     embedding_length,
     sample_increments,
     sample_mixed_components,
@@ -169,6 +177,16 @@ class TestSampleIncrements:
         assert (info.misses, info.hits) == (3, 3)
         assert not _embedding_scale(NifbmParams(0.3), 2.0, 513).flags.writeable
 
+    def test_embedding_definite_at_longest_base(self):
+        # two-process aggregate noise at N = MAX_N samples 8 N + 7
+        # increments, the longest base the harness draws; the smallest
+        # min/max eigenvalue ratio there is about 5e-8, at H = 0.99
+        n = base_length(AGGREGATION_FACTORS, MAX_N)
+        assert n == 65543
+        for H in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.98, 0.99):
+            eig = embedding_eigenvalues(autocov_sequence(NifbmParams(H), 1.0, n))
+            assert eig.min() > 0.0, (H, eig.min() / eig.max())
+
     def test_indefinite_embedding_names_ratio(self):
         with pytest.raises(NotPositiveDefiniteError) as info:
             sample_increments(NifbmParams(0.999), 1.0, 1025, 0, [0])
@@ -261,27 +279,37 @@ class TestSharedComponentSampling:
 
 
 class TestAggregation:
+    def test_lives_with_the_xi_statistics(self):
+        # the step and the factor set are estimation's, exported at the top
+        assert nifbm.aggregate_increments is aggregate_increments
+        assert nifbm.AGGREGATION_FACTORS is AGGREGATION_FACTORS == (1, 2, 4, 8)
+        assert not hasattr(simulation, "aggregate_increments")
+        assert not hasattr(simulation, "AGGREGATION_FACTORS")
+
     def test_constant_series(self):
         # a constant base increment c means the path grows by c per step
         # of width h, so a width-j*h increment is j*c; each doubling of
         # the rule (weights 1/2, 1, 1/2) doubles the constant
-        base = np.full(15, 2.5)
+        out = np.full(15, 2.5)
         for j in (2, 4, 8):
-            out = aggregate_increments(base, j)
+            out = aggregate_increments(out)
             assert np.allclose(out, 2.5 * j)
 
     def test_three_point_rule(self):
         base = np.array([1.0, 2.0, 3.0])
-        out = aggregate_increments(base, 2)
+        out = aggregate_increments(base)
         assert out.tolist() == [0.5 * (3.0 + 2 * 2.0 + 1.0)]
 
     def test_length_contract(self):
-        assert len(aggregate_increments(np.zeros(2 * 10 + 1), 2)) == 10
-        assert len(aggregate_increments(np.zeros(8 * 3 + 7), 8)) == 3
+        assert len(aggregate_increments(np.zeros(2 * 10 + 1))) == 10
+        out = np.zeros(8 * 3 + 7)
+        for _ in range(3):
+            out = aggregate_increments(out)
+        assert len(out) == 3
 
     def test_too_short(self):
         with pytest.raises(LengthError):
-            aggregate_increments(np.array([1.0, 2.0, 3.0]), 4)
+            aggregate_increments(aggregate_increments(np.array([1.0, 2.0, 3.0])))
 
     def test_aggregated_covariance_analytic(self):
         # push the base Toeplitz covariance through the aggregation map
@@ -384,7 +412,7 @@ class TestTypeValidation:
         "call",
         [
             xi_statistics_from_base,
-            lambda x: aggregate_increments(x, 2),
+            aggregate_increments,
             lambda x: add_drift(x, DriftSpec(1.0, np.array([0.0, 1.0]))),
         ],
         ids=["xi_statistics_from_base", "aggregate_increments", "add_drift"],
