@@ -67,6 +67,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_length(N: int) -> None:
+    """Raise ValueError unless N is an integer >= 1 (a bool is not)."""
+    if not is_integer(N) or N < 1:
+        raise ValueError(f"N must be an integer >= 1, got {N!r}")
+
+
 @dataclass(frozen=True)
 class NifbmParams:
     """Parameters of a single scaled process: Hurst index H and squared
@@ -225,8 +231,7 @@ def autocov_sequence(params: Params, h: float, N: int) -> np.ndarray:
     matrix.
     """
     check_positive("window width h", h)
-    if not is_integer(N) or N < 1:
-        raise ValueError(f"N must be an integer >= 1, got {N!r}")
+    check_length(N)
     lags = np.arange(N)
     values = sum(c * h ** (2.0 * H) * gamma(H, lags) for H, c in params.components)
     # the variance underflows to 0 for tiny h and large H

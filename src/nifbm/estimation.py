@@ -38,8 +38,8 @@ from .covariance import (
     MixedParams,
     NifbmParams,
     Params,
+    check_length,
     check_positive,
-    is_integer,
 )
 from .errors import (
     LengthError,
@@ -47,7 +47,7 @@ from .errors import (
     NotPositiveDefiniteError,
     ZeroDenominatorError,
 )
-from .simulation import embedding_eigenvalues, embedding_length
+from .simulation import embedding_eigenvalues, fast_length
 
 __all__ = [
     "AGGREGATION_FACTORS",
@@ -312,19 +312,27 @@ def _toeplitz_solve(cov: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve T x = b for the symmetric Toeplitz matrix T whose first
     row is cov, by preconditioned conjugate gradients.
 
-    T p is one rfft/irfft pair on the minimal circulant embedding of
-    cov.  The preconditioner is T. Chan's optimal circulant, first row
+    T p is one rfft/irfft pair on a circulant of length
+    m = fast_length(2N - 1) whose first row is cov, zeros, then cov
+    reversed: m >= 2N - 1, so the first N entries of its product with
+    p padded by zeros are exactly T p, and m is 5-smooth, so the FFTs
+    avoid the Bluestein path that the minimal length 2(N - 1) takes at
+    N = 2^k (at N = 8192, H = 0.3 and 0.7, a solve takes 4-5 ms at
+    m = 2^14 against 46-54 ms at 2 * 8191 on a 2-core host).
+
+    The preconditioner is T. Chan's optimal circulant, first row
     c_k = ((N - k) t_k + k t_(N-k)) / N (Chan 1988), positive definite
     whenever T is, and applied by one rfft/irfft pair of length N.  The
     iteration stops at a residual norm of _CG_RTOL times that of b;
-    exact arithmetic needs at most N steps, and N + 20 are allowed.
-    A nonpositive preconditioner eigenvalue or curvature p'Tp proves T
+    exact arithmetic needs at most N steps, and N + 20 are allowed.  A
+    nonpositive preconditioner eigenvalue or curvature p'Tp proves T
     indefinite and raises NotPositiveDefiniteError.  Unlike a Cholesky
     factorization, CG cannot see negative directions of T that the
     Krylov space of b never reaches: there it converges.
     """
-    n, m = len(cov), embedding_length(len(cov))
-    spectrum = embedding_eigenvalues(cov)
+    n = len(cov)
+    m = fast_length(2 * n - 1)
+    spectrum = embedding_eigenvalues(cov, m)
     k = np.arange(n)
     wrapped = np.concatenate(([0.0], cov[:0:-1]))
     chan = np.fft.rfft(((n - k) * cov + k * wrapped) / n).real
@@ -405,8 +413,7 @@ def two_point_variance(params: Params, h: float, N: int, gN: float) -> float:
     - 2 N^(2H+2) - 2) / ((2H+1)(2H+2)).  N must be an integer >= 1.
     """
     check_positive("window width h", h)
-    if not is_integer(N) or N < 1:
-        raise ValueError(f"N must be an integer >= 1, got {N!r}")
+    check_length(N)
     if not math.isfinite(gN):
         raise ValueError(f"gN must be finite, got {gN}")
     if gN == 0.0:

@@ -6,15 +6,25 @@ autocovariance sequence.  Embedding that Toeplitz matrix in a circulant
 one diagonalises it by the FFT (Davies & Harte 1987; Wood & Chan 1994),
 so a block of R paths of length N costs one rfft of the first row and
 one batched irfft, O(R N log N), with each replication's normals drawn
-from its own seed stream.  This is the package's only path sampler;
-the dense Cholesky factor is kept as an exact reference for tests.
+from its own seed stream.  The circulant is not the minimal one, of
+length 2(N - 1), but has length m = 2L with L the smallest 2^a 3^b 5^c
+>= N - 1 (embedding_length), and its first row carries the model's own
+lags 0 .. L, as Wood & Chan (1994, section 2) recommend: the minimal
+length has a large prime factor at the N users pick (2 * 127 at
+N = 128), where numpy's FFT falls back to Bluestein's algorithm.  Where
+2(N - 1) is already of that form, as at N = 2^k + 1, the two coincide.
+This is the package's only path sampler; the dense Cholesky factor is
+kept as an exact reference for tests.
 
 A block of replications is addressed by one seed and its streams, a
 range of nonnegative integers below 2^128; replication (seed, stream)
 draws exactly what np.random.Generator(np.random.PCG64(seed)
 .jumped(stream)) would draw.  The samplers build one PCG64(seed) per
-block and move it to each stream by that jump's public step,
-(phi - 1) * 2^128 per stream (PCG64.advance, O(log) in the distance).
+block and advance it to the first stream by that jump's public step,
+(phi - 1) * 2^128 per stream (PCG64.advance); each next stream's state
+is one affine step of the 128-bit LCG state from the one before,
+s -> A s + inc S mod 2^128, with (A, S) the map of their distance in
+jumps, computed once per distance.
 
 Increment series are plain float arrays with time on the last axis:
 the samplers return one row per stream, and combine_mixed_components
@@ -41,6 +51,7 @@ from .covariance import (
     NifbmParams,
     Params,
     autocov_sequence,
+    check_length,
     gamma,  # unused here, but benchmarks/tracing.py wraps it at this module
     is_integer,
 )
@@ -49,6 +60,7 @@ from .errors import GridMismatchError, LengthError, NotPositiveDefiniteError
 __all__ = [
     "DriftSpec",
     "cholesky_factor",
+    "fast_length",
     "embedding_length",
     "embedding_eigenvalues",
     "seed_blocks",
@@ -68,6 +80,12 @@ _EIG_TOL = 1e-8
 # PCG64.jumped's step per jump: (phi - 1) * 2^128, odd, so the streams
 # of one seed are 2^128 distinct states of its 2^128-periodic sequence
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+# PCG64's period, the modulus of its 128-bit LCG state
+_PERIOD = 2**128
+
+# the multiplier of PCG64's 128-bit LCG (PCG_DEFAULT_MULTIPLIER_128)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -106,17 +124,39 @@ def cholesky_factor(cov: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def fast_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, for n >= 1: an FFT length that
+    numpy's pocketfft splits into radix-2, 3 and 5 passes, where a
+    length with a large prime factor falls back to Bluestein's
+    algorithm."""
+    best, p5 = 2 * n, 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def embedding_length(N: int) -> int:
-    """Length of the minimal circulant embedding of N autocovariances."""
-    return max(1, 2 * (N - 1))
+    """Length m of the circulant embedding of N autocovariances: 1 at
+    N = 1, else 2 * fast_length(N - 1), the minimal length 2(N - 1)
+    rounded up to twice a 5-smooth number."""
+    check_length(N)
+    return 2 * fast_length(int(N) - 1) if N > 1 else 1
 
 
-def embedding_eigenvalues(row: np.ndarray) -> np.ndarray:
-    """The rfft half of the eigenvalues of the minimal circulant
-    embedding of a symmetric Toeplitz first row: the circulant of
-    length embedding_length(len(row)) whose first row is row followed
-    by row[-2:0:-1]."""
-    return np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real
+def embedding_eigenvalues(row: np.ndarray, m: int) -> np.ndarray:
+    """The rfft half of the eigenvalues of the symmetric circulant of
+    length m >= 2(len(row) - 1) whose first row is row, then zeros,
+    then row[:0:-1]: row[k] sits at positions k and m - k, and at
+    m = 2(len(row) - 1) the last lag meets itself in the middle."""
+    first = np.zeros(m)
+    first[: row.size] = row
+    first[m - row.size + 1 :] = row[:0:-1]
+    return np.fft.rfft(first).real
 
 
 def seed_blocks(streams: range, N: int):
@@ -131,11 +171,13 @@ def seed_blocks(streams: range, N: int):
 @functools.lru_cache(typed=True)
 def _embedding_scale(params: Params, h: float, N: int) -> np.ndarray:
     """Spectral scale sqrt(lambda * m / 2) of the circulant embedding of
-    autocov_sequence(params, h, N), read-only; raises when the embedding
-    is indefinite.  Cached, so the seed blocks of a grid point share one
-    autocovariance and one rfft; typed, so that N = True is checked."""
-    eig = embedding_eigenvalues(autocov_sequence(params, h, N))
+    length m = embedding_length(N) filled with the model's own lags,
+    autocov_sequence(params, h, m // 2 + 1), read-only; raises when
+    the embedding is indefinite.  Cached, so the seed blocks of a grid
+    point share one autocovariance and one rfft; typed, so that
+    N = True is checked."""
     m = embedding_length(N)
+    eig = embedding_eigenvalues(autocov_sequence(params, h, m // 2 + 1), m)
     if eig.min() < -_EIG_TOL * eig.max():
         raise NotPositiveDefiniteError(
             "circulant embedding is not nonnegative definite: min/max "
@@ -147,21 +189,51 @@ def _embedding_scale(params: Params, h: float, N: int) -> np.ndarray:
     return scale
 
 
+@functools.lru_cache
+def _jump_map(jumps: int) -> tuple:
+    """(A, S) such that jumping `jumps` times, PCG64.advance(jumps *
+    _JUMP), takes the LCG state s to A * s + inc * S mod 2^128 whatever
+    the increment inc: the LCG s -> _PCG64_MULT * s + inc composed that
+    many times, by squaring (Brown 1994, "Random number generation with
+    arbitrary strides").  Cached: it depends on no seed."""
+    delta = jumps * _JUMP % _PERIOD
+    a, c, mult, plus = 1, 0, _PCG64_MULT, 1
+    while delta:
+        if delta & 1:
+            a, c = a * mult % _PERIOD, (c * mult + plus) % _PERIOD
+        plus = (mult + 1) * plus % _PERIOD
+        mult = mult * mult % _PERIOD
+        delta >>= 1
+    return a, c
+
+
 def _stream_normals(seed: int, streams: Sequence[int], shape: tuple) -> np.ndarray:
     """Standard normals of the given shape per stream, row r drawn in
-    order as Generator(PCG64(seed).jumped(streams[r])) draws them."""
-    if not all(is_integer(v) and v >= 0 for v in (seed, *streams)):
+    order as Generator(PCG64(seed).jumped(streams[r])) draws them.
+
+    The first stream's state comes from one PCG64.advance, and each
+    next one from its predecessor's by one affine step of the LCG
+    state, _jump_map of their difference.  A range is checked by its
+    two endpoints, any other sequence element by element.
+    """
+    ends = (streams[0], streams[-1]) if isinstance(streams, range) and streams else streams
+    if not all(is_integer(v) and v >= 0 for v in (seed, *ends)):
         raise ValueError("seed and stream must be nonnegative integers")
-    if any(stream >= 2**128 for stream in streams):
+    if any(stream >= 2**128 for stream in ends):
         # jumped wraps modulo 2^128: jumped(2**128) is jumped(0)
         raise ValueError("stream must be below 2**128")
     normals = np.empty((len(streams),) + shape)
     bit_generator = np.random.PCG64(seed)
-    start = bit_generator.state
+    if len(streams):
+        bit_generator.advance(int(streams[0]) * _JUMP % _PERIOD)
     generator = np.random.Generator(bit_generator)
-    for r, stream in enumerate(streams):
-        bit_generator.state = start
-        bit_generator.advance(int(stream) * _JUMP % 2**128)
+    state = bit_generator.state
+    lcg = state["state"]
+    for r in range(len(streams)):
+        if r:
+            a, c = _jump_map(int(streams[r]) - int(streams[r - 1]))
+            lcg["state"] = (a * lcg["state"] + c * lcg["inc"]) % _PERIOD
+            bit_generator.state = state
         generator.standard_normal(out=normals[r])
     return normals
 
@@ -191,24 +263,29 @@ def sample_increments(
 
     Circulant embedding (Davies & Harte 1987; Wood & Chan 1994): the
     Toeplitz first row is embedded in a circulant of length
-    m = embedding_length(N), whose eigenvalues come from one rfft.
-    Each replication draws m//2 + 1 real then m//2 + 1 imaginary
-    normals from its own stream, PCG64(seed).jumped(streams[r]), and
-    one batched irfft maps the block to paths.  Row r therefore depends
-    only on seed and streams[r], not on the block it was drawn in.
+    m = embedding_length(N), twice a 5-smooth number, whose first row
+    holds the lags 0 .. m/2 of autocov_sequence and whose eigenvalues
+    come from one rfft.  Each replication draws m//2 + 1 real then
+    m//2 + 1 imaginary normals from its own stream,
+    PCG64(seed).jumped(streams[r]), and one batched irfft maps the
+    block to paths, cut to their first N values.  Row r therefore
+    depends only on seed and streams[r], not on the block it was drawn
+    in.
 
     The draw is exact when the embedding is nonnegative definite.
     Eigenvalues down to -1e-8 times the largest are taken as rounding
     and clipped to zero; anything lower raises NotPositiveDefiniteError
     naming the min/max eigenvalue ratio and the embedding length.  For
-    the kernel gamma(H, .) the smallest ratio is positive for H from
-    0.001 to 0.995 at N <= 8193, for H <= 0.98 up to N = 65537, and for
-    nine H from 0.01 to 0.99 at N = 65543, the longest base the harness
-    samples (down to 5.3e-8 at H = 0.99).  The check fails only next to
-    H = 1, from H = 0.998 at N = 1025, 2049 and 8193 (ratio -4.8e-7 at
-    H = 0.999, N = 1025), where dense Cholesky of the same Toeplitz
-    matrix still succeeds at N = 1025 but fails from H = 0.998 at
-    N = 8193.
+    the kernel gamma(H, .) the smallest ratio is positive at every
+    N <= 8193 (all 167 embedding lengths) for sixteen H from 0.001 to
+    0.995, down to 1.3e-7 at H = 0.995; at every N <= 65537 (118 more
+    lengths) for eleven H from 0.001 to 0.99; and at N = 65543, the
+    longest base the harness samples, for nine H from 0.01 to 0.99
+    (down to 5.3e-8 at H = 0.99, at both).  The check fails
+    only next to H = 1, from H = 0.998 at N = 1025, 2049 and 8193
+    (ratio -4.8e-7 at H = 0.999, N = 1025), where dense Cholesky of the
+    same Toeplitz matrix still succeeds at N = 1025 but fails from
+    H = 0.998 at N = 8193.
     """
     scale = _embedding_scale(params, h, N)
     normals = _stream_normals(seed, streams, (2 * scale.size,))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import toeplitz
+from scipy.linalg import solve_toeplitz, toeplitz
 
 from nifbm.covariance import (
     MixedParams,
@@ -17,6 +17,7 @@ from nifbm.covariance import (
 )
 from nifbm.errors import LengthError, NotPositiveDefiniteError, ZeroDenominatorError
 from nifbm.estimation import (
+    _toeplitz_solve,
     aggregate_increments,
     drift_mle,
     drift_two_point,
@@ -553,6 +554,30 @@ class TestDriftMle:
             gls_oracle(cov, dg)
         with pytest.raises(NotPositiveDefiniteError):
             drift_mle(np.zeros(2048), dg, cov)
+
+
+class TestToeplitzSolve:
+    @pytest.mark.parametrize("g_name", ["linear", "benchmark-g"])
+    @pytest.mark.parametrize(
+        "params",
+        [NifbmParams(0.3), NifbmParams(0.7, a2=2.0), MixedParams(0.7, 0.3, 2.0, 1.0)],
+        ids=["H0.3", "H0.7", "mixed"],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 128, 1000, 8192])
+    def test_padded_solve_matches_direct_solve(self, n, params, g_name):
+        # the matvec's circulant has the 5-smooth length fast_length(2N - 1):
+        # 3, 5, 15, 64, 256, 2000 and 16384 here.  At N = 8192 the dense
+        # matrix would take 0.5 GB, so Levinson recursion (O(N) memory)
+        # is the reference there
+        cov = autocov_sequence(params, 2.0, n)
+        b = np.diff(drift_samples(g_name, n, 2.0))
+        if n <= 1000:
+            expected = np.linalg.solve(toeplitz(cov), b)
+        else:
+            expected = solve_toeplitz(cov, b)
+        solved = _toeplitz_solve(cov, b)
+        err = np.linalg.norm(solved - expected) / np.linalg.norm(expected)
+        assert err <= 1e-10
 
 
 class TestDriftTwoPoint:

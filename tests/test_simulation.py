@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nifbm
@@ -34,6 +34,7 @@ from nifbm.simulation import (
     combine_mixed_components,
     embedding_eigenvalues,
     embedding_length,
+    fast_length,
     sample_increments,
     sample_mixed_components,
     seed_blocks,
@@ -178,14 +179,24 @@ class TestSampleIncrements:
         assert not _embedding_scale(NifbmParams(0.3), 2.0, 513).flags.writeable
 
     def test_embedding_definite_at_longest_base(self):
-        # two-process aggregate noise at N = MAX_N samples 8 N + 7
-        # increments, the longest base the harness draws; the smallest
-        # min/max eigenvalue ratio there is about 5e-8, at H = 0.99
-        n = base_length(AGGREGATION_FACTORS, MAX_N)
-        assert n == 65543
-        for H in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.98, 0.99):
-            eig = embedding_eigenvalues(autocov_sequence(NifbmParams(H), 1.0, n))
-            assert eig.min() > 0.0, (H, eig.min() / eig.max())
+        # the padded embedding, filled with the kernel's own lags, at the
+        # lengths of the small-N tables and experiments and at the
+        # longest base the harness draws: two-process aggregate noise at
+        # N = MAX_N samples 8 N + 7 increments, embedded in length
+        # 2 * 65610.  The smallest min/max eigenvalue ratio is about
+        # 5e-8, at H = 0.99 and the longest base
+        longest = base_length(AGGREGATION_FACTORS, MAX_N)
+        assert longest == 65543
+        for n in (8, 32, 64, 128, 256, longest):
+            m = embedding_length(n)
+            for H in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.98, 0.99):
+                row = autocov_sequence(NifbmParams(H), 1.0, m // 2 + 1)
+                eig = embedding_eigenvalues(row, m)
+                assert eig.min() > 0.0, (n, H, eig.min() / eig.max())
+                if n < longest:
+                    # this is the embedding the sampler draws from
+                    scale = _embedding_scale(NifbmParams(H), 1.0, n)
+                    assert np.array_equal(scale, np.sqrt(eig * m / 2.0))
 
     def test_indefinite_embedding_names_ratio(self):
         with pytest.raises(NotPositiveDefiniteError) as info:
@@ -194,6 +205,51 @@ class TestSampleIncrements:
         match = re.search(r"ratio (-[0-9.e+-]+)", message)
         assert match and float(match.group(1)) < -1e-8
         assert "embedding length 2048" in message
+
+
+class TestEmbeddingLength:
+    def test_fast_length_matches_brute_force(self):
+        smooth = [False] * 10001
+        for m in range(1, 10001):
+            k = m
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            smooth[m] = k == 1
+        for n in range(1, 5001):
+            expected = next(m for m in range(n, 10001) if smooth[m])
+            assert fast_length(n) == expected, n
+
+    @pytest.mark.parametrize(
+        "n,m",
+        [(1, 1), (2, 2), (3, 4), (8, 16), (32, 64), (64, 128), (128, 256),
+         (255, 512), (256, 512), (1025, 2048), (4097, 8192), (8193, 16384),
+         (65543, 131220)],
+    )
+    def test_twice_a_smooth_length(self, n, m):
+        # 2(N - 1) rounded up to twice a 5-smooth number: unchanged where
+        # it already is one, as at N = 2^k + 1
+        assert embedding_length(n) == embedding_length(np.int64(n)) == m
+        assert type(embedding_length(np.int64(n))) is int
+
+    @pytest.mark.parametrize("bad", [True, 64.0, 0, -3])
+    def test_n_checked_before_rounding(self, bad):
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+            embedding_length(bad)
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+            list(seed_blocks(range(4), bad))
+
+    def test_spectrum_of_padded_row(self):
+        # row[k] sits at k and m - k of the first row, zeros between
+        row = np.array([3.0, 1.0, 0.5])
+        for m in (4, 5, 8):
+            first = np.zeros(m)
+            first[[0, 1, 2, m - 2, m - 1]] = [3.0, 1.0, 0.5, 0.5, 1.0]
+            circulant = first[(np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
+            expected = np.sort(np.linalg.eigvalsh(circulant))
+            eig = embedding_eigenvalues(row, m)
+            full = np.concatenate([eig, eig[1 : (m + 1) // 2][::-1]])
+            assert np.allclose(np.sort(full), expected)
 
 
 class TestStreamStates:
@@ -218,8 +274,49 @@ class TestStreamStates:
     def test_any_block(self, seed, streams):
         self.assert_matches_jumped(seed, streams)
 
+    @given(
+        _SEED_INTS,
+        _SEED_INTS,
+        st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64)),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=150)
+    def test_any_range(self, seed, start, step, size):
+        # consecutive streams of a range, ascending or descending, are
+        # one jump map of the range's step apart
+        assume(step != 0 and 0 <= start + step * (size - 1) < 2**128)
+        self.assert_matches_jumped(seed, range(start, start + step * size, step))
+
+    @pytest.mark.parametrize(
+        "streams",
+        [range(0, 40, 7), range(30, -1, -1), range(9, 0, -4),
+         range(2**128 - 5, 2**128), range(2**128 - 1, 2**128 - 40, -13),
+         range(2**64 - 2, 2**64 + 2)],
+        ids=["step-7", "down-to-0", "down-by-4", "below-period",
+             "down-from-period", "across-2^64"],
+    )
+    def test_ranges(self, streams):
+        for seed in (0, 2**64 - 1):
+            self.assert_matches_jumped(seed, streams)
+
+    @given(_SEED_INTS, st.lists(st.sampled_from((0, 1, 5, 2**128 - 1)), max_size=8))
+    @settings(max_examples=50)
+    def test_lists_with_repeats(self, seed, streams):
+        self.assert_matches_jumped(seed, streams)
+
+    @pytest.mark.parametrize(
+        "streams,message",
+        [(range(2**128 - 2, 2**128 + 1), r"stream must be below 2\*\*128"),
+         (range(2**128 + 3, 2**128 - 3, -1), r"stream must be below 2\*\*128"),
+         (range(3, -2, -1), _NOT_NATURAL), (range(-4, 2), _NOT_NATURAL)],
+    )
+    def test_range_checked_by_endpoints(self, streams, message):
+        with pytest.raises(ValueError, match=message):
+            _stream_normals(7, streams, (3,))
+
     def test_empty_block(self):
         assert _stream_normals(0, [], (4,)).shape == (0, 4)
+        assert _stream_normals(0, range(5, 5), (4,)).shape == (0, 4)
 
     def test_stream_beyond_period_rejected(self):
         # jumped wraps modulo 2^128: jumped(2**128) would repeat stream 0
