@@ -26,6 +26,7 @@ from .simulation import (
     cholesky_factor,
     sample_increments,
     sample_mixed_components,
+    stream_generator,
 )
 from .estimation import (
     AGGREGATION_FACTORS,

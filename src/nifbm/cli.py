@@ -36,7 +36,7 @@ from .harness import (
     table_configs,
     write_results,
 )
-from .simulation import sample_increments
+from .simulation import sample_increments, stream_generator
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--h", type=float, required=True)
     sim.add_argument("--N", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--stream", type=int, default=0)
+    sim.add_argument(
+        "--stream", type=int, default=0,
+        help="print the first path of this stream of the seed (default 0)",
+    )
     sim.add_argument("--out", default=None, help="output path (default stdout)")
 
     est = sub.add_parser("estimate", help="estimate parameters from a series")
@@ -101,7 +104,8 @@ def _cmd_simulate(args) -> int:
         b2 = 1.0 if args.b2 is None else args.b2
         params = MixedParams(H1=args.H1, H2=args.H2, a2=args.a2, b2=b2)
     check_positive("step h", args.h)
-    values = sample_increments(params, args.h, args.N, args.seed, [args.stream])[0]
+    rng = stream_generator(args.seed, args.stream)
+    values = sample_increments(params, args.h, args.N, rng, 1)[0]
     text = "\n".join(format(v, ".17g") for v in values) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -4,9 +4,10 @@ An experiment fixes a model, parameter values, an optional drift, a
 grid of (h, N) pairs and a replication count.  The model parameters
 are built once per experiment; the window width h belongs to the grid
 and is passed next to them.  Each grid point is one pipeline: drift
-stage (paths drawn per seed block, then one call of each estimator on
-all replications), noise stage (xi statistics per seed block, then one
-estimator call on all replications, shared with
+stage (paths drawn per seed block, in order from stream 0 of the seed,
+then one call of each estimator on all replications), noise stage (xi
+statistics per seed block, on paths drawn in order from stream 1, then
+one estimator call on all replications, shared with
 empirical_estimator_cov), then one row per requested estimator
 with the empirical mean and standard deviation of the non-degenerate
 replications (nan if there are none), the theoretical standard
@@ -47,6 +48,7 @@ from .simulation import (
     sample_increments,
     sample_mixed_components,
     seed_blocks,
+    stream_generator,
 )
 # benchmarks/tracing.py wraps harness.cholesky_factor, so the name stays bound
 from .simulation import cholesky_factor  # noqa: F401
@@ -202,14 +204,14 @@ def drift_samples(name: str, N: int, h: float) -> np.ndarray:
 
 
 def _noise_estimates(
-    params: Params, h: float, N: int, seed: int, streams: range, mode: str
+    params: Params, h: float, N: int, rng: np.random.Generator, count: int, mode: str
 ):
-    """Moment estimates of one replication per stream, one array
-    element each, replication r drawn on the stream (seed, streams[r]),
-    and the scheme that drew them.  Two-process direct-per-j rescales
-    shared unit-scale components to every width j*h; every other case,
-    the one-process model in either mode included, is "aggregate": one
-    base series at step h whose coarsest aggregate has N increments.
+    """Moment estimates of `count` replications drawn in order from rng,
+    one array element each, and the scheme that drew them.  Two-process
+    direct-per-j rescales shared unit-scale components to every width
+    j*h; every other case, the one-process model in either mode
+    included, is "aggregate": one base series at step h whose coarsest
+    aggregate has N increments.
     The xi statistics are computed once per seed block and factor, the
     estimates in one call on all the blocks' statistics.
     """
@@ -218,13 +220,13 @@ def _noise_estimates(
     factors = MOMENT_FACTORS[type(params)]
     n_base = N if direct else base_length(factors, N)
     blocks = []
-    for block in seed_blocks(streams, n_base):
+    for rows in seed_blocks(count, n_base):
         if direct:
-            parts = sample_mixed_components(params, N, seed, block)
+            parts = sample_mixed_components(params, N, rng, len(rows))
             mixes = (combine_mixed_components(params, j * h, *parts) for j in factors)
             blocks.append([xi_statistic(mix) for mix in mixes])
         else:
-            base = sample_increments(params, h, n_base, seed, block)
+            base = sample_increments(params, h, n_base, rng, len(rows))
             xi = xi_statistics_from_base(base, factors=factors)
             blocks.append([xi[j] for j in factors])
     xi = dict(zip(factors, map(np.concatenate, zip(*blocks))))
@@ -235,16 +237,17 @@ def _noise_estimates(
 
 def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     """(row name, mean, sd_emp, degenerate count, sd_theory, j_mode) of
-    each requested drift estimator on the drifted streams 0 .. R - 1,
-    drawn and drifted per seed block into one (R, N) array, then
+    each requested drift estimator on R paths drawn in order from
+    stream 0, per seed block, and drifted into one (R, N) array, then
     estimated in one call per estimator."""
     g = config.g_samples
     g = drift_samples(config.g_name, N, h) if g is None else np.asarray(g, dtype=float)
     drift = DriftSpec(mu=config.mu, g_values=g)
     dy = np.empty((config.replications, N))
-    for block in seed_blocks(range(config.replications), N):
-        noise = sample_increments(params, h, N, config.seed, block)
-        dy[block.start : block.stop] = add_drift(noise, drift)
+    rng = stream_generator(config.seed, 0)
+    for rows in seed_blocks(config.replications, N):
+        noise = sample_increments(params, h, N, rng, len(rows))
+        dy[rows.start : rows.stop] = add_drift(noise, drift)
     estimates = {}
     if "drift-mle" in config.outputs:
         estimates["mu_mle"] = drift_mle(dy, np.diff(g), autocov_sequence(params, h, N))
@@ -258,11 +261,13 @@ def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
 
 
 def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
-    """The same for the noise estimators, on the streams R .. 2R - 1,
-    j_mode naming the scheme that ran; sd_theory comes from sigma0_one
-    for the one-process model."""
-    reps, mode = config.replications, config.simulation_mode
-    est, mode = _noise_estimates(params, h, N, config.seed, range(reps, 2 * reps), mode)
+    """The same for the noise estimators, on R replications drawn in
+    order from stream 1, j_mode naming the scheme that ran; sd_theory
+    comes from sigma0_one for the one-process model."""
+    rng = stream_generator(config.seed, 1)
+    est, mode = _noise_estimates(
+        params, h, N, rng, config.replications, config.simulation_mode
+    )
     kept, degenerate = ~est.degenerate, int(np.count_nonzero(est.degenerate))
     theory = {}
     if isinstance(params, NifbmParams):
@@ -339,16 +344,18 @@ def empirical_estimator_cov(
     One-process parameters give a 2x2 matrix for (H_hat, a2_hat) using
     the aggregated scheme (xi1 on 2N, xi2 on N increments); two-process
     parameters give a 4x4 matrix for (H1, H2, a2, b2) using direct
-    sampling at each factor with shared component noise.  Replication r
-    is drawn on the stream (seed, r).  Degenerate replications are
-    excluded and counted in the second return value.
+    sampling at each factor with shared component noise.  The
+    replications are drawn in order from stream 0 of the seed.
+    Degenerate replications are excluded and counted in the second
+    return value.
     """
     for name, value, least in (("replications", replications, 100), ("N", N, 1)):
         if not is_integer(value) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     names = [f.name for f in fields(params)]
     truth = np.array(astuple(params))
-    est, _ = _noise_estimates(params, h, N, seed, range(replications), "direct-per-j")
+    rng = stream_generator(seed, 0)
+    est, _ = _noise_estimates(params, h, N, rng, replications, "direct-per-j")
     kept = np.column_stack([getattr(est, name + "_hat")[~est.degenerate] for name in names])
     if len(kept) < 2:
         raise ValueError("too few non-degenerate replications")

@@ -5,10 +5,10 @@ its covariance matrix is Toeplitz and fully described by the
 autocovariance sequence.  Embedding that Toeplitz matrix in a circulant
 one diagonalises it by the FFT (Davies & Harte 1987; Wood & Chan 1994),
 so a block of R paths of length N costs one rfft of the first row and
-one batched irfft, O(R N log N), with each replication's normals drawn
-from its own seed stream.  The circulant is not the minimal one, of
-length 2(N - 1), but has length m = 2L with L the smallest 2^a 3^b 5^c
->= N - 1 (embedding_length), and its first row carries the model's own
+one batched irfft, O(R N log N), with the block's normals drawn in one
+call.  The circulant is not the minimal one, of length 2(N - 1), but
+has length m = 2L with L the smallest 2^a 3^b 5^c >= N - 1
+(embedding_length), and its first row carries the model's own
 lags 0 .. L, as Wood & Chan (1994, section 2) recommend: the minimal
 length has a large prime factor at the N users pick (2 * 127 at
 N = 128), where numpy's FFT falls back to Bluestein's algorithm.  Where
@@ -16,20 +16,20 @@ N = 128), where numpy's FFT falls back to Bluestein's algorithm.  Where
 This is the package's only path sampler; the dense Cholesky factor is
 kept as an exact reference for tests.
 
-A block of replications is addressed by one seed and its streams, a
-range of nonnegative integers below 2^128; replication (seed, stream)
-draws exactly what np.random.Generator(np.random.PCG64(seed)
-.jumped(stream)) would draw.  The samplers build one PCG64(seed) per
-block and advance it to the first stream by that jump's public step,
-(phi - 1) * 2^128 per stream (PCG64.advance); each next stream's state
-is one affine step of the 128-bit LCG state from the one before,
-s -> A s + inc S mod 2^128, with (A, S) the map of their distance in
-jumps, computed once per distance.
+The samplers draw from a numpy Generator they are handed, one
+standard_normal call per block of `count` paths, of shape
+(count, C, m // 2 + 1, 2) for the C components drawn (one in
+sample_increments), read as interleaved real and imaginary parts.  A run's stages each draw their replications in
+order from one generator, stream_generator(seed, stream), which is
+np.random.Generator(np.random.PCG64(seed).jumped(stream)); row r of a
+stage is then the r-th slab of that stream, whichever blocks
+seed_blocks cut it into.
 
 Increment series are plain float arrays with time on the last axis:
-the samplers return one row per stream, and combine_mixed_components
-and add_drift take one series or an (R, N) block of them alike, row r
-of a block result being exactly the result for row r alone.  This
+the samplers return one row per replication, and
+combine_mixed_components and add_drift take one series or an (R, N)
+block of them alike, row r of a block result being exactly the result
+for row r alone.  This
 module only draws paths and adds drift; aggregating them to coarser
 widths is the xi statistics' step, in nifbm.estimation.
 """
@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 # numpy loads these two lazily; importing them here keeps their load
@@ -63,6 +62,7 @@ __all__ = [
     "fast_length",
     "embedding_length",
     "embedding_eigenvalues",
+    "stream_generator",
     "seed_blocks",
     "sample_increments",
     "sample_mixed_components",
@@ -76,16 +76,6 @@ BLOCK_ELEMENTS = 2**16
 
 # embedding eigenvalues above -_EIG_TOL * max are rounding, clipped to 0
 _EIG_TOL = 1e-8
-
-# PCG64.jumped's step per jump: (phi - 1) * 2^128, odd, so the streams
-# of one seed are 2^128 distinct states of its 2^128-periodic sequence
-_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-
-# PCG64's period, the modulus of its 128-bit LCG state
-_PERIOD = 2**128
-
-# the multiplier of PCG64's 128-bit LCG (PCG_DEFAULT_MULTIPLIER_128)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -115,9 +105,12 @@ def cholesky_factor(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of the Toeplitz matrix whose
     first row is the given autocovariance sequence."""
     row = np.asarray(cov, dtype=float)
-    lags = np.arange(row.size)
+    # both_ways[w + j] = row[|w + j - (n - 1)|]: its length-n windows,
+    # last first, are the matrix's rows, read without an index array
+    both_ways = np.concatenate([row[:0:-1], row])
+    toeplitz = np.lib.stride_tricks.sliding_window_view(both_ways, row.size)[::-1]
     try:
-        return np.linalg.cholesky(row[np.abs(lags[:, None] - lags)])
+        return np.linalg.cholesky(toeplitz)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             "Toeplitz covariance is not positive definite"
@@ -159,13 +152,25 @@ def embedding_eigenvalues(row: np.ndarray, m: int) -> np.ndarray:
     return np.fft.rfft(first).real
 
 
-def seed_blocks(streams: range, N: int):
-    """The streams in order, in sub-ranges of at most
-    BLOCK_ELEMENTS // embedding_length(N) streams (at least one), so
-    that a sampled block stays small."""
+def stream_generator(seed: int, stream: int) -> np.random.Generator:
+    """np.random.Generator(np.random.PCG64(seed).jumped(stream)), the
+    generator a stage of a run draws its replications from, for
+    nonnegative integers seed and stream < 2^128 (not bools)."""
+    if not all(is_integer(v) and v >= 0 for v in (seed, stream)):
+        raise ValueError("seed and stream must be nonnegative integers")
+    if stream >= 2**128:
+        # jumped wraps modulo 2^128: jumped(2**128) is jumped(0)
+        raise ValueError("stream must be below 2**128")
+    return np.random.Generator(np.random.PCG64(seed).jumped(stream))
+
+
+def seed_blocks(count: int, N: int):
+    """The rows 0 .. count - 1 in order, as ranges of at most
+    BLOCK_ELEMENTS // embedding_length(N) rows (at least one), so that
+    a sampled block stays small."""
     size = max(1, BLOCK_ELEMENTS // embedding_length(N))
-    for i in range(0, len(streams), size):
-        yield streams[i : i + size]
+    for i in range(0, count, size):
+        yield range(i, min(i + size, count))
 
 
 @functools.lru_cache(typed=True)
@@ -189,88 +194,37 @@ def _embedding_scale(params: Params, h: float, N: int) -> np.ndarray:
     return scale
 
 
-@functools.lru_cache
-def _jump_map(jumps: int) -> tuple:
-    """(A, S) such that jumping `jumps` times, PCG64.advance(jumps *
-    _JUMP), takes the LCG state s to A * s + inc * S mod 2^128 whatever
-    the increment inc: the LCG s -> _PCG64_MULT * s + inc composed that
-    many times, by squaring (Brown 1994, "Random number generation with
-    arbitrary strides").  Cached: it depends on no seed."""
-    delta = jumps * _JUMP % _PERIOD
-    a, c, mult, plus = 1, 0, _PCG64_MULT, 1
-    while delta:
-        if delta & 1:
-            a, c = a * mult % _PERIOD, (c * mult + plus) % _PERIOD
-        plus = (mult + 1) * plus % _PERIOD
-        mult = mult * mult % _PERIOD
-        delta >>= 1
-    return a, c
-
-
-def _stream_normals(seed: int, streams: Sequence[int], shape: tuple) -> np.ndarray:
-    """Standard normals of the given shape per stream, row r drawn in
-    order as Generator(PCG64(seed).jumped(streams[r])) draws them.
-
-    The first stream's state comes from one PCG64.advance, and each
-    next one from its predecessor's by one affine step of the LCG
-    state, _jump_map of their difference.  A range is checked by its
-    two endpoints, any other sequence element by element.
-    """
-    ends = (streams[0], streams[-1]) if isinstance(streams, range) and streams else streams
-    if not all(is_integer(v) and v >= 0 for v in (seed, *ends)):
-        raise ValueError("seed and stream must be nonnegative integers")
-    if any(stream >= 2**128 for stream in ends):
-        # jumped wraps modulo 2^128: jumped(2**128) is jumped(0)
-        raise ValueError("stream must be below 2**128")
-    normals = np.empty((len(streams),) + shape)
-    bit_generator = np.random.PCG64(seed)
-    if len(streams):
-        bit_generator.advance(int(streams[0]) * _JUMP % _PERIOD)
-    generator = np.random.Generator(bit_generator)
-    state = bit_generator.state
-    lcg = state["state"]
-    for r in range(len(streams)):
-        if r:
-            a, c = _jump_map(int(streams[r]) - int(streams[r - 1]))
-            lcg["state"] = (a * lcg["state"] + c * lcg["inc"]) % _PERIOD
-            bit_generator.state = state
-        generator.standard_normal(out=normals[r])
-    return normals
-
-
-def _spectral_draw(normals: np.ndarray, scale: np.ndarray, N: int) -> np.ndarray:
-    """First N values of irfft(z * scale) per row, where row r of
-    `normals` holds z's real parts then its imaginary parts."""
-    k = scale.size
+def _spectral_draw(normals: np.ndarray, scales: np.ndarray, N: int) -> np.ndarray:
+    """First N values of irfft(z * scale) per row and component, where
+    normals[..., i, :, :] holds the interleaved real and imaginary
+    parts of component i's z, overwritten here, and scales[i] its
+    spectral scale."""
     m = embedding_length(N)
-    z = np.empty(normals.shape[:-1] + (k,), dtype=complex)
-    z.real = normals[..., :k]
-    z.imag = normals[..., k:]
+    z = normals.view(complex)[..., 0]
     # the zero and (even m) Nyquist bins are real: all their variance
     # goes on the real part
     z[..., 0] = z[..., 0].real * math.sqrt(2.0)
     if m % 2 == 0:
         z[..., -1] = z[..., -1].real * math.sqrt(2.0)
-    z *= scale
+    z *= scales
     return np.fft.irfft(z, n=m)[..., :N]
 
 
 def sample_increments(
-    params: Params, h: float, N: int, seed: int, streams: Sequence[int]
+    params: Params, h: float, N: int, rng: np.random.Generator, count: int
 ) -> np.ndarray:
-    """Exact zero-mean Gaussian series of N increments of width h, one
-    row per stream.
+    """Exact zero-mean Gaussian series of N increments of width h,
+    `count` of them as the rows of a (count, N) array, drawn from rng.
 
     Circulant embedding (Davies & Harte 1987; Wood & Chan 1994): the
     Toeplitz first row is embedded in a circulant of length
     m = embedding_length(N), twice a 5-smooth number, whose first row
     holds the lags 0 .. m/2 of autocov_sequence and whose eigenvalues
-    come from one rfft.  Each replication draws m//2 + 1 real then
-    m//2 + 1 imaginary normals from its own stream,
-    PCG64(seed).jumped(streams[r]), and one batched irfft maps the
-    block to paths, cut to their first N values.  Row r therefore
-    depends only on seed and streams[r], not on the block it was drawn
-    in.
+    come from one rfft.  One call rng.standard_normal((count, 1, k, 2)),
+    k = m//2 + 1, draws each row's k complex normals as interleaved
+    real and imaginary parts, and one batched irfft maps the block to
+    paths, cut to their first N values.  Drawing 2R rows in one call or
+    R rows in each of two calls on one generator gives the same paths.
 
     The draw is exact when the embedding is nonnegative definite.
     Eigenvalues down to -1e-8 times the largest are taken as rounding
@@ -288,12 +242,12 @@ def sample_increments(
     H = 0.998 at N = 8193.
     """
     scale = _embedding_scale(params, h, N)
-    normals = _stream_normals(seed, streams, (2 * scale.size,))
-    return _spectral_draw(normals, scale, N)
+    normals = rng.standard_normal((count, 1, scale.size, 2))
+    return _spectral_draw(normals, scale, N)[:, 0]
 
 
 def sample_mixed_components(
-    params: Params, N: int, seed: int, streams: Sequence[int]
+    params: Params, N: int, rng: np.random.Generator, count: int
 ) -> tuple:
     """Unit-scale noises of the components of params, for rescaling to
     every width by combine_mixed_components.
@@ -301,15 +255,19 @@ def sample_mixed_components(
     Component (H, c) has increments at width w with covariance
     c*w^(2H)*gamma(H, n), so one unit-gamma draw per component can be
     rescaled to every width w = j*h while keeping the noise shared
-    across the aggregation factors j.  Returns one (len(streams), N) array per component, whose
-    rows have Toeplitz covariance gamma(H, .), sampled by circulant
-    embedding as in sample_increments; each stream draws the
-    components' normals in order.
+    across the aggregation factors j.  Returns one (count, N) array per
+    component, whose rows have Toeplitz covariance gamma(H, .), sampled
+    by circulant embedding as in sample_increments from one call
+    rng.standard_normal((count, C, k, 2)) for the C components: row r
+    draws the components' normals in order.
     """
     # unit scale and unit width give the autocovariance gamma(H, .)
-    scales = [_embedding_scale(NifbmParams(H), 1.0, N) for H, _ in params.components]
-    normals = _stream_normals(seed, streams, (len(scales), 2 * scales[0].size))
-    return tuple(_spectral_draw(normals[:, i], s, N) for i, s in enumerate(scales))
+    scales = np.stack(
+        [_embedding_scale(NifbmParams(H), 1.0, N) for H, _ in params.components]
+    )
+    normals = rng.standard_normal((count,) + scales.shape + (2,))
+    paths = _spectral_draw(normals, scales, N)
+    return tuple(paths[:, i] for i in range(len(scales)))
 
 
 def combine_mixed_components(

@@ -18,10 +18,10 @@ settings.load_profile("suite")
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
-    """The generator of replication (seed, stream): numpy's PCG64(seed)
-    jumped `stream` times.  The samplers move one bit generator to each
-    stream instead of building this; it is the oracle they are checked
-    against."""
+    """Stream `stream` of a seed: numpy's PCG64(seed) jumped `stream`
+    times, written out here as the oracle that
+    nifbm.simulation.stream_generator and the samplers' draws are
+    checked against."""
     return np.random.Generator(np.random.PCG64(seed).jumped(stream))
 
 

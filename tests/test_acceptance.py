@@ -385,7 +385,7 @@ def test_criterion_13_long_path_ergodicity():
     eta1 = forward_moment_map(params, 2.0)[0]
     hits = 0
     for seed in range(100):
-        series = sample_increments(params, 2.0, 2**16, seed, [0])[0]
+        series = sample_increments(params, 2.0, 2**16, stream_generator(seed, 0), 1)[0]
         if abs(xi_statistic(series) - eta1) / eta1 < 0.05:
             hits += 1
     report(

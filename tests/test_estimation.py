@@ -36,6 +36,7 @@ from nifbm.simulation import (
     cholesky_factor,
     combine_mixed_components,
     sample_increments,
+    stream_generator,
 )
 
 from conftest import gls_oracle, two_point_variance_assembled
@@ -654,7 +655,7 @@ class TestUnbiasedness:
         g = drift_samples("benchmark-g", n, 2.0)
         dg = np.diff(g)
         cov = autocov_sequence(params, 2.0, n)
-        block = sample_increments(params, 2.0, n, 100, range(n_reps))
+        block = sample_increments(params, 2.0, n, stream_generator(100, 0), n_reps)
         mles, twops = [], []
         for noise in block:
             dy = add_drift(noise, DriftSpec(mu=mu, g_values=g))
@@ -668,7 +669,7 @@ class TestUnbiasedness:
 class TestTwoStage:
     def test_zero_drift_matches_direct(self):
         params = NifbmParams(0.5)
-        noise = sample_increments(params, 2.0, 65, 15, [0])[0]
+        noise = sample_increments(params, 2.0, 65, stream_generator(15, 0), 1)[0]
         y = np.concatenate([[0.0], np.cumsum(noise)])
         g = np.arange(66.0) * 2.0
         drift, est = two_stage_estimate(y, g, 2.0, model="one-nifbm")
@@ -690,7 +691,7 @@ class TestTwoStage:
         # stage-2 Hurst estimate should be close to the no-drift one
         params = NifbmParams(0.5)
         n = 257
-        block = sample_increments(params, 1.0, n, 16, range(100))
+        block = sample_increments(params, 1.0, n, stream_generator(16, 0), 100)
         g = (np.arange(n + 1.0)) ** 2  # fast-growing drift satisfies the rate check
         h_two_stage, h_direct = [], []
         for noise in block:
@@ -704,7 +705,7 @@ class TestTwoStage:
     def test_two_process_mode(self):
         params = MixedParams(0.6, 0.2, 1.0, 1.0)
         n = 8 * 16 + 7
-        noise = sample_increments(params, 1.0, n, 17, [0])[0]
+        noise = sample_increments(params, 1.0, n, stream_generator(17, 0), 1)[0]
         g = (np.arange(n + 1.0)) ** 2
         y = np.concatenate([[0.0], np.cumsum(noise)]) + 2.0 * g
         drift, est = two_stage_estimate(y, g, 1.0, model="two-nifbm")

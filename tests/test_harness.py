@@ -46,6 +46,7 @@ from nifbm.simulation import (
     sample_increments,
     sample_mixed_components,
     seed_blocks,
+    stream_generator,
 )
 
 
@@ -210,7 +211,7 @@ class TestRunExperiment:
                 assert math.isnan(row.mean) and math.isnan(row.sd_emp)
 
     def test_drift_blocks_match_per_replication(self):
-        # N = 600 samples in blocks of 65536 // 1198 = 54 seeds: 54, 54, 12;
+        # N = 600 samples in blocks of 65536 // 1200 = 54 rows: 54, 54, 12;
         # the GLS estimates of all rows must equal the one-series ones exactly
         n, reps = 600, 120
         cfg = small_drift_config(
@@ -220,7 +221,8 @@ class TestRunExperiment:
         params = NifbmParams(0.5)
         dg = np.diff(drift_samples("benchmark-g", n, 2.0))
         cov = autocov_sequence(params, 2.0, n)
-        paths = sample_increments(params, 2.0, n, 3, range(reps))
+        # the drift stage draws its rows in order from stream 0
+        paths = sample_increments(params, 2.0, n, stream_generator(3, 0), reps)
         mles = [drift_mle(path + 4.0 * dg, dg, cov).mu_hat for path in paths]
         assert rows[0].mean == float(np.mean(mles))
         assert rows[0].sd_emp == float(np.std(mles, ddof=1))
@@ -229,7 +231,7 @@ class TestRunExperiment:
         # N = 2048, R = 40 draws three seed blocks (16, 16, 8) and still
         # factorizes the covariance once
         n, reps = 2048, 40
-        assert len(list(seed_blocks(range(reps), n))) == 3
+        assert len(list(seed_blocks(reps, n))) == 3
         calls = []
 
         def counted(name):
@@ -251,18 +253,40 @@ class TestRunExperiment:
     def test_drift_rows_independent_of_block_size(self, monkeypatch):
         cfg = small_drift_config(replications=7)
         rows = run_experiment(cfg)
-        # one stream per seed block
+        # one row per seed block
         monkeypatch.setattr(simulation, "BLOCK_ELEMENTS", 1)
-        assert len(list(seed_blocks(range(7), 16))) == 7
+        assert len(list(seed_blocks(7, 16))) == 7
         single = run_experiment(cfg)
         assert [replace(r, seconds=0.0) for r in single] == [
             replace(r, seconds=0.0) for r in rows
         ]
 
     @pytest.mark.parametrize("mode", ["direct-per-j", "aggregate"])
+    @pytest.mark.parametrize("model", ["one-nifbm", "two-nifbm"])
+    def test_csv_independent_of_block_size(self, monkeypatch, model, mode):
+        # every stage draws its rows in order from one generator, so
+        # one-row blocks give the same CSV, apart from the seconds
+        two = dict(H2=0.3, b2=1.5) if model == "two-nifbm" else {}
+        cfg = small_drift_config(
+            model=model, H1=0.7, grid=((2.0, 16), (1.0, 8)), replications=9,
+            simulation_mode=mode, outputs=("drift-mle", "drift-two-point", "noise"),
+            **two,
+        )
+
+        def csv_text():
+            rows = [replace(r, seconds=0.0) for r in run_experiment(cfg)]
+            return format_results(rows)
+
+        blocked = csv_text()
+        assert len(list(seed_blocks(9, 16))) == 1
+        monkeypatch.setattr(simulation, "BLOCK_ELEMENTS", 1)
+        assert len(list(seed_blocks(9, 16))) == 9
+        assert csv_text() == blocked
+
+    @pytest.mark.parametrize("mode", ["direct-per-j", "aggregate"])
     def test_noise_blocks_match_per_replication(self, mode):
-        # direct-per-j at N = 256 samples in blocks of 65536 // 510 = 128
-        # seeds (128, 22), aggregate its 2055-increment base in blocks of
+        # direct-per-j at N = 256 samples in blocks of 65536 // 512 = 128
+        # rows (128, 22), aggregate its 2055-increment base in blocks of
         # 15; the rows must equal those built from one-series statistics
         n, reps, seed = 256, 150, 4
         params = MixedParams(H1=0.5, H2=0.3, a2=4.0, b2=4.0)
@@ -272,16 +296,17 @@ class TestRunExperiment:
         )
         rows = run_experiment(cfg)
         estimates = []
-        # the noise stage draws on the streams reps .. 2 reps - 1
-        for stream in range(reps, 2 * reps):
+        # the noise stage draws its rows in order from stream 1
+        rng = stream_generator(seed, 1)
+        for _ in range(reps):
             if mode == "direct-per-j":
-                e1, e2 = sample_mixed_components(params, n, seed, [stream])
+                e1, e2 = sample_mixed_components(params, n, rng, 1)
                 xi = {
                     j: xi_statistic(combine_mixed_components(params, 2.0 * j, e1[0], e2[0]))
                     for j in AGGREGATION_FACTORS
                 }
             else:
-                base = sample_increments(params, 2.0, 8 * n + 7, seed, [stream])
+                base = sample_increments(params, 2.0, 8 * n + 7, rng, 1)
                 xi = xi_statistics_from_base(base[0])
             estimates.append(estimate_two_nifbm(xi, 2.0))
         kept = [est for est in estimates if not est.degenerate]
@@ -452,11 +477,11 @@ _ONE = NifbmParams(0.5)
         (lambda: ExperimentConfig(model="one-nifbm", H1=0.5, seed=True),
          ConfigError, "seed must be an integer"),
         (lambda: autocov_sequence(_ONE, 1.0, True), ValueError, "N must be an integer"),
-        (lambda: sample_increments(_ONE, 1.0, True, 0, [0]), ValueError,
-         "N must be an integer"),
-        (lambda: sample_increments(_ONE, 1.0, 4, 0, [True]), ValueError,
+        (lambda: sample_increments(_ONE, 1.0, True, stream_generator(0, 0), 1),
+         ValueError, "N must be an integer"),
+        (lambda: stream_generator(0, True), ValueError,
          "seed and stream must be nonnegative integers"),
-        (lambda: sample_increments(_ONE, 1.0, 4, True, [0]), ValueError,
+        (lambda: stream_generator(True, 0), ValueError,
          "seed and stream must be nonnegative integers"),
         (lambda: nifbm.two_point_variance(_ONE, 1.0, True, 3.0), ValueError,
          "N must be an integer"),
@@ -478,12 +503,12 @@ def test_bool_rejected_where_integer_required(call, error, message):
 def test_caches_do_not_bypass_integer_checks():
     # True == 1 and 64.0 == 64 hash alike: caches keyed on equality
     # alone answered them from the int's entry without the check
-    sample_increments(_ONE, 1.0, 1, 0, [0])
-    sample_increments(_ONE, 1.0, 64, 0, [0])
+    sample_increments(_ONE, 1.0, 1, stream_generator(0, 0), 1)
+    sample_increments(_ONE, 1.0, 64, stream_generator(0, 0), 1)
     gamma_square_series(0.3, (0, 0), 1)
     for bad in (True, 64.0):
         with pytest.raises(ValueError, match="N must be an integer"):
-            sample_increments(_ONE, 1.0, bad, 0, [0])
+            sample_increments(_ONE, 1.0, bad, stream_generator(0, 0), 1)
     with pytest.raises(ValueError, match="n_terms must be an integer"):
         gamma_square_series(0.3, (0, 0), True)
 

@@ -28,7 +28,6 @@ from nifbm.harness import MAX_N
 from nifbm.simulation import (
     DriftSpec,
     _embedding_scale,
-    _stream_normals,
     add_drift,
     cholesky_factor,
     combine_mixed_components,
@@ -38,10 +37,11 @@ from nifbm.simulation import (
     sample_increments,
     sample_mixed_components,
     seed_blocks,
+    stream_generator,
 )
 from scipy.linalg import toeplitz
 
-from conftest import stream_generator
+import conftest
 
 # the edges of one to four 32-bit words
 _WORD_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96)
@@ -52,8 +52,28 @@ _NOT_NATURAL = "seed and stream must be nonnegative integers"
 
 
 def batch_sample(params, h, N, n_reps, seed=0):
-    """Replications as rows, drawn in one block by the shipped sampler."""
-    return sample_increments(params, h, N, seed, range(n_reps))
+    """Replications as rows, drawn in one block from stream 0 of the
+    seed by the shipped sampler."""
+    return sample_increments(params, h, N, stream_generator(seed, 0), n_reps)
+
+
+def one_path(params, h, N, seed, stream):
+    """The first path of stream (seed, stream), as `nifbm simulate`
+    prints it."""
+    return sample_increments(params, h, N, stream_generator(seed, stream), 1)
+
+
+class RecordingGenerator:
+    """A generator that keeps a copy of each standard_normal draw."""
+
+    def __init__(self, seed, stream):
+        self.rng = stream_generator(seed, stream)
+        self.draws = []
+
+    def standard_normal(self, shape):
+        draw = self.rng.standard_normal(shape)
+        self.draws.append(draw.copy())
+        return draw
 
 
 class TestCholeskyFactor:
@@ -82,11 +102,11 @@ class TestCholeskyFactor:
 class TestSampleIncrements:
     def test_determinism(self):
         params = NifbmParams(0.3, a2=2.0)
-        a = sample_increments(params, 1.0, 32, 7, [3])
-        b = sample_increments(params, 1.0, 32, 7, [3])
+        a = one_path(params, 1.0, 32, 7, 3)
+        b = one_path(params, 1.0, 32, 7, 3)
         assert a.shape == (1, 32)
         assert np.array_equal(a, b)
-        c = sample_increments(params, 1.0, 32, 7, [4])
+        c = one_path(params, 1.0, 32, 7, 4)
         assert not np.array_equal(a, c)
 
     def test_zero_mean(self):
@@ -114,66 +134,73 @@ class TestSampleIncrements:
 
     def test_mixed_model_sampling(self):
         params = MixedParams(0.7, 0.3, 2.0, 1.0)
-        assert sample_increments(params, 2.0, 16, 1, [0]).shape == (1, 16)
+        assert one_path(params, 2.0, 16, 1, 0).shape == (1, 16)
 
-    def test_block_rows_equal_single_seed_draws(self):
-        # 100 replications at N = 513 span two blocks of 64 and 36 streams
+    def test_block_rows_equal_row_by_row_draws(self):
+        # 100 replications at N = 513 span two blocks of 64 and 36 rows
         params = NifbmParams(0.3)
-        blocks = list(seed_blocks(range(10, 110), 513))
+        blocks = list(seed_blocks(100, 513))
         assert [len(b) for b in blocks] == [64, 36]
-        assert blocks[1][0] == 74
-        drawn = np.vstack([sample_increments(params, 2.0, 513, 3, b) for b in blocks])
-        whole = sample_increments(params, 2.0, 513, 3, [s for b in blocks for s in b])
+        assert blocks[1][0] == 64
+        rng = stream_generator(3, 10)
+        drawn = np.vstack([sample_increments(params, 2.0, 513, rng, len(b)) for b in blocks])
+        whole = sample_increments(params, 2.0, 513, stream_generator(3, 10), 100)
         assert np.array_equal(drawn, whole)
         for r in (0, 63, 64, 99):
-            single = sample_increments(params, 2.0, 513, 3, [10 + r])[0]
+            # row r is what follows the first r rows on the stream
+            rng = stream_generator(3, 10)
+            sample_increments(params, 2.0, 513, rng, r)
+            single = sample_increments(params, 2.0, 513, rng, 1)[0]
             assert np.array_equal(drawn[r], single)
 
-    def test_seed_blocks_cover_streams_in_order(self):
-        # at N = 513 a block holds 65536 // 1024 = 64 streams
-        blocks = list(seed_blocks(range(10, 110), 513))
-        assert blocks == [range(10, 74), range(74, 110)]
-        assert list(seed_blocks(range(5), 513)) == [range(5)]
-        assert list(seed_blocks(range(0), 513)) == []
+    def test_seed_blocks_cover_rows_in_order(self):
+        # at N = 513 a block holds 65536 // 1024 = 64 rows
+        blocks = list(seed_blocks(100, 513))
+        assert blocks == [range(0, 64), range(64, 100)]
+        assert list(seed_blocks(5, 513)) == [range(5)]
+        assert list(seed_blocks(0, 513)) == []
 
     @pytest.mark.parametrize(
-        "seed,streams,message",
-        [(-1, [0], _NOT_NATURAL), (0, [3, -1], _NOT_NATURAL),
-         (1.5, [0], _NOT_NATURAL), (0, [3, 0.5], _NOT_NATURAL),
-         (0, [3, 2**128], r"stream must be below 2\*\*128")],
+        "seed,stream,message",
+        [(-1, 0, _NOT_NATURAL), (0, -1, _NOT_NATURAL),
+         (1.5, 0, _NOT_NATURAL), (0, 0.5, _NOT_NATURAL),
+         (True, 0, _NOT_NATURAL), (0, True, _NOT_NATURAL),
+         (0, 2**128, r"stream must be below 2\*\*128")],
         ids=["negative-seed", "negative-stream", "float-seed", "float-stream",
-             "stream-past-period"],
+             "bool-seed", "bool-stream", "stream-past-period"],
     )
-    def test_bad_seed_or_stream_rejected(self, seed, streams, message):
+    def test_bad_seed_or_stream_rejected(self, seed, stream, message):
         with pytest.raises(ValueError, match=message):
-            sample_increments(NifbmParams(0.3), 1.0, 8, seed, streams)
-        with pytest.raises(ValueError, match=message):
-            sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 8, seed, streams)
+            stream_generator(seed, stream)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 4)])
     def test_shortest_series(self, n, m):
         params = MixedParams(0.7, 0.3, 2.0, 1.0)
         assert embedding_length(n) == m
-        block = sample_increments(params, 1.0, n, 4, range(5))
+        block = sample_increments(params, 1.0, n, stream_generator(4, 0), 5)
         assert block.shape == (5, n)
+        rng = stream_generator(4, 0)
         for r in range(5):
-            single = sample_increments(params, 1.0, n, 4, [r])[0]
+            single = sample_increments(params, 1.0, n, rng, 1)[0]
             assert np.array_equal(block[r], single)
-        e1, e2 = sample_mixed_components(params, n, 4, range(5))
+        e1, e2 = sample_mixed_components(params, n, stream_generator(4, 0), 5)
         assert e1.shape == e2.shape == (5, n)
-        f1, f2 = sample_mixed_components(params, n, 4, [2])
+        rng = stream_generator(4, 0)
+        sample_mixed_components(params, n, rng, 2)
+        f1, f2 = sample_mixed_components(params, n, rng, 1)
         assert np.array_equal(e1[2], f1[0]) and np.array_equal(e2[2], f2[0])
 
     def test_embedding_once_per_grid_point(self):
         # the seed blocks of a grid point share one embedding; the mixed
         # sampler's unit components are keyed by (H, N) at width 1
         _embedding_scale.cache_clear()
-        blocks = list(seed_blocks(range(100), 513))
+        blocks = list(seed_blocks(100, 513))
         assert len(blocks) == 2
+        rng = stream_generator(3, 0)
         for block in blocks:
-            sample_increments(NifbmParams(0.3), 2.0, 513, 3, block)
+            sample_increments(NifbmParams(0.3), 2.0, 513, rng, len(block))
         for block in blocks:
-            sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 513, 3, block)
+            sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 513, rng, len(block))
         info = _embedding_scale.cache_info()
         assert (info.misses, info.hits) == (3, 3)
         assert not _embedding_scale(NifbmParams(0.3), 2.0, 513).flags.writeable
@@ -200,7 +227,7 @@ class TestSampleIncrements:
 
     def test_indefinite_embedding_names_ratio(self):
         with pytest.raises(NotPositiveDefiniteError) as info:
-            sample_increments(NifbmParams(0.999), 1.0, 1025, 0, [0])
+            one_path(NifbmParams(0.999), 1.0, 1025, 0, 0)
         message = str(info.value)
         match = re.search(r"ratio (-[0-9.e+-]+)", message)
         assert match and float(match.group(1)) < -1e-8
@@ -237,7 +264,7 @@ class TestEmbeddingLength:
         with pytest.raises(ValueError, match="N must be an integer >= 1"):
             embedding_length(bad)
         with pytest.raises(ValueError, match="N must be an integer >= 1"):
-            list(seed_blocks(range(4), bad))
+            list(seed_blocks(4, bad))
 
     def test_spectrum_of_padded_row(self):
         # row[k] sits at k and m - k of the first row, zeros between
@@ -252,101 +279,109 @@ class TestEmbeddingLength:
             assert np.allclose(np.sort(full), expected)
 
 
-class TestStreamStates:
+class TestStreams:
     def assert_matches_jumped(self, seed, streams):
-        normals = _stream_normals(seed, streams, (2, 3))
-        assert normals.shape == (len(streams), 2, 3)
-        for row, stream in zip(normals, streams):
-            expected = stream_generator(seed, stream).standard_normal((2, 3))
-            assert np.array_equal(row, expected)
+        for stream in streams:
+            drawn = stream_generator(seed, stream).standard_normal((2, 3))
+            expected = conftest.stream_generator(seed, stream).standard_normal((2, 3))
+            assert np.array_equal(drawn, expected)
 
     def test_word_count_edges(self):
-        # one block of every edge stream per edge seed
+        # every edge stream of every edge seed
         for seed in _WORD_EDGES:
             self.assert_matches_jumped(seed, _WORD_EDGES)
 
-    def test_consecutive_streams(self):
-        for seed in (0, 42, 2**32 - 1):
-            self.assert_matches_jumped(seed, range(500))
-
     @given(_SEED_INTS, st.lists(_SEED_INTS, min_size=1, max_size=8))
     @settings(max_examples=150)
-    def test_any_block(self, seed, streams):
+    def test_any_stream(self, seed, streams):
         self.assert_matches_jumped(seed, streams)
 
-    @given(
-        _SEED_INTS,
-        _SEED_INTS,
-        st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64)),
-        st.integers(0, 6),
-    )
-    @settings(max_examples=150)
-    def test_any_range(self, seed, start, step, size):
-        # consecutive streams of a range, ascending or descending, are
-        # one jump map of the range's step apart
-        assume(step != 0 and 0 <= start + step * (size - 1) < 2**128)
-        self.assert_matches_jumped(seed, range(start, start + step * size, step))
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+    def test_sampler_normals_are_the_stream_in_order(self, n, count):
+        # one standard_normal call per block, of shape (count, C, k, 2):
+        # two blocks on one generator are the stream's next 2 * count slabs
+        k = embedding_length(n) // 2 + 1
+        cases = [(NifbmParams(0.3), 1), (MixedParams(0.7, 0.3, 2.0, 1.0), 2)]
+        for params, components in cases:
+            rng = RecordingGenerator(42, 5)
+            if components == 1:
+                sample_increments(params, 1.0, n, rng, count)
+                sample_increments(params, 1.0, n, rng, count)
+            else:
+                sample_mixed_components(params, n, rng, count)
+                sample_mixed_components(params, n, rng, count)
+            oracle = conftest.stream_generator(42, 5)
+            shape = (count, components, k, 2)
+            assert len(rng.draws) == 2
+            for draw in rng.draws:
+                assert np.array_equal(draw, oracle.standard_normal(shape))
 
-    @pytest.mark.parametrize(
-        "streams",
-        [range(0, 40, 7), range(30, -1, -1), range(9, 0, -4),
-         range(2**128 - 5, 2**128), range(2**128 - 1, 2**128 - 40, -13),
-         range(2**64 - 2, 2**64 + 2)],
-        ids=["step-7", "down-to-0", "down-by-4", "below-period",
-             "down-from-period", "across-2^64"],
-    )
-    def test_ranges(self, streams):
-        for seed in (0, 2**64 - 1):
-            self.assert_matches_jumped(seed, streams)
-
-    @given(_SEED_INTS, st.lists(st.sampled_from((0, 1, 5, 2**128 - 1)), max_size=8))
-    @settings(max_examples=50)
-    def test_lists_with_repeats(self, seed, streams):
-        self.assert_matches_jumped(seed, streams)
-
-    @pytest.mark.parametrize(
-        "streams,message",
-        [(range(2**128 - 2, 2**128 + 1), r"stream must be below 2\*\*128"),
-         (range(2**128 + 3, 2**128 - 3, -1), r"stream must be below 2\*\*128"),
-         (range(3, -2, -1), _NOT_NATURAL), (range(-4, 2), _NOT_NATURAL)],
-    )
-    def test_range_checked_by_endpoints(self, streams, message):
-        with pytest.raises(ValueError, match=message):
-            _stream_normals(7, streams, (3,))
+    @pytest.mark.parametrize("n", [2, 3, 8, 65])
+    def test_paths_from_the_stream_normals(self, n):
+        # the spectral map written out: z = (re + i im) * scale, with the
+        # zero and (even m) Nyquist bins real and scaled by sqrt(2)
+        m, reps = embedding_length(n), 6
+        k = m // 2 + 1
+        params = MixedParams(0.7, 0.3, 2.0, 1.0)
+        scales = [_embedding_scale(params, 2.0, n)] + [
+            _embedding_scale(NifbmParams(H), 1.0, n) for H, _ in params.components
+        ]
+        drawn = [sample_increments(params, 2.0, n, stream_generator(9, 1), reps)]
+        drawn += sample_mixed_components(params, n, stream_generator(9, 1), reps)
+        one = conftest.stream_generator(9, 1).standard_normal((reps, 1, k, 2))
+        both = conftest.stream_generator(9, 1).standard_normal((reps, 2, k, 2))
+        normals = [one[:, 0], both[:, 0], both[:, 1]]
+        for paths, z_parts, scale in zip(drawn, normals, scales):
+            z = z_parts[..., 0] + 1j * z_parts[..., 1]
+            z[:, 0] = z[:, 0].real * math.sqrt(2.0)
+            if m % 2 == 0:
+                z[:, -1] = z[:, -1].real * math.sqrt(2.0)
+            expected = np.fft.irfft(z * scale, n=m)[:, :n]
+            np.testing.assert_allclose(paths, expected, rtol=1e-12, atol=1e-12)
 
     def test_empty_block(self):
-        assert _stream_normals(0, [], (4,)).shape == (0, 4)
-        assert _stream_normals(0, range(5, 5), (4,)).shape == (0, 4)
+        rng = stream_generator(0, 0)
+        assert sample_increments(NifbmParams(0.3), 1.0, 4, rng, 0).shape == (0, 4)
+        parts = sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 4, rng, 0)
+        assert [p.shape for p in parts] == [(0, 4), (0, 4)]
+        # an empty block draws nothing
+        assert np.array_equal(
+            rng.standard_normal(3), conftest.stream_generator(0, 0).standard_normal(3)
+        )
 
     def test_stream_beyond_period_rejected(self):
         # jumped wraps modulo 2^128: jumped(2**128) would repeat stream 0
         self.assert_matches_jumped(7, [2**128 - 1])
         message = r"stream must be below 2\*\*128"
-        for streams in ([2**128], [0, 2**128 + 5]):
+        for stream in (2**128, 2**128 + 5):
             with pytest.raises(ValueError, match=message):
-                _stream_normals(7, streams, (3,))
+                stream_generator(7, stream)
 
-    def test_streams_independent_across_jump(self):
-        # first increments of 4000 consecutive streams at N = 8: each
-        # correlation over n pairs is within 4/sqrt(n) of 0
+    def test_consecutive_rows_uncorrelated(self):
+        # first increments of 4000 consecutive rows of one stream at
+        # N = 8: each correlation over n pairs is within 4/sqrt(n) of 0
         def assert_uncorrelated(x, y):
             assert abs(np.corrcoef(x, y)[0, 1]) < 4.0 / math.sqrt(x.size)
 
-        streams = range(4000)
-        first = sample_increments(NifbmParams(0.3), 1.0, 8, 11, streams)[:, 0]
-        e1, e2 = sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 8, 11, streams)
+        params, mixed = NifbmParams(0.3), MixedParams(0.7, 0.3, 2.0, 1.0)
+        first = sample_increments(params, 1.0, 8, stream_generator(11, 0), 4000)[:, 0]
+        e1, e2 = sample_mixed_components(mixed, 8, stream_generator(11, 0), 4000)
         for x in (first, e1[:, 0], e2[:, 0]):
             for gap in (1, 1000):
                 assert_uncorrelated(x[:-gap], x[gap:])
-        # the two components drawn on one stream
+        # the two components drawn in one row
         assert_uncorrelated(e1[:, 0], e2[:, 0])
+        # the harness's drift and noise stages: streams 0 and 1 of a seed
+        other = sample_increments(params, 1.0, 8, stream_generator(11, 1), 4000)[:, 0]
+        assert_uncorrelated(first, other)
 
 
 class TestSharedComponentSampling:
     def test_determinism_and_shape(self):
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
-        e1a, e2a = sample_mixed_components(params, 64, 5, [1])
-        e1b, e2b = sample_mixed_components(params, 64, 5, [1])
+        e1a, e2a = sample_mixed_components(params, 64, stream_generator(5, 1), 1)
+        e1b, e2b = sample_mixed_components(params, 64, stream_generator(5, 1), 1)
         assert e1a.shape == e2a.shape == (1, 64)
         assert np.array_equal(e1a, e1b) and np.array_equal(e2a, e2b)
 
@@ -355,7 +390,7 @@ class TestSharedComponentSampling:
         # covariance at every factor
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
         n, n_reps = 8, 2 * 10**4
-        e1, e2 = sample_mixed_components(params, n, 21, range(n_reps))
+        e1, e2 = sample_mixed_components(params, n, stream_generator(21, 0), n_reps)
         for j in (1, 2, 8):
             w = 2.0 * j
             vals = (
@@ -370,7 +405,7 @@ class TestSharedComponentSampling:
 
     def test_combine_helper(self):
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
-        e1, e2 = sample_mixed_components(params, 32, 5, [2])
+        e1, e2 = sample_mixed_components(params, 32, stream_generator(5, 2), 1)
         series = combine_mixed_components(params, 8.0, e1[0], e2[0])
         assert series.shape == (32,)
 
@@ -444,14 +479,14 @@ class TestAggregation:
 class TestCirculantSampler:
     def test_determinism(self):
         params = NifbmParams(0.7)
-        a = sample_increments(params, 2.0, 512, 9, [0])
-        b = sample_increments(params, 2.0, 512, 9, [0])
+        a = one_path(params, 2.0, 512, 9, 0)
+        b = one_path(params, 2.0, 512, 9, 0)
         assert np.array_equal(a, b)
 
     def test_autocovariance(self):
         params = NifbmParams(0.7)
         n_reps = 4000
-        rows = sample_increments(params, 2.0, 64, 40, range(n_reps))
+        rows = batch_sample(params, 2.0, 64, n_reps, seed=40)
         targets = autocov_sequence(params, 2.0, 6)
         for lag in (0, 1, 5):
             prods = rows[:, 0] * rows[:, lag]
@@ -474,7 +509,7 @@ class TestAddDrift:
         t = np.arange(9, dtype=float)
         g = 5 * np.cos(t) - np.exp(-4 * t) + 2 * t**2
         g -= g[0]
-        noise = sample_increments(NifbmParams(0.4), 1.0, 8, 2, [2])[0]
+        noise = one_path(NifbmParams(0.4), 1.0, 8, 2, 2)[0]
         shifted = add_drift(noise, DriftSpec(mu=4.0, g_values=g))
         assert np.sum(shifted - noise) == pytest.approx(
             4.0 * (g[-1] - g[0]), rel=1e-12
@@ -524,17 +559,16 @@ class TestTypeValidation:
         params, mixed = NifbmParams(0.5), MixedParams(0.7, 0.3, 2.0, 1.0)
         for bad in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and positive"):
-                sample_increments(params, bad, 4, 0, [0])
+                one_path(params, bad, 4, 0, 0)
         for bad in (0, 2.5):
             with pytest.raises(ValueError, match="N must be an integer"):
                 autocov_sequence(params, 1.0, bad)
             with pytest.raises(ValueError, match="N must be an integer"):
-                sample_increments(params, 1.0, bad, 0, [0])
+                one_path(params, 1.0, bad, 0, 0)
             with pytest.raises(ValueError, match="N must be an integer"):
-                sample_mixed_components(mixed, bad, 0, [0])
+                sample_mixed_components(mixed, bad, stream_generator(0, 0), 1)
         assert np.array_equal(
-            sample_increments(params, 1.0, np.int64(4), 0, [0]),
-            sample_increments(params, 1.0, 4, 0, [0]),
+            one_path(params, 1.0, np.int64(4), 0, 0), one_path(params, 1.0, 4, 0, 0)
         )
 
     def test_drift_spec_validation(self):
@@ -555,4 +589,4 @@ class TestTypeValidation:
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
-            _stream_normals(-1, [0], (1,))
+            stream_generator(-1, 0)
