@@ -53,7 +53,6 @@ from .asymptotics import (
 from .harness import (
     ExperimentConfig,
     ResultRow,
-    empirical_estimator_cov,
     parse_config,
     run_experiment,
     table_configs,

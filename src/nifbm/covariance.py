@@ -36,9 +36,11 @@ __all__ = [
     "find_h0",
 ]
 
-# Above this lag the direct fourth-difference formula for gamma loses
-# roughly 4*log10(n) digits to cancellation, so we switch to a series
-# expansion in 1/n that is exact to machine precision there.
+# The direct fourth-difference formula for gamma loses roughly
+# 4*log10(n) digits to cancellation; above this lag a series in 1/n
+# takes over, within 2.3e-14 relative up to lag 10^6 (against 50-digit
+# decimals, H from 0.001 to 0.999).  Below it the loss stands: 1.0e-7
+# relative by lag 29 and 0.12 at lag 931, both at H = 0.001.
 _DIRECT_LIMIT = 1000
 
 

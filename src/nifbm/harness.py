@@ -7,12 +7,11 @@ and is passed next to them.  Each grid point is one pipeline: drift
 stage (paths drawn per seed block, in order from stream 0 of the seed,
 then one call of each estimator on all replications), noise stage (xi
 statistics per seed block, on paths drawn in order from stream 1, then
-one estimator call on all replications, shared with
-empirical_estimator_cov), then one row per requested estimator
-with the empirical mean and standard deviation of the non-degenerate
-replications (nan if there are none), the theoretical standard
-deviation where a closed form exists, and the count of degenerate
-replications.
+one estimator call on all replications), then one row per requested
+estimator with the empirical mean and standard deviation of the
+non-degenerate replications (nan if there are none), the theoretical
+standard deviation where a closed form exists, and the count of
+degenerate replications.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,7 +61,6 @@ __all__ = [
     "format_results",
     "table_configs",
     "drift_samples",
-    "empirical_estimator_cov",
     "CSV_HEADER",
 ]
 
@@ -203,38 +201,6 @@ def drift_samples(name: str, N: int, h: float) -> np.ndarray:
     raise ConfigError(f"unknown drift function {name!r}; choose from {_G_NAMES}")
 
 
-def _noise_estimates(
-    params: Params, h: float, N: int, rng: np.random.Generator, count: int, mode: str
-):
-    """Moment estimates of `count` replications drawn in order from rng,
-    one array element each, and the scheme that drew them.  Two-process
-    direct-per-j rescales shared unit-scale components to every width
-    j*h; every other case, the one-process model in either mode
-    included, is "aggregate": one base series at step h whose coarsest
-    aggregate has N increments.
-    The xi statistics are computed once per seed block and factor, the
-    estimates in one call on all the blocks' statistics.
-    """
-    mixed = isinstance(params, MixedParams)
-    direct = mixed and mode == "direct-per-j"
-    factors = MOMENT_FACTORS[type(params)]
-    n_base = N if direct else base_length(factors, N)
-    blocks = []
-    for rows in seed_blocks(count, n_base):
-        if direct:
-            parts = sample_mixed_components(params, N, rng, len(rows))
-            mixes = (combine_mixed_components(params, j * h, *parts) for j in factors)
-            blocks.append([xi_statistic(mix) for mix in mixes])
-        else:
-            base = sample_increments(params, h, n_base, rng, len(rows))
-            xi = xi_statistics_from_base(base, factors=factors)
-            blocks.append([xi[j] for j in factors])
-    xi = dict(zip(factors, map(np.concatenate, zip(*blocks))))
-    # called by this module's names, which benchmarks/tracing.py wraps
-    estimate = estimate_two_nifbm if mixed else estimate_one_nifbm
-    return estimate(xi, h), "direct-per-j" if direct else "aggregate"
-
-
 def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     """(row name, mean, sd_emp, degenerate count, sd_theory, j_mode) of
     each requested drift estimator on R paths drawn in order from
@@ -262,20 +228,41 @@ def _drift_stage(config: ExperimentConfig, params: Params, h: float, N: int):
 
 def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     """The same for the noise estimators, on R replications drawn in
-    order from stream 1, j_mode naming the scheme that ran; sd_theory
-    comes from sigma0_one for the one-process model."""
+    order from stream 1, per seed block, their xi statistics estimated
+    in one call; sd_theory comes from sigma0_one for the one-process
+    model.  j_mode names the scheme: two-process direct-per-j rescales
+    shared unit-scale components to every width j*h; every other case,
+    the one-process model in either mode included, is "aggregate", one
+    base series at step h whose coarsest aggregate has N increments."""
+    mixed = isinstance(params, MixedParams)
+    direct = mixed and config.simulation_mode == "direct-per-j"
+    factors = MOMENT_FACTORS[type(params)]
+    n_base = N if direct else base_length(factors, N)
     rng = stream_generator(config.seed, 1)
-    est, mode = _noise_estimates(
-        params, h, N, rng, config.replications, config.simulation_mode
-    )
+    blocks = []
+    for rows in seed_blocks(config.replications, n_base):
+        if direct:
+            parts = sample_mixed_components(params, N, rng, len(rows))
+            mixes = (combine_mixed_components(params, j * h, *parts) for j in factors)
+            blocks.append([xi_statistic(mix) for mix in mixes])
+        else:
+            # unnamed, so the last block's paths do not outlive the loop
+            xi = xi_statistics_from_base(
+                sample_increments(params, h, n_base, rng, len(rows)), factors=factors
+            )
+            blocks.append([xi[j] for j in factors])
+    xi = dict(zip(factors, map(np.concatenate, zip(*blocks))))
+    # called by this module's names, which benchmarks/tracing.py wraps
+    est = estimate_two_nifbm(xi, h) if mixed else estimate_one_nifbm(xi, h)
     kept, degenerate = ~est.degenerate, int(np.count_nonzero(est.degenerate))
     theory = {}
-    if isinstance(params, NifbmParams):
+    if not mixed:
         try:
             sig = sigma0_one(params, h)
             theory = {"H": math.sqrt(sig[0, 0] / N), "a2": math.sqrt(sig[1, 1] / N)}
         except HTooLargeError:
             pass
+    mode = "direct-per-j" if direct else "aggregate"
     # one row per parameter field, summarising the estimate field name + "_hat"
     return [
         (f.name, *_summary(getattr(est, f.name + "_hat")[kept]), degenerate,
@@ -330,37 +317,6 @@ def run_experiment(config: ExperimentConfig) -> List[ResultRow]:
     for h, n in config.grid:
         rows.extend(_run_grid_point(config, params, h, n))
     return rows
-
-
-def empirical_estimator_cov(
-    params: Params,
-    h: float,
-    N: int,
-    replications: int,
-    seed: int = 0,
-) -> Tuple[np.ndarray, int]:
-    """Sample covariance of sqrt(N)*(theta_hat - theta) by simulation.
-
-    One-process parameters give a 2x2 matrix for (H_hat, a2_hat) using
-    the aggregated scheme (xi1 on 2N, xi2 on N increments); two-process
-    parameters give a 4x4 matrix for (H1, H2, a2, b2) using direct
-    sampling at each factor with shared component noise.  The
-    replications are drawn in order from stream 0 of the seed.
-    Degenerate replications are excluded and counted in the second
-    return value.
-    """
-    for name, value, least in (("replications", replications, 100), ("N", N, 1)):
-        if not is_integer(value) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    names = [f.name for f in fields(params)]
-    truth = np.array(astuple(params))
-    rng = stream_generator(seed, 0)
-    est, _ = _noise_estimates(params, h, N, rng, replications, "direct-per-j")
-    kept = np.column_stack([getattr(est, name + "_hat")[~est.degenerate] for name in names])
-    if len(kept) < 2:
-        raise ValueError("too few non-degenerate replications")
-    scaled = math.sqrt(N) * (kept - truth)
-    return np.cov(scaled, rowvar=False), replications - len(kept)
 
 
 def _fmt(value) -> str:

@@ -19,8 +19,9 @@ kept as an exact reference for tests.
 The samplers draw from a numpy Generator they are handed, one
 standard_normal call per block of `count` paths, of shape
 (count, C, m // 2 + 1, 2) for the C components drawn (one in
-sample_increments), read as interleaved real and imaginary parts.  A run's stages each draw their replications in
-order from one generator, stream_generator(seed, stream), which is
+sample_increments), read as interleaved real and imaginary parts.  A
+run's stages each draw their replications in order from one
+generator, stream_generator(seed, stream), which is
 np.random.Generator(np.random.PCG64(seed).jumped(stream)); row r of a
 stage is then the r-th slab of that stream, whichever blocks
 seed_blocks cut it into.
@@ -29,9 +30,9 @@ Increment series are plain float arrays with time on the last axis:
 the samplers return one row per replication, and
 combine_mixed_components and add_drift take one series or an (R, N)
 block of them alike, row r of a block result being exactly the result
-for row r alone.  This
-module only draws paths and adds drift; aggregating them to coarser
-widths is the xi statistics' step, in nifbm.estimation.
+for row r alone.  This module only draws paths and adds drift;
+aggregating them to coarser widths is the xi statistics' step, in
+nifbm.estimation.
 """
 
 from __future__ import annotations

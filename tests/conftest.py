@@ -1,6 +1,8 @@
 """Shared test oracles and the hypothesis profile of the suite."""
 
+import decimal
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 from hypothesis import settings
@@ -10,6 +12,18 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 from scipy.special import zeta
 
 from nifbm.covariance import MixedParams, gamma, nifbm_cov, nifbm_var
+from nifbm.estimation import (
+    MOMENT_ESTIMATORS,
+    MOMENT_FACTORS,
+    base_length,
+    xi_statistic,
+    xi_statistics_from_base,
+)
+from nifbm.simulation import (
+    combine_mixed_components,
+    sample_increments,
+    sample_mixed_components,
+)
 
 # property tests are reproducible and never time out; each test sets
 # its own max_examples
@@ -58,6 +72,24 @@ def gamma_asymptotic(H: float, n):
     if np.isscalar(n) or np.ndim(n) == 0:
         return float(out)
     return out
+
+
+def gamma_decimal(H: float, n: int) -> float:
+    """gamma(H, n) as the fourth central difference of |x|^p at x = n,
+    with the float p = 2H + 2 that gamma uses, in 50-digit decimal
+    arithmetic and rounded once to a float: the reference gamma's
+    accuracy is measured against.  Powers are exact at integer p, so
+    the value at H = 1/2 and n >= 2 is 0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        p = decimal.Decimal(2.0 * H + 2.0)
+        x = abs(int(n))
+        diff = sum(
+            w * decimal.Decimal(abs(x + k)) ** p
+            for k, w in zip(range(-2, 3), (1, -4, 6, -4, 1))
+        )
+        h = decimal.Decimal(H)
+        return float(diff / (4 * (2 * h + 1) * (h + 1)))
 
 
 def gamma_square_series_direct(H: float, shifts=(0, 0), n_terms=100_000) -> float:
@@ -217,3 +249,34 @@ def hurst_delta_variance(acov, n: int) -> float:
     q = (coarse / mean2 - fine / mean1) / math.log(4.0)
     qs = q @ cov
     return float(2.0 * qs.multiply(qs.T).sum())
+
+
+def empirical_estimator_cov(params, h: float, N: int, replications: int, seed: int = 0):
+    """Sample covariance of sqrt(N) * (theta_hat - theta) over
+    `replications` noise estimates, and the count of degenerate ones it
+    leaves out: the Monte Carlo check of nifbm.asymptotics.
+
+    The replications are drawn in one sampler call from stream 0 of the
+    seed.  One-process parameters give the 2x2 matrix of (H, a2) by the
+    aggregated scheme, one base series whose coarsest aggregate has N
+    increments; two-process parameters give the 4x4 matrix of
+    (H1, H2, a2, b2) from shared unit-scale components rescaled to every
+    width j*h.
+    """
+    rng = stream_generator(seed, 0)
+    factors = MOMENT_FACTORS[type(params)]
+    if isinstance(params, MixedParams):
+        parts = sample_mixed_components(params, N, rng, replications)
+        xi = {
+            j: xi_statistic(combine_mixed_components(params, j * h, *parts))
+            for j in factors
+        }
+    else:
+        base = sample_increments(params, h, base_length(factors, N), rng, replications)
+        xi = xi_statistics_from_base(base, factors=factors)
+    est = MOMENT_ESTIMATORS[type(params)](xi, h)
+    kept = np.column_stack(
+        [getattr(est, f.name + "_hat")[~est.degenerate] for f in fields(params)]
+    )
+    scaled = math.sqrt(N) * (kept - np.array(astuple(params)))
+    return np.cov(scaled, rowvar=False), replications - len(kept)

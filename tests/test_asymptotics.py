@@ -24,9 +24,9 @@ from nifbm.covariance import (
 )
 from nifbm.errors import HTooLargeError
 from nifbm.estimation import forward_moment_map
-from nifbm.harness import empirical_estimator_cov
 
 from conftest import (
+    empirical_estimator_cov,
     gamma_square_series_direct,
     jacobian_one_closed_form,
     jacobian_one_det,
@@ -324,22 +324,3 @@ class TestEmpiricalEstimatorCov:
         assert np.allclose(emp, emp.T)
         assert np.all(np.linalg.eigvalsh(emp) >= -1e-9)
         assert 0 <= excluded < 120
-
-    def test_replication_floor(self):
-        with pytest.raises(ValueError):
-            empirical_estimator_cov(NifbmParams(0.5), 1.0, 64, 50)
-
-    @pytest.mark.parametrize(
-        "N,replications,name",
-        [(16, 150.0, "replications"), (2.5, 150, "N"), (0, 150, "N"), (-3, 150, "N")],
-    )
-    def test_rejects_bad_sizes(self, N, replications, name):
-        # a float replications count raised a TypeError from range, and
-        # N = 2.5 and N = 0 errors named the base length, not N
-        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-            empirical_estimator_cov(NifbmParams(0.3), 2.0, N, replications)
-
-    def test_accepts_numpy_integers(self):
-        N, replications = np.int64(16), np.int32(100)
-        emp, _ = empirical_estimator_cov(NifbmParams(0.3), 2.0, N, replications)
-        assert emp.shape == (2, 2)

@@ -23,7 +23,13 @@ from nifbm.covariance import (
 from nifbm.estimation import forward_moment_map
 from nifbm.simulation import cholesky_factor
 
-from conftest import fbm_cov, fbm_increment_cov, gamma_asymptotic, quad_oracle
+from conftest import (
+    fbm_cov,
+    fbm_increment_cov,
+    gamma_asymptotic,
+    gamma_decimal,
+    quad_oracle,
+)
 
 
 class TestFbmCov:
@@ -231,6 +237,50 @@ class TestGamma:
         vec = gamma(0.42, lags)
         for n in lags:
             assert vec[n] == gamma(0.42, int(n))
+
+
+# lags 0 .. 30, then 120 log-spaced up to 10^6
+_ACCURACY_LAGS = np.unique(
+    np.r_[np.arange(31), np.geomspace(31, 1e6, 120).round()]
+).astype(int)
+_ACCURACY_HS = (0.001, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.999)
+
+
+@pytest.fixture(scope="module")
+def gamma_errors():
+    """Relative error of gamma against gamma_decimal at _ACCURACY_LAGS,
+    one row per H of _ACCURACY_HS; where the reference is 0 (H = 1/2,
+    n >= 2) the error is relative to its lag-0 value instead."""
+    rows = []
+    for H in _ACCURACY_HS:
+        ref = np.array([gamma_decimal(H, n) for n in _ACCURACY_LAGS])
+        scale = np.where(ref != 0.0, np.abs(ref), abs(ref[0]))
+        rows.append(np.abs(gamma(H, _ACCURACY_LAGS) - ref) / scale)
+    return np.array(rows)
+
+
+class TestGammaAccuracy:
+    @pytest.mark.parametrize(
+        "low, high, bound",
+        [(0, 6, 1e-9), (7, 29, 1e-6), (1001, 10**6, 1e-12)],
+        ids=["lags-0-6", "lags-7-29", "series-branch"],
+    )
+    def test_relative_error(self, gamma_errors, low, high, bound):
+        # measured worst cases 4.5e-11, 1.0e-7 and 6.9e-16: the direct
+        # fourth difference loses about 4 log10(n) digits, and more
+        # where H(2H - 1) is small
+        band = (_ACCURACY_LAGS >= low) & (_ACCURACY_LAGS <= high)
+        assert gamma_errors[:, band].max() < bound
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the direct fourth difference runs up to lag 1000, where it "
+        "has lost most digits: relative error 0.12 at H = 0.001, lag 931 "
+        "(ROADMAP item 1)",
+    )
+    def test_mid_lags_to_1e9(self, gamma_errors):
+        band = (_ACCURACY_LAGS >= 7) & (_ACCURACY_LAGS <= 1000)
+        assert gamma_errors[:, band].max() < 1e-9
 
 
 class TestGammaAsymptotic:

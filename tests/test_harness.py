@@ -485,13 +485,11 @@ _ONE = NifbmParams(0.5)
          "seed and stream must be nonnegative integers"),
         (lambda: nifbm.two_point_variance(_ONE, 1.0, True, 3.0), ValueError,
          "N must be an integer"),
-        (lambda: harness.empirical_estimator_cov(_ONE, 1.0, True, 100), ValueError,
-         "N must be an integer"),
         (lambda: gamma_square_series(0.3, (0, 0), True), ValueError,
          "n_terms must be an integer"),
     ],
     ids=["replications", "seed", "autocov-N", "sampler-N", "stream", "sampler-seed",
-         "two-point-N", "empirical-cov-N", "n_terms"],
+         "two-point-N", "n_terms"],
 )
 def test_bool_rejected_where_integer_required(call, error, message):
     # bool subclasses int, so each check must exclude it by name;
