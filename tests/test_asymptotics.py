@@ -324,3 +324,11 @@ class TestEmpiricalEstimatorCov:
         assert np.allclose(emp, emp.T)
         assert np.all(np.linalg.eigvalsh(emp) >= -1e-9)
         assert 0 <= excluded < 120
+
+    def test_accepts_numpy_integers(self):
+        # the samplers, base_length and the scaling by sqrt(N) all take
+        # the numpy integers a size read from an array comes as
+        N, replications = np.int64(16), np.int32(100)
+        for theta, size in ((NifbmParams(0.3), 2), (MixedParams(0.5, 0.3, 4.0, 4.0), 4)):
+            emp, _ = empirical_estimator_cov(theta, 2.0, N, replications)
+            assert emp.shape == (size, size)

@@ -259,6 +259,26 @@ def gamma_errors():
     return np.array(rows)
 
 
+class TestGammaDecimal:
+    def test_exact_at_half(self):
+        # p = 3: the fourth differences of |x|^3 at 0 and 1 are 8 and 2,
+        # and the cubic's fourth difference vanishes from n = 2 on
+        assert gamma_decimal(0.5, 0) == 2.0 / 3.0
+        assert gamma_decimal(0.5, 1) == 1.0 / 6.0
+        for n in (2, 7, 931, 10**6):
+            assert gamma_decimal(0.5, n) == 0.0
+
+    def test_matches_asymptotic_to_second_order(self):
+        # the fourth difference of x^p is p(p-1)(p-2)(p-3) x^(p-4)
+        # (1 + (p-4)(p-5) / (6 x^2) + O(x^-4)): the two oracles are
+        # derived independently and must differ by that second term
+        for H in (0.1, 0.3, 0.7, 0.9):
+            for n in (10**3, 10**4):
+                ratio = gamma_decimal(H, n) / gamma_asymptotic(H, n)
+                second = (2 * H - 2) * (2 * H - 3) / (6.0 * n**2)
+                assert ratio - 1.0 == pytest.approx(second, rel=1e-2)
+
+
 class TestGammaAccuracy:
     @pytest.mark.parametrize(
         "low, high, bound",

@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 import nifbm
 import nifbm.harness as harness
 import nifbm.simulation as simulation
-from nifbm.asymptotics import _kernel_table, gamma_square_series
+from nifbm.asymptotics import _kernel_table, gamma_square_series, sigma0_one
 from nifbm.cli import main
 from nifbm.covariance import MixedParams, NifbmParams, autocov_sequence
 from nifbm.errors import ConfigError
 from nifbm.estimation import (
     AGGREGATION_FACTORS,
     drift_mle,
+    estimate_one_nifbm,
     estimate_two_nifbm,
     xi_statistic,
     xi_statistics_from_base,
@@ -317,6 +318,39 @@ class TestRunExperiment:
             assert row.mean == float(values.mean())
             assert row.sd_emp == float(values.std(ddof=1))
 
+    def test_one_process_noise_blocks_match_per_replication(self):
+        # the 2049-increment base of N = 1024 samples in blocks of
+        # 65536 // 4098 = 16 rows (16, 16, 8); the rows must equal those
+        # built from one-series statistics, sd_theory from sigma0_one
+        n, reps, seed, h = 1024, 40, 6, 2.0
+        params = NifbmParams(0.3, a2=1.5)
+        assert [len(rows) for rows in seed_blocks(reps, 2 * n + 1)] == [16, 16, 8]
+        cfg = ExperimentConfig(
+            model="one-nifbm", H1=0.3, a2=1.5, grid=((h, n),), replications=reps,
+            seed=seed,
+        )
+        rows = run_experiment(cfg)
+        rng = stream_generator(seed, 1)
+        estimates = [
+            estimate_one_nifbm(
+                xi_statistics_from_base(
+                    sample_increments(params, h, 2 * n + 1, rng, 1)[0], factors=(1, 2)
+                ),
+                h,
+            )
+            for _ in range(reps)
+        ]
+        kept = [est for est in estimates if not est.degenerate]
+        sig = sigma0_one(params, h)
+        assert [row.estimator for row in rows] == ["H", "a2"]
+        for i, row in enumerate(rows):
+            values = np.array([getattr(est, row.estimator + "_hat") for est in kept])
+            assert row.j_mode == "aggregate"
+            assert row.degenerate == reps - len(kept)
+            assert row.mean == float(values.mean())
+            assert row.sd_emp == float(values.std(ddof=1))
+            assert row.sd_theory == math.sqrt(sig[i, i] / n)
+
     def test_two_point_with_vanishing_last_drift_value(self):
         # G_N = 0: every two-point estimate is 0 with variance 0
         cfg = small_drift_config(
@@ -509,6 +543,17 @@ def test_caches_do_not_bypass_integer_checks():
             sample_increments(_ONE, 1.0, bad, stream_generator(0, 0), 1)
     with pytest.raises(ValueError, match="n_terms must be an integer"):
         gamma_square_series(0.3, (0, 0), True)
+
+
+def test_estimator_covariance_is_a_test_oracle():
+    # the Monte Carlo covariance of the estimators is built in conftest
+    # on the public API; the harness keeps one noise stage and exports
+    # only names it binds
+    for module in (nifbm, harness):
+        assert not hasattr(module, "empirical_estimator_cov")
+    assert not hasattr(harness, "_noise_estimates")
+    for name in harness.__all__:
+        assert hasattr(harness, name)
 
 
 class TestConfigValidation:
