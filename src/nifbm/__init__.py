@@ -23,6 +23,7 @@ from .errors import (
 from .simulation import (
     DriftSpec,
     add_drift,
+    block_workspace,
     cholesky_factor,
     sample_increments,
     sample_mixed_components,
@@ -43,6 +44,7 @@ from .estimation import (
     two_stage_estimate,
     xi_statistic,
     xi_statistics_from_base,
+    xi_statistics_from_components,
 )
 from .asymptotics import (
     gamma_square_series,

@@ -188,14 +188,20 @@ def binom(p: float, k: int) -> float:
     return num / den
 
 
+def series_coefficients(p: float) -> Tuple[Tuple[int, float], ...]:
+    """The seven (k, coefficient) pairs of the large-lag series of the
+    fourth central difference of x^p: the sum of coefficient * n^(p - k)
+    over them, divided by gamma's norm 4(2H+1)(H+1), is gamma at lag n.
+
+    The odd and the k <= 2 even terms cancel exactly; the remaining
+    terms decay by n^-2 each, so a handful suffice for n > _DIRECT_LIMIT.
+    """
+    return tuple((k, (2.0 ** (k + 1) - 8.0) * binom(p, k)) for k in range(4, 18, 2))
+
+
 def _gamma_series(p: float, n: np.ndarray) -> np.ndarray:
-    # Fourth central difference of x^p at x = n, expanded in powers of
-    # 1/n.  The odd and the k <= 2 even terms cancel exactly; the
-    # remaining terms decay by n^-2 each, so a handful suffice for
-    # n > _DIRECT_LIMIT.
     total = np.zeros_like(n)
-    for k in range(4, 18, 2):
-        coef = (2.0 ** (k + 1) - 8.0) * binom(p, k)
+    for k, coef in series_coefficients(p):
         if coef == 0.0:
             continue
         total += coef * n ** (p - k)

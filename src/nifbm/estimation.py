@@ -58,6 +58,7 @@ __all__ = [
     "TwoNifbmEstimate",
     "aggregate_increments",
     "xi_statistic",
+    "xi_statistics_from_components",
     "xi_statistics_from_base",
     "base_length",
     "forward_moment_map",
@@ -177,6 +178,46 @@ def xi_statistic(series: np.ndarray) -> Union[float, np.ndarray]:
     return float(xi) if values.ndim == 1 else xi
 
 
+def xi_statistics_from_components(
+    params: Params, h: float, *parts: np.ndarray,
+    factors: Tuple[int, ...] = AGGREGATION_FACTORS,
+) -> Xi:
+    """xi statistics {j: value} of the increments at the widths j*h
+    that combine_mixed_components builds from the shared unit-scale
+    noises of sample_mixed_components, one per component of params:
+    floats for one series each, one value per row for (R, N) blocks.
+
+    xi_j is a quadratic form in the noises' Gram moments
+    m_ik = (1/N) * sum over t of e_i,t * e_k,t: the sum over component
+    pairs of s_i * s_k * m_ik, with s_i = sqrt(c_i) * (j*h)^(H_i) for
+    component (H_i, c_i).  The noises are read once, by C(C+1)/2 row
+    dot products for C components, whatever the number of factors, and
+    no combined series is built.  The value equals
+    xi_statistic(combine_mixed_components(params, j*h, *parts)) to
+    rounding, relative to the sum of the components' own terms
+    s_i^2 * m_ii, and row r of a block is exactly the value for row r
+    alone.
+    """
+    comps = params.components
+    noises = [np.asarray(e, dtype=float) for e in parts]
+    if len(noises) != len(comps):
+        raise ValueError(f"need {len(comps)} component noises, got {len(noises)}")
+    shape = noises[0].shape
+    if any(e.shape != shape for e in noises):
+        raise ValueError("component noises must share one shape")
+    if len(shape) == 0 or shape[-1] == 0:
+        raise LengthError(f"a xi statistic needs a nonempty series, got shape {shape}")
+    n = shape[-1]
+    pairs = [(i, k) for i in range(len(comps)) for k in range(i, len(comps))]
+    gram = {(i, k): np.vecdot(noises[i], noises[k]) / n for i, k in pairs}
+    xi = {}
+    for j in factors:
+        s = [math.sqrt(c) * (j * h) ** H for H, c in comps]
+        value = sum((1.0 if i == k else 2.0) * s[i] * s[k] * gram[i, k] for i, k in pairs)
+        xi[j] = float(value) if len(shape) == 1 else value
+    return xi
+
+
 def aggregate_increments(base: np.ndarray) -> np.ndarray:
     """Increments at twice the base width from base increments on the
     last axis (one series or an (R, M) block): the doubling step
@@ -187,7 +228,13 @@ def aggregate_increments(base: np.ndarray) -> np.ndarray:
     if n < 1:
         raise LengthError(f"aggregation needs 3 or more increments, got shape {values.shape}")
     x = values[..., : 2 * n + 1]
-    return 0.5 * (x[..., 2::2] + 2.0 * x[..., 1::2] + x[..., :-1:2])
+    # one result array, updated in place: the operations and their
+    # order are those of 0.5 * (x_2k+2 + 2 x_2k+1 + x_2k)
+    y = 2.0 * x[..., 1::2]
+    y += x[..., 2::2]
+    y += x[..., :-1:2]
+    y *= 0.5
+    return y
 
 
 def base_length(factors: Tuple[int, ...], n: int) -> int:

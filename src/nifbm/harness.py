@@ -37,20 +37,22 @@ from .estimation import (
     drift_two_point,
     estimate_one_nifbm,
     estimate_two_nifbm,
-    xi_statistic,
     xi_statistics_from_base,
+    xi_statistics_from_components,
 )
 from .simulation import (
     DriftSpec,
     add_drift,
-    combine_mixed_components,
+    block_workspace,
     sample_increments,
     sample_mixed_components,
     seed_blocks,
     stream_generator,
 )
-# benchmarks/tracing.py wraps harness.cholesky_factor, so the name stays bound
-from .simulation import cholesky_factor  # noqa: F401
+# benchmarks/tracing.py wraps these names at harness, so they stay bound
+# although the harness no longer calls them
+from .estimation import xi_statistic  # noqa: F401
+from .simulation import cholesky_factor, combine_mixed_components  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -231,27 +233,36 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     order from stream 1, per seed block, their xi statistics estimated
     in one call; sd_theory comes from sigma0_one for the one-process
     model.  j_mode names the scheme: two-process direct-per-j rescales
-    shared unit-scale components to every width j*h; every other case,
-    the one-process model in either mode included, is "aggregate", one
-    base series at step h whose coarsest aggregate has N increments."""
+    shared unit-scale components to every width j*h, its xi statistics
+    taken from the components' Gram moments
+    (xi_statistics_from_components); every other case, the one-process
+    model in either mode included, is "aggregate", one base series at
+    step h whose coarsest aggregate has N increments.  Every seed block
+    is drawn into one block workspace of the stage, whose paths are
+    read before the next block overwrites them."""
     mixed = isinstance(params, MixedParams)
     direct = mixed and config.simulation_mode == "direct-per-j"
     factors = MOMENT_FACTORS[type(params)]
     n_base = N if direct else base_length(factors, N)
     rng = stream_generator(config.seed, 1)
-    blocks = []
-    for rows in seed_blocks(config.replications, n_base):
+    blocks = list(seed_blocks(config.replications, n_base))
+    workspace = block_workspace(
+        n_base, len(blocks[0]), len(params.components) if direct else 1
+    )
+    xis = []
+    for rows in blocks:
         if direct:
-            parts = sample_mixed_components(params, N, rng, len(rows))
-            mixes = (combine_mixed_components(params, j * h, *parts) for j in factors)
-            blocks.append([xi_statistic(mix) for mix in mixes])
-        else:
-            # unnamed, so the last block's paths do not outlive the loop
-            xi = xi_statistics_from_base(
-                sample_increments(params, h, n_base, rng, len(rows)), factors=factors
+            parts = sample_mixed_components(
+                params, N, rng, len(rows), workspace=workspace
             )
-            blocks.append([xi[j] for j in factors])
-    xi = dict(zip(factors, map(np.concatenate, zip(*blocks))))
+            xi = xi_statistics_from_components(params, h, *parts, factors=factors)
+        else:
+            paths = sample_increments(
+                params, h, n_base, rng, len(rows), workspace=workspace
+            )
+            xi = xi_statistics_from_base(paths, factors=factors)
+        xis.append([xi[j] for j in factors])
+    xi = dict(zip(factors, map(np.concatenate, zip(*xis))))
     # called by this module's names, which benchmarks/tracing.py wraps
     est = estimate_two_nifbm(xi, h) if mixed else estimate_one_nifbm(xi, h)
     kept, degenerate = ~est.degenerate, int(np.count_nonzero(est.degenerate))

@@ -24,7 +24,9 @@ run's stages each draw their replications in order from one
 generator, stream_generator(seed, stream), which is
 np.random.Generator(np.random.PCG64(seed).jumped(stream)); row r of a
 stage is then the r-th slab of that stream, whichever blocks
-seed_blocks cut it into.
+seed_blocks cut it into.  A stage can hand every block's call one
+block_workspace, which the normals and the irfft are written into;
+the draws stay the same.
 
 Increment series are plain float arrays with time on the last axis:
 the samplers return one row per replication, and
@@ -65,6 +67,7 @@ __all__ = [
     "embedding_eigenvalues",
     "stream_generator",
     "seed_blocks",
+    "block_workspace",
     "sample_increments",
     "sample_mixed_components",
     "combine_mixed_components",
@@ -195,12 +198,46 @@ def _embedding_scale(params: Params, h: float, N: int) -> np.ndarray:
     return scale
 
 
-def _spectral_draw(normals: np.ndarray, scales: np.ndarray, N: int) -> np.ndarray:
-    """First N values of irfft(z * scale) per row and component, where
-    normals[..., i, :, :] holds the interleaved real and imaginary
-    parts of component i's z, overwritten here, and scales[i] its
-    spectral scale."""
+def block_workspace(N: int, rows: int, components: int = 1) -> tuple:
+    """Buffers for drawing blocks of up to `rows` series of N
+    increments, `components` per row, that a stage hands to every
+    sampler call of its seed blocks: the normals, shape
+    (rows, components, m // 2 + 1, 2), and the irfft output, shape
+    (rows, components, m), for m = embedding_length(N)."""
+    check_length(N)
+    if not all(is_integer(v) and v >= 1 for v in (rows, components)):
+        raise ValueError("rows and components must be integers >= 1")
     m = embedding_length(N)
+    return (
+        np.empty((rows, components, m // 2 + 1, 2)),
+        np.empty((rows, components, m)),
+    )
+
+
+def _spectral_draw(
+    rng: np.random.Generator, scales: np.ndarray, N: int, count: int, workspace
+) -> np.ndarray:
+    """First N values of irfft(z * scale) per row and component for
+    `count` rows, where component i's z is drawn from rng as
+    interleaved real and imaginary normals and scales[i] is its
+    spectral scale.  With a workspace from block_workspace the normals
+    are drawn into its first buffer and the irfft written into its
+    second, and the result is a view of the latter."""
+    m = embedding_length(N)
+    shape = (count,) + scales.shape + (2,)
+    if workspace is None:
+        normals, out = rng.standard_normal(shape), None
+    else:
+        normals, out = workspace
+        if normals.shape[1:] != shape[1:] or out.shape[1:] != shape[1:2] + (m,):
+            raise ValueError(
+                f"workspace of shapes {normals.shape} and {out.shape} does not "
+                f"fit blocks of shape {shape} with embedding length {m}"
+            )
+        if len(normals) < count:
+            raise ValueError(f"workspace holds {len(normals)} rows, block needs {count}")
+        normals = rng.standard_normal(out=normals[:count])
+        out = out[:count]
     z = normals.view(complex)[..., 0]
     # the zero and (even m) Nyquist bins are real: all their variance
     # goes on the real part
@@ -208,11 +245,12 @@ def _spectral_draw(normals: np.ndarray, scales: np.ndarray, N: int) -> np.ndarra
     if m % 2 == 0:
         z[..., -1] = z[..., -1].real * math.sqrt(2.0)
     z *= scales
-    return np.fft.irfft(z, n=m)[..., :N]
+    return np.fft.irfft(z, n=m, out=out)[..., :N]
 
 
 def sample_increments(
-    params: Params, h: float, N: int, rng: np.random.Generator, count: int
+    params: Params, h: float, N: int, rng: np.random.Generator, count: int,
+    *, workspace=None,
 ) -> np.ndarray:
     """Exact zero-mean Gaussian series of N increments of width h,
     `count` of them as the rows of a (count, N) array, drawn from rng.
@@ -226,6 +264,13 @@ def sample_increments(
     real and imaginary parts, and one batched irfft maps the block to
     paths, cut to their first N values.  Drawing 2R rows in one call or
     R rows in each of two calls on one generator gives the same paths.
+
+    With workspace=block_workspace(N, rows), rows >= count, the block
+    is drawn into the workspace's buffers and returned as a view of
+    them, with no new block array: it stays valid until the next call
+    with the same workspace overwrites it, so copy it to keep it.  The
+    draws are those of a call without a workspace, which returns a new
+    array.
 
     The draw is exact when the embedding is nonnegative definite.
     Eigenvalues down to -1e-8 times the largest are taken as rounding
@@ -243,12 +288,11 @@ def sample_increments(
     H = 0.998 at N = 8193.
     """
     scale = _embedding_scale(params, h, N)
-    normals = rng.standard_normal((count, 1, scale.size, 2))
-    return _spectral_draw(normals, scale, N)[:, 0]
+    return _spectral_draw(rng, scale[None], N, count, workspace)[:, 0]
 
 
 def sample_mixed_components(
-    params: Params, N: int, rng: np.random.Generator, count: int
+    params: Params, N: int, rng: np.random.Generator, count: int, *, workspace=None
 ) -> tuple:
     """Unit-scale noises of the components of params, for rescaling to
     every width by combine_mixed_components.
@@ -260,14 +304,15 @@ def sample_mixed_components(
     component, whose rows have Toeplitz covariance gamma(H, .), sampled
     by circulant embedding as in sample_increments from one call
     rng.standard_normal((count, C, k, 2)) for the C components: row r
-    draws the components' normals in order.
+    draws the components' normals in order.  A workspace
+    block_workspace(N, rows, C) works as in sample_increments: the
+    noises are views of it, valid until its next use.
     """
     # unit scale and unit width give the autocovariance gamma(H, .)
     scales = np.stack(
         [_embedding_scale(NifbmParams(H), 1.0, N) for H, _ in params.components]
     )
-    normals = rng.standard_normal((count,) + scales.shape + (2,))
-    paths = _spectral_draw(normals, scales, N)
+    paths = _spectral_draw(rng, scales, N, count, workspace)
     return tuple(paths[:, i] for i in range(len(scales)))
 
 

@@ -27,7 +27,7 @@ from nifbm.estimation import forward_moment_map
 
 from conftest import (
     empirical_estimator_cov,
-    gamma_square_series_direct,
+    gamma_square_series_reference,
     jacobian_one_closed_form,
     jacobian_one_det,
 )
@@ -83,42 +83,67 @@ class TestGammaSquareSeries:
         with pytest.raises(HTooLargeError):
             gamma_square_series(0.9, (0, 0))
 
-    @pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.7])
-    @pytest.mark.parametrize("shifts", [(0, 0), (0, 1), (0, 2)])
-    def test_equals_direct_evaluation_at_default_size(self, H, shifts):
-        assert gamma_square_series(H, shifts) == gamma_square_series_direct(H, shifts)
+    # H-major, so that the cases of one H share the reference's table
+    @pytest.mark.parametrize(
+        "H,shifts",
+        [
+            (H, shifts)
+            for H in (0.01, 0.1, 0.3, 0.5, 0.6, 0.7, 0.74)
+            for shifts in ((0, 0), (0, 1), (0, 2), (0, 3), (5, 8))
+        ],
+    )
+    def test_equals_reference_at_default_size(self, H, shifts):
+        # 2000 explicit terms and the expanded tail against 10^6 explicit
+        # terms and the leading-order tail
+        expected = gamma_square_series_reference(H, shifts)
+        assert gamma_square_series(H, shifts) == pytest.approx(expected, rel=1e-13)
 
     @settings(max_examples=200)
     @given(
         H=st.floats(0.0, 0.75, exclude_min=True, exclude_max=True),
         alpha=st.integers(-8, 8),
         beta=st.integers(-8, 8),
-        n_terms=st.integers(1, 3000),
+        n_terms=st.integers(1100, 3000),
     )
-    @example(H=0.5, alpha=0, beta=1, n_terms=1)
-    @example(H=0.3, alpha=0, beta=8, n_terms=8)
-    @example(H=0.3, alpha=0, beta=8, n_terms=7)
     @example(H=0.5, alpha=-8, beta=8, n_terms=3000)
-    def test_equals_direct_evaluation(self, H, alpha, beta, n_terms):
-        if n_terms < max(abs(alpha), abs(beta)):
-            with pytest.raises(ValueError, match=r"largest \|shift\|"):
-                gamma_square_series(H, (alpha, beta), n_terms)
-        else:
-            expected = gamma_square_series_direct(H, (alpha, beta), n_terms)
-            assert gamma_square_series(H, (alpha, beta), n_terms) == expected
+    @example(H=0.7499, alpha=0, beta=8, n_terms=1100)
+    @example(H=0.001, alpha=-8, beta=7, n_terms=1100)
+    def test_equals_reference(self, H, alpha, beta, n_terms):
+        """From n_terms = 1100 on, every tail lag, down to
+        n_terms + 1 - 8, is above covariance._DIRECT_LIMIT = 1000, where
+        gamma is the large-lag series the tail is expanded from.  Below
+        that range the explicit part ends inside the direct-formula lags,
+        whose own rounding error the expansion does not share, and the
+        value moves by up to 1.5e-8 of the (0, 0) sum (measured at
+        n_terms = 100 to 1000, H = 0.01 to 0.74).  The tolerance
+        is relative to the (0, 0) sum, which bounds every shifted sum by
+        Cauchy-Schwarz; the reference's leading-order tail is itself off
+        by up to 3e-13 of it at shifts 8 apart."""
+        expected = gamma_square_series_reference(H, (alpha, beta))
+        scale = gamma_square_series_reference(H, (0, 0))
+        value = gamma_square_series(H, (alpha, beta), n_terms)
+        assert abs(value - expected) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("shifts", [(0, 2), (-3, 1), (5, 8)])
+    def test_n_terms_below_largest_shift(self, shifts):
+        widest = max(map(abs, shifts))
+        with pytest.raises(ValueError, match=r"largest \|shift\|"):
+            gamma_square_series(0.3, shifts, widest - 1)
+        assert math.isfinite(gamma_square_series(0.3, shifts, widest))
 
     def test_one_kernel_evaluation_per_hurst(self, monkeypatch):
         calls = []
 
         def counting_gamma(H, n):
-            calls.append(H)
+            calls.append((H, np.size(n)))
             return gamma(H, n)
 
         monkeypatch.setattr(asymptotics, "gamma", counting_gamma)
         gamma_square_series.cache_clear()
         asymptotics._kernel_table.cache_clear()
         sigma_tilde_one(0.3456, 2.0)
-        assert calls == [0.3456]
+        # one table of the lags 0 .. 2002, its negative half mirrored
+        assert calls == [(0.3456, 2003)]
 
     @pytest.mark.parametrize("n_terms", [0, -3, 2.5])
     def test_n_terms_must_be_positive_integer(self, n_terms):

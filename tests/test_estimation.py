@@ -17,6 +17,7 @@ from nifbm.covariance import (
 )
 from nifbm.errors import LengthError, NotPositiveDefiniteError, ZeroDenominatorError
 from nifbm.estimation import (
+    AGGREGATION_FACTORS,
     _toeplitz_solve,
     aggregate_increments,
     drift_mle,
@@ -28,6 +29,7 @@ from nifbm.estimation import (
     two_stage_estimate,
     xi_statistic,
     xi_statistics_from_base,
+    xi_statistics_from_components,
 )
 from nifbm.harness import drift_samples
 from nifbm.simulation import (
@@ -36,6 +38,7 @@ from nifbm.simulation import (
     cholesky_factor,
     combine_mixed_components,
     sample_increments,
+    sample_mixed_components,
     stream_generator,
 )
 
@@ -125,6 +128,60 @@ _BLOCKS = st.tuples(st.integers(1, 5), st.integers(15, 80)).flatmap(
 )
 
 
+class TestXiFromComponents:
+    """xi statistics from the Gram moments of the shared component
+    noises, against the mean square of each combined series."""
+
+    @pytest.mark.parametrize("N", [1, 2, 64])
+    @pytest.mark.parametrize(
+        "a2,b2,h", [(4.0, 4.0, 2.0), (0.3, 7.0, 0.5), (2.0, 1.5, 16.0)]
+    )
+    def test_matches_combined_series(self, N, a2, b2, h):
+        params = MixedParams(H1=0.7, H2=0.3, a2=a2, b2=b2)
+        e1, e2 = sample_mixed_components(params, N, stream_generator(N, 1), 50)
+        xi = xi_statistics_from_components(params, h, e1, e2)
+        assert tuple(xi) == AGGREGATION_FACTORS
+        for j, values in xi.items():
+            w = j * h
+            mixed = xi_statistic(combine_mixed_components(params, w, e1, e2))
+            # the components' own terms bound the rounding of the cross
+            # term, which cancels against them when N is small
+            own = a2 * w ** (2 * 0.7) * xi_statistic(e1) + b2 * w ** (2 * 0.3) * xi_statistic(e2)
+            assert values.shape == (50,)
+            assert np.all(np.abs(values - mixed) <= 1e-13 * own)
+
+    def test_one_series_gives_floats(self):
+        params = MixedParams(H1=0.6, H2=0.2, a2=1.0, b2=2.0)
+        e1, e2 = sample_mixed_components(params, 16, stream_generator(3, 1), 1)
+        xi = xi_statistics_from_components(params, 2.0, e1[0], e2[0], factors=(1, 4))
+        assert tuple(xi) == (1, 4)
+        assert all(isinstance(v, float) for v in xi.values())
+        block = xi_statistics_from_components(params, 2.0, e1, e2, factors=(1, 4))
+        assert all(block[j][0] == xi[j] for j in xi)
+
+    def test_one_component(self):
+        # one process: xi_j is a2 (j h)^(2H) times the noise's mean square
+        params = NifbmParams(0.3, a2=2.0)
+        (e,) = sample_mixed_components(params, 32, stream_generator(1, 1), 4)
+        xi = xi_statistics_from_components(params, 2.0, e, factors=(1, 2))
+        for j in (1, 2):
+            assert np.allclose(xi[j], 2.0 * (2.0 * j) ** 0.6 * xi_statistic(e), rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "parts,error",
+        [
+            ((np.ones(4),), ValueError),
+            ((np.ones(4), np.ones(5)), ValueError),
+            ((np.ones(0), np.ones(0)), LengthError),
+            ((np.float64(1.0), np.float64(2.0)), LengthError),
+        ],
+    )
+    def test_rejects_bad_noises(self, parts, error):
+        params = MixedParams(H1=0.6, H2=0.2, a2=1.0, b2=2.0)
+        with pytest.raises(error):
+            xi_statistics_from_components(params, 2.0, *parts)
+
+
 class TestBlockStatistics:
     """Row r of a block result is bit for bit the result for row r."""
 
@@ -141,6 +198,7 @@ class TestBlockStatistics:
         params = MixedParams(H1=h1, H2=h2, a2=2.0, b2=0.5)
         other = np.resize(other, block.shape)
         mixed = combine_mixed_components(params, j * h, block, other)
+        gram = xi_statistics_from_components(params, h, block, other)
         xi = xi_statistic(block)
         stats = xi_statistics_from_base(block)
         one = estimate_one_nifbm(stats, h)
@@ -152,6 +210,8 @@ class TestBlockStatistics:
             assert np.array_equal(
                 mixed[r], combine_mixed_components(params, j * h, row, other[r])
             )
+            gram_row = xi_statistics_from_components(params, h, row, other[r])
+            assert all(gram[k][r] == gram_row[k] for k in gram_row)
             agg_block, agg_row = block, row
             for _ in range(j.bit_length() - 1):  # log2(j) doubling steps
                 agg_block = aggregate_increments(agg_block)

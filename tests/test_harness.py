@@ -23,12 +23,11 @@ from nifbm.cli import main
 from nifbm.covariance import MixedParams, NifbmParams, autocov_sequence
 from nifbm.errors import ConfigError
 from nifbm.estimation import (
-    AGGREGATION_FACTORS,
     drift_mle,
     estimate_one_nifbm,
     estimate_two_nifbm,
-    xi_statistic,
     xi_statistics_from_base,
+    xi_statistics_from_components,
 )
 from nifbm.harness import (
     CSV_HEADER,
@@ -43,7 +42,6 @@ from nifbm.harness import (
     write_results,
 )
 from nifbm.simulation import (
-    combine_mixed_components,
     sample_increments,
     sample_mixed_components,
     seed_blocks,
@@ -302,10 +300,7 @@ class TestRunExperiment:
         for _ in range(reps):
             if mode == "direct-per-j":
                 e1, e2 = sample_mixed_components(params, n, rng, 1)
-                xi = {
-                    j: xi_statistic(combine_mixed_components(params, 2.0 * j, e1[0], e2[0]))
-                    for j in AGGREGATION_FACTORS
-                }
+                xi = xi_statistics_from_components(params, 2.0, e1[0], e2[0])
             else:
                 base = sample_increments(params, 2.0, 8 * n + 7, rng, 1)
                 xi = xi_statistics_from_base(base[0])

@@ -29,6 +29,7 @@ from nifbm.simulation import (
     DriftSpec,
     _embedding_scale,
     add_drift,
+    block_workspace,
     cholesky_factor,
     combine_mixed_components,
     embedding_eigenvalues,
@@ -410,7 +411,75 @@ class TestSharedComponentSampling:
         assert series.shape == (32,)
 
 
+class TestBlockWorkspace:
+    """A stage's seed blocks drawn into one workspace give the draws of
+    unbuffered calls; each block overwrites the last."""
+
+    @pytest.mark.parametrize(
+        "params", [NifbmParams(0.3, 1.5), MixedParams(0.7, 0.3, 2.0, 1.5)]
+    )
+    def test_buffered_blocks_equal_one_call(self, params):
+        # 150 rows at N = 513 span blocks of 64, 64 and 22 rows
+        n, reps = 513, 150
+        blocks = list(seed_blocks(reps, n))
+        assert [len(b) for b in blocks] == [64, 64, 22]
+        mixed = isinstance(params, MixedParams)
+        workspace = block_workspace(n, len(blocks[0]), 2 if mixed else 1)
+
+        def draw(rng, count, **kwargs):
+            if mixed:
+                return np.stack(sample_mixed_components(params, n, rng, count, **kwargs))
+            return sample_increments(params, 2.0, n, rng, count, **kwargs)[None]
+
+        rng = stream_generator(7, 1)
+        buffered = [draw(rng, len(b), workspace=workspace).copy() for b in blocks]
+        whole = draw(stream_generator(7, 1), reps)
+        assert np.array_equal(np.concatenate(buffered, axis=1), whole)
+
+    def test_next_block_overwrites_only_buffered_results(self):
+        params, n = NifbmParams(0.3), 64
+        workspace = block_workspace(n, 4)
+        rng = stream_generator(2, 0)
+        unbuffered = sample_increments(params, 2.0, n, rng, 4)
+        kept = unbuffered.copy()
+        first = sample_increments(params, 2.0, n, rng, 4, workspace=workspace)
+        assert np.shares_memory(first, workspace[1])
+        before = first.copy()
+        sample_increments(params, 2.0, n, rng, 3, workspace=workspace)
+        assert not np.array_equal(first[:3], before[:3])
+        # the fourth row is past the second block, so it is left as it was
+        assert np.array_equal(first[3], before[3])
+        assert np.array_equal(unbuffered, kept)
+        assert not np.shares_memory(unbuffered, workspace[1])
+
+    @pytest.mark.parametrize(
+        "N,rows,components,count",
+        [(64, 4, 2, 3), (100, 4, 1, 3), (64, 2, 1, 3)],
+    )
+    def test_workspace_must_fit(self, N, rows, components, count):
+        # wrong component count, wrong embedding length, too few rows
+        workspace = block_workspace(N, rows, components)
+        with pytest.raises(ValueError, match="workspace"):
+            sample_increments(NifbmParams(0.3), 2.0, 64, stream_generator(0, 0), count,
+                              workspace=workspace)
+
+    @pytest.mark.parametrize(
+        "args", [(0, 4), (64, 0), (64, 4, 0), (64, 2.0), (64, True)]
+    )
+    def test_workspace_sizes_checked(self, args):
+        with pytest.raises(ValueError):
+            block_workspace(*args)
+
+
 class TestAggregation:
+    def test_in_place_steps_equal_the_formula(self):
+        # y = 2 x_2k+1; y += x_2k+2; y += x_2k; y *= 0.5 does the
+        # operations of the three-point rule in its order
+        x = stream_generator(4, 0).standard_normal((5, 2 * 33 + 1)) * 1e3
+        expected = 0.5 * (x[..., 2::2] + 2.0 * x[..., 1::2] + x[..., :-1:2])
+        assert aggregate_increments(x).tobytes() == expected.tobytes()
+
+
     def test_lives_with_the_xi_statistics(self):
         # the step and the factor set are estimation's, exported at the top
         assert nifbm.aggregate_increments is aggregate_increments
