@@ -178,14 +178,12 @@ def xi_statistic(series: np.ndarray) -> Union[float, np.ndarray]:
     return float(xi) if values.ndim == 1 else xi
 
 
-def xi_statistics_from_components(
-    params: Params, h: float, *parts: np.ndarray,
-    factors: Tuple[int, ...] = AGGREGATION_FACTORS,
-) -> Xi:
-    """xi statistics {j: value} of the increments at the widths j*h
-    that combine_mixed_components builds from the shared unit-scale
-    noises of sample_mixed_components, one per component of params:
-    floats for one series each, one value per row for (R, N) blocks.
+def xi_statistics_from_components(params: Params, h: float, *parts: np.ndarray) -> Xi:
+    """xi statistics {j: value}, j in AGGREGATION_FACTORS, of the
+    increments at the widths j*h that combine_mixed_components builds
+    from the shared unit-scale noises of sample_mixed_components, one
+    per component of params: floats for one series each, one value per
+    row for (R, N) blocks.
 
     xi_j is a quadratic form in the noises' Gram moments
     m_ik = (1/N) * sum over t of e_i,t * e_k,t: the sum over component
@@ -211,7 +209,7 @@ def xi_statistics_from_components(
     pairs = [(i, k) for i in range(len(comps)) for k in range(i, len(comps))]
     gram = {(i, k): np.vecdot(noises[i], noises[k]) / n for i, k in pairs}
     xi = {}
-    for j in factors:
+    for j in AGGREGATION_FACTORS:
         s = [math.sqrt(c) * (j * h) ** H for H, c in comps]
         value = sum((1.0 if i == k else 2.0) * s[i] * s[k] * gram[i, k] for i, k in pairs)
         xi[j] = float(value) if len(shape) == 1 else value

@@ -255,7 +255,7 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
             parts = sample_mixed_components(
                 params, N, rng, len(rows), workspace=workspace
             )
-            xi = xi_statistics_from_components(params, h, *parts, factors=factors)
+            xi = xi_statistics_from_components(params, h, *parts)
         else:
             paths = sample_increments(
                 params, h, n_base, rng, len(rows), workspace=workspace

@@ -153,18 +153,18 @@ class TestXiFromComponents:
     def test_one_series_gives_floats(self):
         params = MixedParams(H1=0.6, H2=0.2, a2=1.0, b2=2.0)
         e1, e2 = sample_mixed_components(params, 16, stream_generator(3, 1), 1)
-        xi = xi_statistics_from_components(params, 2.0, e1[0], e2[0], factors=(1, 4))
-        assert tuple(xi) == (1, 4)
+        xi = xi_statistics_from_components(params, 2.0, e1[0], e2[0])
+        assert tuple(xi) == AGGREGATION_FACTORS
         assert all(isinstance(v, float) for v in xi.values())
-        block = xi_statistics_from_components(params, 2.0, e1, e2, factors=(1, 4))
+        block = xi_statistics_from_components(params, 2.0, e1, e2)
         assert all(block[j][0] == xi[j] for j in xi)
 
     def test_one_component(self):
         # one process: xi_j is a2 (j h)^(2H) times the noise's mean square
         params = NifbmParams(0.3, a2=2.0)
         (e,) = sample_mixed_components(params, 32, stream_generator(1, 1), 4)
-        xi = xi_statistics_from_components(params, 2.0, e, factors=(1, 2))
-        for j in (1, 2):
+        xi = xi_statistics_from_components(params, 2.0, e)
+        for j in AGGREGATION_FACTORS:
             assert np.allclose(xi[j], 2.0 * (2.0 * j) ** 0.6 * xi_statistic(e), rtol=1e-14)
 
     @pytest.mark.parametrize(
