@@ -214,7 +214,10 @@ def gamma(H: float, n) -> Union[float, np.ndarray]:
     Symmetric in n; accepts scalars or arrays.  The direct formula is a
     fourth central difference of |n|^(2H+2) and is used for small lags;
     large lags use a series expansion that avoids catastrophic
-    cancellation.
+    cancellation.  The direct formula cancels near H = 0, where the
+    kernel vanishes: it keeps about 1e-16 / H relative accuracy (8e-7
+    at lag 0 and H = 1e-10) and returns 0 at every lag for H below
+    about 1.1e-16.
     """
     H = _check_hurst(H)
     arr = np.abs(np.asarray(n, dtype=float))

@@ -6,8 +6,9 @@ are built once per experiment; the window width h belongs to the grid
 and is passed next to them.  Each grid point is one pipeline: drift
 stage (paths drawn per seed block, in order from stream 0 of the seed,
 then one call of each estimator on all replications), noise stage (xi
-statistics per seed block, on paths drawn in order from stream 1, then
-one estimator call on all replications), then one row per requested
+statistics per seed block, on paths drawn in order from stream 1, or
+component c of two-process direct-per-j from stream 1 + c, then one
+estimator call on all replications), then one row per requested
 estimator with the empirical mean and standard deviation of the
 non-degenerate replications (nan if there are none), the theoretical
 standard deviation where a closed form exists, and the count of
@@ -233,35 +234,42 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     order from stream 1, per seed block, their xi statistics estimated
     in one call; sd_theory comes from sigma0_one for the one-process
     model.  j_mode names the scheme: two-process direct-per-j rescales
-    shared unit-scale components to every width j*h, its xi statistics
-    taken from the components' Gram moments
-    (xi_statistics_from_components); every other case, the one-process
-    model in either mode included, is "aggregate", one base series at
-    step h whose coarsest aggregate has N increments.  Every seed block
-    is drawn into one block workspace of the stage, whose paths are
-    read before the next block overwrites them."""
+    shared unit-scale components to every width j*h, component c drawn
+    from stream 1 + c, the first by the caller and each other one by a
+    helper thread of the stage, its xi statistics taken from the
+    components' Gram moments (xi_statistics_from_components) once a
+    block's components are all drawn; every other case, the
+    one-process model in either mode included, is "aggregate", one
+    base series at step h whose coarsest aggregate has N increments.
+    Every seed block is drawn into one block workspace of the stage,
+    whose paths are read before the next block overwrites them."""
     mixed = isinstance(params, MixedParams)
     direct = mixed and config.simulation_mode == "direct-per-j"
     factors = MOMENT_FACTORS[type(params)]
     n_base = N if direct else base_length(factors, N)
-    rng = stream_generator(config.seed, 1)
-    blocks = list(seed_blocks(config.replications, n_base))
-    workspace = block_workspace(
-        n_base, len(blocks[0]), len(params.components) if direct else 1
-    )
+    components = len(params.components) if direct else 1
+    rngs = [stream_generator(config.seed, 1 + c) for c in range(components)]
+    blocks = list(seed_blocks(config.replications, n_base, components))
+    workspace = block_workspace(n_base, len(blocks[0]), components)
     xis = []
-    for rows in blocks:
-        if direct:
-            parts = sample_mixed_components(
-                params, N, rng, len(rows), workspace=workspace
-            )
-            xi = xi_statistics_from_components(params, h, *parts)
-        else:
+    if direct:
+        # loaded with the first stage that needs it, not with the package
+        from .threads import HelperThreads
+
+        with HelperThreads(components - 1) as helpers:
+            for rows in blocks:
+                parts = sample_mixed_components(
+                    params, N, rngs, len(rows), workspace=workspace, helpers=helpers
+                )
+                xi = xi_statistics_from_components(params, h, *parts)
+                xis.append([xi[j] for j in factors])
+    else:
+        for rows in blocks:
             paths = sample_increments(
-                params, h, n_base, rng, len(rows), workspace=workspace
+                params, h, n_base, rngs[0], len(rows), workspace=workspace
             )
             xi = xi_statistics_from_base(paths, factors=factors)
-        xis.append([xi[j] for j in factors])
+            xis.append([xi[j] for j in factors])
     xi = dict(zip(factors, map(np.concatenate, zip(*xis))))
     # called by this module's names, which benchmarks/tracing.py wraps
     est = estimate_two_nifbm(xi, h) if mixed else estimate_one_nifbm(xi, h)

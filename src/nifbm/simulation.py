@@ -16,17 +16,18 @@ N = 128), where numpy's FFT falls back to Bluestein's algorithm.  Where
 This is the package's only path sampler; the dense Cholesky factor is
 kept as an exact reference for tests.
 
-The samplers draw from a numpy Generator they are handed, one
-standard_normal call per block of `count` paths, of shape
-(count, C, m // 2 + 1, 2) for the C components drawn (one in
-sample_increments), read as interleaved real and imaginary parts.  A
-run's stages each draw their replications in order from one
-generator, stream_generator(seed, stream), which is
-np.random.Generator(np.random.PCG64(seed).jumped(stream)); row r of a
-stage is then the r-th slab of that stream, whichever blocks
-seed_blocks cut it into.  A stage can hand every block's call one
-block_workspace, which the normals and the irfft are written into;
-the draws stay the same.
+The samplers draw from numpy Generators they are handed, one
+standard_normal call per block of `count` paths and generator, of
+shape (count, C, m // 2 + 1, 2) for the C components a generator
+draws, read as interleaved real and imaginary parts.  A run's stages
+draw their replications in order from stream_generator(seed, stream),
+which is np.random.Generator(np.random.PCG64(seed).jumped(stream)),
+one stream per stage or, in two-process direct-per-j, per component;
+row r of a stage is then the r-th slab of its streams, whichever
+blocks seed_blocks cut it into.  A stage can hand every block's call
+one block_workspace, which the normals and the irfft are written
+into, and helper threads that draw its components at once; the draws
+stay the same.
 
 Increment series are plain float arrays with time on the last axis:
 the samplers return one row per replication, and
@@ -74,8 +75,8 @@ __all__ = [
     "add_drift",
 ]
 
-# replications x embedding length per sampled block: the bound on the
-# samplers' working memory, so raising it raises peak memory
+# replications x components x embedding length per sampled block: the
+# bound on the samplers' working memory, so raising it raises peak memory
 BLOCK_ELEMENTS = 2**16
 
 # embedding eigenvalues above -_EIG_TOL * max are rounding, clipped to 0
@@ -159,7 +160,9 @@ def embedding_eigenvalues(row: np.ndarray, m: int) -> np.ndarray:
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
     """np.random.Generator(np.random.PCG64(seed).jumped(stream)), the
     generator a stage of a run draws its replications from, for
-    nonnegative integers seed and stream < 2^128 (not bools)."""
+    nonnegative integers seed and stream < 2^128 (not bools): stream 0
+    for a drift stage, 1 for a noise stage, 1 + c for component c of a
+    two-process direct-per-j noise stage."""
     if not all(is_integer(v) and v >= 0 for v in (seed, stream)):
         raise ValueError("seed and stream must be nonnegative integers")
     if stream >= 2**128:
@@ -168,11 +171,11 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed).jumped(stream))
 
 
-def seed_blocks(count: int, N: int):
+def seed_blocks(count: int, N: int, components: int = 1):
     """The rows 0 .. count - 1 in order, as ranges of at most
-    BLOCK_ELEMENTS // embedding_length(N) rows (at least one), so that
-    a sampled block stays small."""
-    size = max(1, BLOCK_ELEMENTS // embedding_length(N))
+    BLOCK_ELEMENTS // (components * embedding_length(N)) rows (at least
+    one), so that a sampled block stays small."""
+    size = max(1, BLOCK_ELEMENTS // (components * embedding_length(N)))
     for i in range(0, count, size):
         yield range(i, min(i + size, count))
 
@@ -202,42 +205,53 @@ def block_workspace(N: int, rows: int, components: int = 1) -> tuple:
     """Buffers for drawing blocks of up to `rows` series of N
     increments, `components` per row, that a stage hands to every
     sampler call of its seed blocks: the normals, shape
-    (rows, components, m // 2 + 1, 2), and the irfft output, shape
-    (rows, components, m), for m = embedding_length(N)."""
+    (components, rows, m // 2 + 1, 2), and the irfft output, shape
+    (components, rows, m), for m = embedding_length(N), one contiguous
+    slice per component."""
     check_length(N)
     if not all(is_integer(v) and v >= 1 for v in (rows, components)):
         raise ValueError("rows and components must be integers >= 1")
     m = embedding_length(N)
     return (
-        np.empty((rows, components, m // 2 + 1, 2)),
-        np.empty((rows, components, m)),
+        np.empty((components, rows, m // 2 + 1, 2)),
+        np.empty((components, rows, m)),
     )
 
 
+def _fitted(workspace, components: int, count: int, N: int) -> tuple:
+    """A block_workspace's buffers, checked to fit the block."""
+    m = embedding_length(N)
+    normals, out = workspace
+    rows = normals.shape[1]
+    if normals.shape != (components, rows, m // 2 + 1, 2) or out.shape != (
+        components, rows, m,
+    ):
+        raise ValueError(
+            f"workspace of shapes {normals.shape} and {out.shape} does not fit "
+            f"{components} components with embedding length {m}"
+        )
+    if rows < count:
+        raise ValueError(f"workspace holds {rows} rows, block needs {count}")
+    return normals, out
+
+
 def _spectral_draw(
-    rng: np.random.Generator, scales: np.ndarray, N: int, count: int, workspace
+    rng: np.random.Generator, scales: np.ndarray, N: int, count: int, buffers
 ) -> np.ndarray:
     """First N values of irfft(z * scale) per row and component for
     `count` rows, where component i's z is drawn from rng as
     interleaved real and imaginary normals and scales[i] is its
-    spectral scale.  With a workspace from block_workspace the normals
-    are drawn into its first buffer and the irfft written into its
-    second, and the result is a view of the latter."""
+    spectral scale.  Given buffers, contiguous arrays of shapes
+    (count, C, m // 2 + 1, 2) and (count, C, m), the normals are drawn
+    into the first and the irfft written into the second, and the
+    result is a view of the latter."""
     m = embedding_length(N)
     shape = (count,) + scales.shape + (2,)
-    if workspace is None:
+    if buffers is None:
         normals, out = rng.standard_normal(shape), None
     else:
-        normals, out = workspace
-        if normals.shape[1:] != shape[1:] or out.shape[1:] != shape[1:2] + (m,):
-            raise ValueError(
-                f"workspace of shapes {normals.shape} and {out.shape} does not "
-                f"fit blocks of shape {shape} with embedding length {m}"
-            )
-        if len(normals) < count:
-            raise ValueError(f"workspace holds {len(normals)} rows, block needs {count}")
-        normals = rng.standard_normal(out=normals[:count])
-        out = out[:count]
+        normals, out = buffers
+        normals = rng.standard_normal(out=normals)
     z = normals.view(complex)[..., 0]
     # the zero and (even m) Nyquist bins are real: all their variance
     # goes on the real part
@@ -288,11 +302,15 @@ def sample_increments(
     H = 0.998 at N = 8193.
     """
     scale = _embedding_scale(params, h, N)
-    return _spectral_draw(rng, scale[None], N, count, workspace)[:, 0]
+    buffers = None
+    if workspace is not None:
+        normals, out = _fitted(workspace, 1, count, N)
+        buffers = (normals[0, :count, None], out[0, :count, None])
+    return _spectral_draw(rng, scale[None], N, count, buffers)[:, 0]
 
 
 def sample_mixed_components(
-    params: Params, N: int, rng: np.random.Generator, count: int, *, workspace=None
+    params: Params, N: int, rng, count: int, *, workspace=None, helpers=None
 ) -> tuple:
     """Unit-scale noises of the components of params, for rescaling to
     every width by combine_mixed_components.
@@ -302,18 +320,49 @@ def sample_mixed_components(
     rescaled to every width w = j*h while keeping the noise shared
     across the aggregation factors j.  Returns one (count, N) array per
     component, whose rows have Toeplitz covariance gamma(H, .), sampled
-    by circulant embedding as in sample_increments from one call
-    rng.standard_normal((count, C, k, 2)) for the C components: row r
-    draws the components' normals in order.  A workspace
+    by circulant embedding as in sample_increments.
+
+    rng is a list or tuple of one Generator per component, component i
+    drawn from rng[i] in one call rng[i].standard_normal((count, 1, k, 2)),
+    or one Generator, drawn in one call rng.standard_normal((count, C, k, 2))
+    with row r drawing the C components' normals in order.  A workspace
     block_workspace(N, rows, C) works as in sample_increments: the
-    noises are views of it, valid until its next use.
+    noises are views of it, valid until its next use.  Given one
+    generator per component and helpers, a nifbm.threads.HelperThreads
+    of C - 1 helpers, the caller draws component 0 while helper i draws
+    component i + 1; the noises are those drawn without helpers.
     """
-    # unit scale and unit width give the autocovariance gamma(H, .)
+    # unit scale and unit width give the autocovariance gamma(H, .); in
+    # the caller, as benchmarks/tracing.py traces autocov_sequence here
     scales = np.stack(
         [_embedding_scale(NifbmParams(H), 1.0, N) for H, _ in params.components]
     )
-    paths = _spectral_draw(rng, scales, N, count, workspace)
-    return tuple(paths[:, i] for i in range(len(scales)))
+    C = len(scales)
+    if not isinstance(rng, (list, tuple)):
+        buffers = None
+        if workspace is not None:
+            # the first count rows of the buffers' memory, read row-major
+            normals, out = _fitted(workspace, C, count, N)
+            k, m = normals.shape[2], out.shape[2]
+            buffers = (
+                normals.reshape(-1)[: count * C * k * 2].reshape(count, C, k, 2),
+                out.reshape(-1)[: count * C * m].reshape(count, C, m),
+            )
+        paths = _spectral_draw(rng, scales, N, count, buffers)
+        return tuple(paths[:, i] for i in range(C))
+    if len(rng) != C:
+        raise ValueError(f"{len(rng)} generators for {C} components")
+    if workspace is not None:
+        normals, out = _fitted(workspace, C, count, N)
+    draws = [
+        functools.partial(
+            _spectral_draw, rng[i], scales[i, None], N, count,
+            None if workspace is None else (normals[i, :count, None], out[i, :count, None]),
+        )
+        for i in range(C)
+    ]
+    paths = [draw() for draw in draws] if helpers is None else helpers.run(draws)
+    return tuple(path[:, 0] for path in paths)
 
 
 def combine_mixed_components(

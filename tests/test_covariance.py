@@ -303,6 +303,18 @@ class TestGammaAccuracy:
         assert gamma_errors[:, band].max() < 1e-9
 
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the fourth difference at lag 0, 2 * 2^(2H+2) - 8, cancels "
+        "to about 1e-16 / H relative accuracy at small H: relative error "
+        "8.4e-7 at H = 1e-10, and gamma is 0 at every lag below H = 1.1e-16",
+    )
+    def test_lag_zero_at_tiny_hurst(self):
+        # gamma(H, 0) = 2 expm1(2H ln 2) / ((2H + 1)(H + 1)) in closed form
+        H = 1e-10
+        exact = 2.0 * math.expm1(2.0 * H * math.log(2.0)) / ((2.0 * H + 1.0) * (H + 1.0))
+        assert abs(gamma(H, 0) - exact) <= 1e-8 * exact
+
 class TestGammaAsymptotic:
     def test_zero_at_half(self):
         assert gamma_asymptotic(0.5, 7) == 0.0

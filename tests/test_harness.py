@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import typing
 from dataclasses import replace
 from pathlib import Path
@@ -284,9 +285,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", ["direct-per-j", "aggregate"])
     def test_noise_blocks_match_per_replication(self, mode):
-        # direct-per-j at N = 256 samples in blocks of 65536 // 512 = 128
-        # rows (128, 22), aggregate its 2055-increment base in blocks of
-        # 15; the rows must equal those built from one-series statistics
+        # direct-per-j at N = 256 samples two components in blocks of
+        # 65536 // (2 * 512) = 64 rows (64, 64, 22), aggregate its
+        # 2055-increment base in blocks of 15; the rows must equal those
+        # built from one-series statistics
         n, reps, seed = 256, 150, 4
         params = MixedParams(H1=0.5, H2=0.3, a2=4.0, b2=4.0)
         cfg = ExperimentConfig(
@@ -294,12 +296,15 @@ class TestRunExperiment:
             replications=reps, seed=seed, simulation_mode=mode,
         )
         rows = run_experiment(cfg)
+        assert [len(rows) for rows in seed_blocks(reps, n, 2)] == [64, 64, 22]
         estimates = []
-        # the noise stage draws its rows in order from stream 1
+        # the noise stage draws its rows in order from stream 1, direct-per-j
+        # component c from stream 1 + c
         rng = stream_generator(seed, 1)
+        rngs = [rng, stream_generator(seed, 2)]
         for _ in range(reps):
             if mode == "direct-per-j":
-                e1, e2 = sample_mixed_components(params, n, rng, 1)
+                e1, e2 = sample_mixed_components(params, n, rngs, 1)
                 xi = xi_statistics_from_components(params, 2.0, e1[0], e2[0])
             else:
                 base = sample_increments(params, 2.0, 8 * n + 7, rng, 1)
@@ -312,6 +317,50 @@ class TestRunExperiment:
             assert row.degenerate == reps - len(kept)
             assert row.mean == float(values.mean())
             assert row.sd_emp == float(values.std(ddof=1))
+
+    def test_direct_noise_rows_independent_of_blocks_and_threads(self, monkeypatch):
+        # two components at N = 1024 sample in blocks of
+        # 65536 // (2 * 2048) = 16 rows (16, 16, 8), component 1 on a
+        # helper thread; two runs and one-row blocks give the same rows
+        n, reps = 1024, 40
+        assert [len(rows) for rows in seed_blocks(reps, n, 2)] == [16, 16, 8]
+        cfg = ExperimentConfig(
+            model="two-nifbm", H1=0.7, H2=0.3, a2=4.0, b2=4.0, grid=((2.0, n),),
+            replications=reps, seed=8,
+        )
+
+        def results():
+            return [replace(r, seconds=0.0) for r in run_experiment(cfg)]
+
+        blocked = results()
+        assert {row.j_mode for row in blocked} == {"direct-per-j"}
+        assert results() == blocked
+        monkeypatch.setattr(simulation, "BLOCK_ELEMENTS", 1)
+        assert len(list(seed_blocks(reps, n, 2))) == reps
+        assert results() == blocked
+        assert results() == blocked
+
+    def test_helper_draw_failure_surfaces(self, monkeypatch):
+        # a draw that raises on the helper thread raises the same
+        # exception from run_experiment, and the helper is joined
+        error = MemoryError("helper draw")
+        draw = simulation._spectral_draw
+
+        def failing_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            return draw(*args)
+
+        monkeypatch.setattr(simulation, "_spectral_draw", failing_off_main)
+        cfg = ExperimentConfig(
+            model="two-nifbm", H1=0.7, H2=0.3, a2=4.0, b2=4.0, grid=((2.0, 64),),
+            replications=5, seed=8,
+        )
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as caught:
+            run_experiment(cfg)
+        assert caught.value is error
+        assert threading.active_count() == before
 
     def test_one_process_noise_blocks_match_per_replication(self):
         # the 2049-increment base of N = 1024 samples in blocks of
@@ -744,6 +793,35 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert out.stdout.splitlines() == ["[]", "[]"]
+
+    def test_helper_threads_load_with_two_components(self):
+        # the package import and a one-process table leave the helper
+        # threads' module unloaded and start no thread; a two-process
+        # direct-per-j table loads it, without concurrent.futures, and
+        # joins its helpers
+        code = "\n".join([
+            "import contextlib, io, sys, threading",
+            "import nifbm.cli",
+            "def state():",
+            "    loaded = [m for m in ('nifbm.threads', 'concurrent.futures') if m in sys.modules]",
+            "    return loaded, threading.active_count()",
+            "print(state())",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert nifbm.cli.main(['tables', '--which', '3', '--replications', '2']) == 0",
+            "print(state())",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert nifbm.cli.main(['tables', '--which', '4', '--replications', '2']) == 0",
+            "print(state())",
+        ])
+        src = str(Path(nifbm.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.splitlines() == [
+            "([], 1)", "([], 1)", "(['nifbm.threads'], 1)"
+        ]
 
     def test_constants(self, capsys):
         assert main(["constants", "--H", "0.5", "--max-lag", "4"]) == 0

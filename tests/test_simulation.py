@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from nifbm.estimation import (
     xi_statistics_from_base,
 )
 from nifbm.harness import MAX_N
+from nifbm.threads import HelperThreads
 from nifbm.simulation import (
+    BLOCK_ELEMENTS,
     DriftSpec,
     _embedding_scale,
     add_drift,
@@ -469,6 +472,135 @@ class TestBlockWorkspace:
     def test_workspace_sizes_checked(self, args):
         with pytest.raises(ValueError):
             block_workspace(*args)
+
+
+class TestComponentStreams:
+    """Two-process direct-per-j draws component c from its own
+    generator, alone or on a helper thread, into its own contiguous
+    workspace slice."""
+
+    _PARAMS = MixedParams(0.7, 0.3, 2.0, 1.5)
+
+    @pytest.mark.parametrize("n,count", [(1, 3), (8, 0), (33, 7)])
+    def test_each_component_is_its_stream_in_order(self, n, count):
+        # one standard_normal call of shape (count, k, 2) per component
+        # and block: two blocks are each stream's next 2 * count slabs
+        k = embedding_length(n) // 2 + 1
+        rngs = [RecordingGenerator(42, 1 + c) for c in range(2)]
+        sample_mixed_components(self._PARAMS, n, rngs, count)
+        sample_mixed_components(self._PARAMS, n, rngs, count)
+        for c, rng in enumerate(rngs):
+            oracle = conftest.stream_generator(42, 1 + c)
+            assert len(rng.draws) == 2
+            for draw in rng.draws:
+                assert np.array_equal(draw[:, 0], oracle.standard_normal((count, k, 2)))
+
+    def test_component_equals_its_one_component_draw(self):
+        # component (H, c) is the unit-scale one-process series of H at
+        # unit width, drawn from its own stream
+        n, reps = 65, 9
+        parts = sample_mixed_components(
+            self._PARAMS, n, [stream_generator(5, 1), stream_generator(5, 2)], reps
+        )
+        for c, (H, _) in enumerate(self._PARAMS.components):
+            alone = sample_increments(NifbmParams(H), 1.0, n, stream_generator(5, 1 + c), reps)
+            assert np.array_equal(parts[c], alone)
+
+    @pytest.mark.parametrize("n,reps", [(513, 150), (64, 300)])
+    def test_helpers_and_blocks_leave_the_draws(self, n, reps):
+        # blocks of BLOCK_ELEMENTS // (2 m) rows drawn into one workspace,
+        # on a helper thread or not, give the rows of one unbuffered call
+        blocks = list(seed_blocks(reps, n, 2))
+        assert len(blocks) > 1
+        whole = np.stack(sample_mixed_components(
+            self._PARAMS, n, [stream_generator(7, 1), stream_generator(7, 2)], reps
+        ))
+        workspace = block_workspace(n, len(blocks[0]), 2)
+        for _ in range(2):
+            rngs = [stream_generator(7, 1), stream_generator(7, 2)]
+            with HelperThreads(1) as helpers:
+                drawn = [
+                    np.stack(sample_mixed_components(
+                        self._PARAMS, n, rngs, len(b), workspace=workspace,
+                        helpers=helpers,
+                    )).copy()
+                    for b in blocks
+                ]
+            assert np.array_equal(np.concatenate(drawn, axis=1), whole)
+
+    def test_component_slices_of_the_workspace(self):
+        n = 64
+        workspace = block_workspace(n, 4, 2)
+        rngs = [stream_generator(3, 1), stream_generator(3, 2)]
+        parts = sample_mixed_components(self._PARAMS, n, rngs, 3, workspace=workspace)
+        for c, part in enumerate(parts):
+            assert np.shares_memory(part, workspace[1][c])
+            assert workspace[0][c].flags.c_contiguous
+
+    def test_generator_count_checked(self):
+        with pytest.raises(ValueError, match="3 generators for 2 components"):
+            sample_mixed_components(self._PARAMS, 8, [stream_generator(0, 1)] * 3, 2)
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 513, 1024, 4096])
+    def test_two_component_block_within_bound(self, n):
+        # a block of C components holds at most BLOCK_ELEMENTS // (C m)
+        # rows: its irfft buffer holds at most BLOCK_ELEMENTS floats, and
+        # so does each component slice of either buffer
+        rows = len(next(seed_blocks(10**6, n, 2)))
+        assert rows == BLOCK_ELEMENTS // (2 * embedding_length(n))
+        normals, out = block_workspace(n, rows, 2)
+        assert out.size <= BLOCK_ELEMENTS
+        for buffer in (normals, out):
+            for c in range(2):
+                assert buffer[c].size <= BLOCK_ELEMENTS
+
+
+class TestHelperThreads:
+    def test_results_in_task_order(self):
+        before = threading.active_count()
+        with HelperThreads(2) as helpers:
+            assert threading.active_count() == before + 2
+            for base in range(3):
+                assert helpers.run([lambda b=base + i: b for i in range(3)]) == [
+                    base, base + 1, base + 2
+                ]
+        assert threading.active_count() == before
+
+    def test_zero_helpers_start_no_thread(self):
+        before = threading.active_count()
+        with HelperThreads(0) as helpers:
+            assert threading.active_count() == before
+            assert helpers.run([lambda: 5]) == [5]
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_exception_surfaces_in_the_caller(self, failing):
+        # the very exception a task raised, on the caller's thread or a
+        # helper's, and every helper joined when the block is left
+        before = threading.active_count()
+        error = RuntimeError("draw failed")
+        ended = []
+
+        def fail():
+            raise error
+
+        def work():
+            ended.append(True)
+            return 1
+
+        tasks = [work, work]
+        tasks[failing] = fail
+        with pytest.raises(RuntimeError) as caught:
+            with HelperThreads(1) as helpers:
+                helpers.run(tasks)
+        assert caught.value is error
+        # the task that did not raise still ran to its end
+        assert ended == [True]
+        assert threading.active_count() == before
+
+    def test_task_count_checked(self):
+        with HelperThreads(1) as helpers:
+            with pytest.raises(ValueError, match="1 tasks for 1 helpers"):
+                helpers.run([lambda: 0])
 
 
 class TestAggregation:
