@@ -18,8 +18,8 @@ kept as an exact reference for tests.
 
 The samplers draw from numpy Generators they are handed, one
 standard_normal call per block of `count` paths and generator, of
-shape (count, C, m // 2 + 1, 2) for the C components a generator
-draws, read as interleaved real and imaginary parts.  A run's stages
+shape (count, m // 2 + 1, 2), read as interleaved real and imaginary
+parts; a two-process sampler takes one generator per component.  A run's stages
 draw their replications in order from stream_generator(seed, stream),
 which is np.random.Generator(np.random.PCG64(seed).jumped(stream)),
 one stream per stage or, in two-process direct-per-j, per component;
@@ -236,17 +236,16 @@ def _fitted(workspace, components: int, count: int, N: int) -> tuple:
 
 
 def _spectral_draw(
-    rng: np.random.Generator, scales: np.ndarray, N: int, count: int, buffers
+    rng: np.random.Generator, scale: np.ndarray, N: int, count: int, buffers
 ) -> np.ndarray:
-    """First N values of irfft(z * scale) per row and component for
-    `count` rows, where component i's z is drawn from rng as
-    interleaved real and imaginary normals and scales[i] is its
-    spectral scale.  Given buffers, contiguous arrays of shapes
-    (count, C, m // 2 + 1, 2) and (count, C, m), the normals are drawn
-    into the first and the irfft written into the second, and the
-    result is a view of the latter."""
+    """First N values of irfft(z * scale) per row for `count` rows,
+    where each row's z is drawn from rng as interleaved real and
+    imaginary normals and scale is the spectral scale.  Given buffers,
+    contiguous arrays of shapes (count, m // 2 + 1, 2) and (count, m),
+    the normals are drawn into the first and the irfft written into
+    the second, and the result is a view of the latter."""
     m = embedding_length(N)
-    shape = (count,) + scales.shape + (2,)
+    shape = (count, scale.size, 2)
     if buffers is None:
         normals, out = rng.standard_normal(shape), None
     else:
@@ -258,7 +257,7 @@ def _spectral_draw(
     z[..., 0] = z[..., 0].real * math.sqrt(2.0)
     if m % 2 == 0:
         z[..., -1] = z[..., -1].real * math.sqrt(2.0)
-    z *= scales
+    z *= scale
     return np.fft.irfft(z, n=m, out=out)[..., :N]
 
 
@@ -273,7 +272,7 @@ def sample_increments(
     Toeplitz first row is embedded in a circulant of length
     m = embedding_length(N), twice a 5-smooth number, whose first row
     holds the lags 0 .. m/2 of autocov_sequence and whose eigenvalues
-    come from one rfft.  One call rng.standard_normal((count, 1, k, 2)),
+    come from one rfft.  One call rng.standard_normal((count, k, 2)),
     k = m//2 + 1, draws each row's k complex normals as interleaved
     real and imaginary parts, and one batched irfft maps the block to
     paths, cut to their first N values.  Drawing 2R rows in one call or
@@ -305,8 +304,8 @@ def sample_increments(
     buffers = None
     if workspace is not None:
         normals, out = _fitted(workspace, 1, count, N)
-        buffers = (normals[0, :count, None], out[0, :count, None])
-    return _spectral_draw(rng, scale[None], N, count, buffers)[:, 0]
+        buffers = (normals[0, :count], out[0, :count])
+    return _spectral_draw(rng, scale, N, count, buffers)
 
 
 def sample_mixed_components(
@@ -322,47 +321,31 @@ def sample_mixed_components(
     component, whose rows have Toeplitz covariance gamma(H, .), sampled
     by circulant embedding as in sample_increments.
 
-    rng is a list or tuple of one Generator per component, component i
-    drawn from rng[i] in one call rng[i].standard_normal((count, 1, k, 2)),
-    or one Generator, drawn in one call rng.standard_normal((count, C, k, 2))
-    with row r drawing the C components' normals in order.  A workspace
-    block_workspace(N, rows, C) works as in sample_increments: the
-    noises are views of it, valid until its next use.  Given one
-    generator per component and helpers, a nifbm.threads.HelperThreads
-    of C - 1 helpers, the caller draws component 0 while helper i draws
+    rng is a sequence of one Generator per component, component i drawn
+    from rng[i] in one call rng[i].standard_normal((count, k, 2)).
+    A workspace block_workspace(N, rows, C) works as in
+    sample_increments: the noises are views of it, valid until its next
+    use.  Given helpers, a nifbm.threads.HelperThreads of C - 1
+    helpers, the caller draws component 0 while helper i draws
     component i + 1; the noises are those drawn without helpers.
     """
     # unit scale and unit width give the autocovariance gamma(H, .); in
     # the caller, as benchmarks/tracing.py traces autocov_sequence here
-    scales = np.stack(
-        [_embedding_scale(NifbmParams(H), 1.0, N) for H, _ in params.components]
-    )
+    scales = [_embedding_scale(NifbmParams(H), 1.0, N) for H, _ in params.components]
     C = len(scales)
-    if not isinstance(rng, (list, tuple)):
-        buffers = None
-        if workspace is not None:
-            # the first count rows of the buffers' memory, read row-major
-            normals, out = _fitted(workspace, C, count, N)
-            k, m = normals.shape[2], out.shape[2]
-            buffers = (
-                normals.reshape(-1)[: count * C * k * 2].reshape(count, C, k, 2),
-                out.reshape(-1)[: count * C * m].reshape(count, C, m),
-            )
-        paths = _spectral_draw(rng, scales, N, count, buffers)
-        return tuple(paths[:, i] for i in range(C))
     if len(rng) != C:
         raise ValueError(f"{len(rng)} generators for {C} components")
     if workspace is not None:
         normals, out = _fitted(workspace, C, count, N)
     draws = [
         functools.partial(
-            _spectral_draw, rng[i], scales[i, None], N, count,
-            None if workspace is None else (normals[i, :count, None], out[i, :count, None]),
+            _spectral_draw, rng[i], scales[i], N, count,
+            None if workspace is None else (normals[i, :count], out[i, :count]),
         )
         for i in range(C)
     ]
     paths = [draw() for draw in draws] if helpers is None else helpers.run(draws)
-    return tuple(path[:, 0] for path in paths)
+    return tuple(paths)
 
 
 def combine_mixed_components(

@@ -284,7 +284,7 @@ def empirical_estimator_cov(params, h: float, N: int, replications: int, seed: i
     leaves out: the Monte Carlo check of nifbm.asymptotics.
 
     The replications are drawn in one sampler call from stream 0 of the
-    seed.  One-process parameters give the 2x2 matrix of (H, a2) by the
+    seed, and a second two-process component from stream 1.  One-process parameters give the 2x2 matrix of (H, a2) by the
     aggregated scheme, one base series whose coarsest aggregate has N
     increments; two-process parameters give the 4x4 matrix of
     (H1, H2, a2, b2) from shared unit-scale components rescaled to every
@@ -293,7 +293,8 @@ def empirical_estimator_cov(params, h: float, N: int, replications: int, seed: i
     rng = stream_generator(seed, 0)
     factors = MOMENT_FACTORS[type(params)]
     if isinstance(params, MixedParams):
-        parts = sample_mixed_components(params, N, rng, replications)
+        rngs = [rng, stream_generator(seed, 1)]
+        parts = sample_mixed_components(params, N, rngs, replications)
         xi = {
             j: xi_statistic(combine_mixed_components(params, j * h, *parts))
             for j in factors

@@ -138,7 +138,8 @@ class TestXiFromComponents:
     )
     def test_matches_combined_series(self, N, a2, b2, h):
         params = MixedParams(H1=0.7, H2=0.3, a2=a2, b2=b2)
-        e1, e2 = sample_mixed_components(params, N, stream_generator(N, 1), 50)
+        rngs = [stream_generator(N, 1), stream_generator(N, 2)]
+        e1, e2 = sample_mixed_components(params, N, rngs, 50)
         xi = xi_statistics_from_components(params, h, e1, e2)
         assert tuple(xi) == AGGREGATION_FACTORS
         for j, values in xi.items():
@@ -152,7 +153,8 @@ class TestXiFromComponents:
 
     def test_one_series_gives_floats(self):
         params = MixedParams(H1=0.6, H2=0.2, a2=1.0, b2=2.0)
-        e1, e2 = sample_mixed_components(params, 16, stream_generator(3, 1), 1)
+        rngs = [stream_generator(3, 1), stream_generator(3, 2)]
+        e1, e2 = sample_mixed_components(params, 16, rngs, 1)
         xi = xi_statistics_from_components(params, 2.0, e1[0], e2[0])
         assert tuple(xi) == AGGREGATION_FACTORS
         assert all(isinstance(v, float) for v in xi.values())
@@ -162,7 +164,7 @@ class TestXiFromComponents:
     def test_one_component(self):
         # one process: xi_j is a2 (j h)^(2H) times the noise's mean square
         params = NifbmParams(0.3, a2=2.0)
-        (e,) = sample_mixed_components(params, 32, stream_generator(1, 1), 4)
+        (e,) = sample_mixed_components(params, 32, [stream_generator(1, 1)], 4)
         xi = xi_statistics_from_components(params, 2.0, e)
         for j in AGGREGATION_FACTORS:
             assert np.allclose(xi[j], 2.0 * (2.0 * j) ** 0.6 * xi_statistic(e), rtol=1e-14)

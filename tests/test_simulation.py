@@ -67,6 +67,13 @@ def one_path(params, h, N, seed, stream):
     return sample_increments(params, h, N, stream_generator(seed, stream), 1)
 
 
+def component_generators(seed):
+    """Streams 1 and 2 of a seed, one generator per component of a
+    two-process noise, as the harness's direct-per-j noise stage draws
+    them."""
+    return [stream_generator(seed, 1), stream_generator(seed, 2)]
+
+
 class RecordingGenerator:
     """A generator that keeps a copy of each standard_normal draw."""
 
@@ -187,11 +194,11 @@ class TestSampleIncrements:
         for r in range(5):
             single = sample_increments(params, 1.0, n, rng, 1)[0]
             assert np.array_equal(block[r], single)
-        e1, e2 = sample_mixed_components(params, n, stream_generator(4, 0), 5)
+        e1, e2 = sample_mixed_components(params, n, component_generators(4), 5)
         assert e1.shape == e2.shape == (5, n)
-        rng = stream_generator(4, 0)
-        sample_mixed_components(params, n, rng, 2)
-        f1, f2 = sample_mixed_components(params, n, rng, 1)
+        rngs = component_generators(4)
+        sample_mixed_components(params, n, rngs, 2)
+        f1, f2 = sample_mixed_components(params, n, rngs, 1)
         assert np.array_equal(e1[2], f1[0]) and np.array_equal(e2[2], f2[0])
 
     def test_embedding_once_per_grid_point(self):
@@ -203,8 +210,9 @@ class TestSampleIncrements:
         rng = stream_generator(3, 0)
         for block in blocks:
             sample_increments(NifbmParams(0.3), 2.0, 513, rng, len(block))
+        rngs = component_generators(3)
         for block in blocks:
-            sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 513, rng, len(block))
+            sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 513, rngs, len(block))
         info = _embedding_scale.cache_info()
         assert (info.misses, info.hits) == (3, 3)
         assert not _embedding_scale(NifbmParams(0.3), 2.0, 513).flags.writeable
@@ -303,23 +311,23 @@ class TestStreams:
     @pytest.mark.parametrize("count", [0, 1, 7])
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
     def test_sampler_normals_are_the_stream_in_order(self, n, count):
-        # one standard_normal call per block, of shape (count, C, k, 2):
+        # one standard_normal call per block and generator, of shape
+        # (count, k, 2), component c of a two-process draw on stream 5 + c:
         # two blocks on one generator are the stream's next 2 * count slabs
         k = embedding_length(n) // 2 + 1
         cases = [(NifbmParams(0.3), 1), (MixedParams(0.7, 0.3, 2.0, 1.0), 2)]
         for params, components in cases:
-            rng = RecordingGenerator(42, 5)
-            if components == 1:
-                sample_increments(params, 1.0, n, rng, count)
-                sample_increments(params, 1.0, n, rng, count)
-            else:
-                sample_mixed_components(params, n, rng, count)
-                sample_mixed_components(params, n, rng, count)
-            oracle = conftest.stream_generator(42, 5)
-            shape = (count, components, k, 2)
-            assert len(rng.draws) == 2
-            for draw in rng.draws:
-                assert np.array_equal(draw, oracle.standard_normal(shape))
+            rngs = [RecordingGenerator(42, 5 + c) for c in range(components)]
+            for _ in range(2):
+                if components == 1:
+                    sample_increments(params, 1.0, n, rngs[0], count)
+                else:
+                    sample_mixed_components(params, n, rngs, count)
+            for c, rng in enumerate(rngs):
+                oracle = conftest.stream_generator(42, 5 + c)
+                assert len(rng.draws) == 2
+                for draw in rng.draws:
+                    assert np.array_equal(draw, oracle.standard_normal((count, k, 2)))
 
     @pytest.mark.parametrize("n", [2, 3, 8, 65])
     def test_paths_from_the_stream_normals(self, n):
@@ -332,10 +340,11 @@ class TestStreams:
             _embedding_scale(NifbmParams(H), 1.0, n) for H, _ in params.components
         ]
         drawn = [sample_increments(params, 2.0, n, stream_generator(9, 1), reps)]
-        drawn += sample_mixed_components(params, n, stream_generator(9, 1), reps)
-        one = conftest.stream_generator(9, 1).standard_normal((reps, 1, k, 2))
-        both = conftest.stream_generator(9, 1).standard_normal((reps, 2, k, 2))
-        normals = [one[:, 0], both[:, 0], both[:, 1]]
+        drawn += sample_mixed_components(params, n, component_generators(9), reps)
+        normals = [
+            conftest.stream_generator(9, stream).standard_normal((reps, k, 2))
+            for stream in (1, 1, 2)
+        ]
         for paths, z_parts, scale in zip(drawn, normals, scales):
             z = z_parts[..., 0] + 1j * z_parts[..., 1]
             z[:, 0] = z[:, 0].real * math.sqrt(2.0)
@@ -347,12 +356,15 @@ class TestStreams:
     def test_empty_block(self):
         rng = stream_generator(0, 0)
         assert sample_increments(NifbmParams(0.3), 1.0, 4, rng, 0).shape == (0, 4)
-        parts = sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 4, rng, 0)
+        rngs = [rng, stream_generator(0, 1)]
+        parts = sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 4, rngs, 0)
         assert [p.shape for p in parts] == [(0, 4), (0, 4)]
         # an empty block draws nothing
-        assert np.array_equal(
-            rng.standard_normal(3), conftest.stream_generator(0, 0).standard_normal(3)
-        )
+        for stream, generator in enumerate(rngs):
+            assert np.array_equal(
+                generator.standard_normal(3),
+                conftest.stream_generator(0, stream).standard_normal(3),
+            )
 
     def test_stream_beyond_period_rejected(self):
         # jumped wraps modulo 2^128: jumped(2**128) would repeat stream 0
@@ -370,11 +382,11 @@ class TestStreams:
 
         params, mixed = NifbmParams(0.3), MixedParams(0.7, 0.3, 2.0, 1.0)
         first = sample_increments(params, 1.0, 8, stream_generator(11, 0), 4000)[:, 0]
-        e1, e2 = sample_mixed_components(mixed, 8, stream_generator(11, 0), 4000)
+        e1, e2 = sample_mixed_components(mixed, 8, component_generators(11), 4000)
         for x in (first, e1[:, 0], e2[:, 0]):
             for gap in (1, 1000):
                 assert_uncorrelated(x[:-gap], x[gap:])
-        # the two components drawn in one row
+        # the two components of a row, drawn from streams 1 and 2
         assert_uncorrelated(e1[:, 0], e2[:, 0])
         # the harness's drift and noise stages: streams 0 and 1 of a seed
         other = sample_increments(params, 1.0, 8, stream_generator(11, 1), 4000)[:, 0]
@@ -384,8 +396,8 @@ class TestStreams:
 class TestSharedComponentSampling:
     def test_determinism_and_shape(self):
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
-        e1a, e2a = sample_mixed_components(params, 64, stream_generator(5, 1), 1)
-        e1b, e2b = sample_mixed_components(params, 64, stream_generator(5, 1), 1)
+        e1a, e2a = sample_mixed_components(params, 64, component_generators(5), 1)
+        e1b, e2b = sample_mixed_components(params, 64, component_generators(5), 1)
         assert e1a.shape == e2a.shape == (1, 64)
         assert np.array_equal(e1a, e1b) and np.array_equal(e2a, e2b)
 
@@ -394,7 +406,7 @@ class TestSharedComponentSampling:
         # covariance at every factor
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
         n, n_reps = 8, 2 * 10**4
-        e1, e2 = sample_mixed_components(params, n, stream_generator(21, 0), n_reps)
+        e1, e2 = sample_mixed_components(params, n, component_generators(21), n_reps)
         for j in (1, 2, 8):
             w = 2.0 * j
             vals = (
@@ -409,7 +421,7 @@ class TestSharedComponentSampling:
 
     def test_combine_helper(self):
         params = MixedParams(0.6, 0.2, 4.0, 4.0)
-        e1, e2 = sample_mixed_components(params, 32, stream_generator(5, 2), 1)
+        e1, e2 = sample_mixed_components(params, 32, component_generators(5), 1)
         series = combine_mixed_components(params, 8.0, e1[0], e2[0])
         assert series.shape == (32,)
 
@@ -429,14 +441,14 @@ class TestBlockWorkspace:
         mixed = isinstance(params, MixedParams)
         workspace = block_workspace(n, len(blocks[0]), 2 if mixed else 1)
 
-        def draw(rng, count, **kwargs):
+        def draw(rngs, count, **kwargs):
             if mixed:
-                return np.stack(sample_mixed_components(params, n, rng, count, **kwargs))
-            return sample_increments(params, 2.0, n, rng, count, **kwargs)[None]
+                return np.stack(sample_mixed_components(params, n, rngs, count, **kwargs))
+            return sample_increments(params, 2.0, n, rngs[0], count, **kwargs)[None]
 
-        rng = stream_generator(7, 1)
-        buffered = [draw(rng, len(b), workspace=workspace).copy() for b in blocks]
-        whole = draw(stream_generator(7, 1), reps)
+        rngs = component_generators(7)
+        buffered = [draw(rngs, len(b), workspace=workspace).copy() for b in blocks]
+        whole = draw(component_generators(7), reps)
         assert np.array_equal(np.concatenate(buffered, axis=1), whole)
 
     def test_next_block_overwrites_only_buffered_results(self):
@@ -481,27 +493,11 @@ class TestComponentStreams:
 
     _PARAMS = MixedParams(0.7, 0.3, 2.0, 1.5)
 
-    @pytest.mark.parametrize("n,count", [(1, 3), (8, 0), (33, 7)])
-    def test_each_component_is_its_stream_in_order(self, n, count):
-        # one standard_normal call of shape (count, k, 2) per component
-        # and block: two blocks are each stream's next 2 * count slabs
-        k = embedding_length(n) // 2 + 1
-        rngs = [RecordingGenerator(42, 1 + c) for c in range(2)]
-        sample_mixed_components(self._PARAMS, n, rngs, count)
-        sample_mixed_components(self._PARAMS, n, rngs, count)
-        for c, rng in enumerate(rngs):
-            oracle = conftest.stream_generator(42, 1 + c)
-            assert len(rng.draws) == 2
-            for draw in rng.draws:
-                assert np.array_equal(draw[:, 0], oracle.standard_normal((count, k, 2)))
-
     def test_component_equals_its_one_component_draw(self):
         # component (H, c) is the unit-scale one-process series of H at
         # unit width, drawn from its own stream
         n, reps = 65, 9
-        parts = sample_mixed_components(
-            self._PARAMS, n, [stream_generator(5, 1), stream_generator(5, 2)], reps
-        )
+        parts = sample_mixed_components(self._PARAMS, n, component_generators(5), reps)
         for c, (H, _) in enumerate(self._PARAMS.components):
             alone = sample_increments(NifbmParams(H), 1.0, n, stream_generator(5, 1 + c), reps)
             assert np.array_equal(parts[c], alone)
@@ -512,12 +508,12 @@ class TestComponentStreams:
         # on a helper thread or not, give the rows of one unbuffered call
         blocks = list(seed_blocks(reps, n, 2))
         assert len(blocks) > 1
-        whole = np.stack(sample_mixed_components(
-            self._PARAMS, n, [stream_generator(7, 1), stream_generator(7, 2)], reps
-        ))
+        whole = np.stack(
+            sample_mixed_components(self._PARAMS, n, component_generators(7), reps)
+        )
         workspace = block_workspace(n, len(blocks[0]), 2)
         for _ in range(2):
-            rngs = [stream_generator(7, 1), stream_generator(7, 2)]
+            rngs = component_generators(7)
             with HelperThreads(1) as helpers:
                 drawn = [
                     np.stack(sample_mixed_components(
@@ -531,7 +527,7 @@ class TestComponentStreams:
     def test_component_slices_of_the_workspace(self):
         n = 64
         workspace = block_workspace(n, 4, 2)
-        rngs = [stream_generator(3, 1), stream_generator(3, 2)]
+        rngs = component_generators(3)
         parts = sample_mixed_components(self._PARAMS, n, rngs, 3, workspace=workspace)
         for c, part in enumerate(parts):
             assert np.shares_memory(part, workspace[1][c])
@@ -767,7 +763,7 @@ class TestTypeValidation:
             with pytest.raises(ValueError, match="N must be an integer"):
                 one_path(params, 1.0, bad, 0, 0)
             with pytest.raises(ValueError, match="N must be an integer"):
-                sample_mixed_components(mixed, bad, stream_generator(0, 0), 1)
+                sample_mixed_components(mixed, bad, component_generators(0), 1)
         assert np.array_equal(
             one_path(params, 1.0, np.int64(4), 0, 0), one_path(params, 1.0, 4, 0, 0)
         )
