@@ -239,7 +239,7 @@ def gamma_square_series(
     return total + tail
 
 
-def sigma_tilde_one(H: float, h: float, n_terms: int = _DEFAULT_TERMS) -> np.ndarray:
+def sigma_tilde_one(H: float, h: float) -> np.ndarray:
     """Asymptotic covariance of the scaled (xi1_on_2N, xi2_on_N) pair
     at unit process scale (multiply by a2 squared for a scaled model),
     as a symmetric 2x2 array.
@@ -253,9 +253,9 @@ def sigma_tilde_one(H: float, h: float, n_terms: int = _DEFAULT_TERMS) -> np.nda
     """
     H = _check_h_range(H)
     check_positive("window width h", h)
-    s0 = gamma_square_series(H, (0, 0), n_terms)
-    s1 = gamma_square_series(H, (0, 1), n_terms)
-    s2 = gamma_square_series(H, (0, 2), n_terms)
+    s0 = gamma_square_series(H, (0, 0))
+    s1 = gamma_square_series(H, (0, 1))
+    s2 = gamma_square_series(H, (0, 2))
     scale = h ** (4.0 * H)
     s11 = scale * s0
     s22 = 2.0 ** (4.0 * H + 1.0) * s11
@@ -288,9 +288,7 @@ def jacobian(theta: Params, h: float) -> np.ndarray:
     return jac
 
 
-def sigma0_one(
-    theta: NifbmParams, h: float, n_terms: int = _DEFAULT_TERMS
-) -> np.ndarray:
+def sigma0_one(theta: NifbmParams, h: float) -> np.ndarray:
     """Delta-method covariance of sqrt(N)*(H_hat - H, a2_hat - a2).
 
     The estimates invert the moment map on the sampling convention of
@@ -302,7 +300,7 @@ def sigma0_one(
     scale, hence the a2 squared factor before the congruence with the
     inverse Jacobian.
     """
-    sig = sigma_tilde_one(theta.H, h, n_terms) * theta.a2**2
+    sig = sigma_tilde_one(theta.H, h) * theta.a2**2
     jac = jacobian(theta, h)
     inv = np.linalg.solve(jac, np.eye(2))
     return inv @ sig @ inv.T

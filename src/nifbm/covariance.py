@@ -20,6 +20,7 @@ float arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -45,10 +46,9 @@ _DIRECT_LIMIT = 1000
 
 
 def _check_hurst(value: float) -> float:
-    value = float(value)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"Hurst index must lie strictly in (0, 1), got {value}")
-    return value
+    if not (is_real(value) and 0.0 < value < 1.0):
+        raise ValueError(f"Hurst index must lie strictly in (0, 1), got {value!r}")
+    return float(value)
 
 
 def _check_time(t: float) -> None:
@@ -58,15 +58,21 @@ def _check_time(t: float) -> None:
 
 
 def check_positive(name: str, value: float) -> None:
-    """Raise ValueError unless value is finite and positive (NaN and
-    inf pass a bare `<= 0` test, so it is not enough)."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+    """Raise ValueError unless value is a finite and positive real
+    number (NaN and inf pass a bare `<= 0` test, so it is not
+    enough)."""
+    if not (is_real(value) and 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def is_integer(value) -> bool:
     """An int or numpy integer, but not a bool, which subclasses int."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """An int, float or numpy integer or float, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_length(N: int) -> None:

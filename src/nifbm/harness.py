@@ -29,6 +29,7 @@ import numpy as np
 from .asymptotics import sigma0_one
 from .covariance import (
     MODEL_PARAMS, MixedParams, NifbmParams, Params, autocov_sequence, is_integer,
+    is_real,
 )
 from .errors import ConfigError, HTooLargeError
 from .estimation import (
@@ -119,8 +120,8 @@ class ExperimentConfig:
             raise ConfigError("replications must be at least 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if not math.isfinite(self.mu):
-            raise ConfigError(f"drift coefficient mu must be finite, got {self.mu}")
+        if not (is_real(self.mu) and math.isfinite(self.mu)):
+            raise ConfigError(f"drift coefficient mu must be finite, got {self.mu!r}")
         if self.simulation_mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}")
         if not self.outputs:
@@ -135,7 +136,7 @@ class ExperimentConfig:
             raise ConfigError("give the drift function as g or g_samples, not both")
         g = self.g_samples
         if g is not None:
-            if not all(map(math.isfinite, g)):
+            if not all(is_real(v) and math.isfinite(v) for v in g):
                 raise ConfigError("g_samples must all be finite")
             if not any(g):
                 raise ConfigError("g_samples must not all be zero")
@@ -146,8 +147,8 @@ class ExperimentConfig:
         grid = tuple((h, _integer("grid size N", n)) for h, n in self.grid)
         object.__setattr__(self, "grid", grid)
         for h, n in self.grid:
-            if not 0.0 < h < math.inf:
-                raise ConfigError(f"grid step h must be finite and positive, got {h}")
+            if not (is_real(h) and 0.0 < h < math.inf):
+                raise ConfigError(f"grid step h must be finite and positive, got {h!r}")
             if n < 2 or n > MAX_N:
                 raise ConfigError(f"grid size N must be in [2, {MAX_N}], got {n}")
             if want_drift and g is not None and len(g) != n + 1:
@@ -241,8 +242,9 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     block's components are all drawn; every other case, the
     one-process model in either mode included, is "aggregate", one
     base series at step h whose coarsest aggregate has N increments.
-    Every seed block is drawn into one block workspace of the stage,
-    whose paths are read before the next block overwrites them."""
+    Every seed block is drawn into the stage's block workspaces, one
+    per component it draws, whose paths are read before the next block
+    overwrites them."""
     mixed = isinstance(params, MixedParams)
     direct = mixed and config.simulation_mode == "direct-per-j"
     factors = MOMENT_FACTORS[type(params)]
@@ -250,7 +252,7 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     components = len(params.components) if direct else 1
     rngs = [stream_generator(config.seed, 1 + c) for c in range(components)]
     blocks = list(seed_blocks(config.replications, n_base, components))
-    workspace = block_workspace(n_base, len(blocks[0]), components)
+    workspaces = [block_workspace(n_base, len(blocks[0])) for _ in rngs]
     xis = []
     if direct:
         # loaded with the first stage that needs it, not with the package
@@ -259,14 +261,14 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
         with HelperThreads(components - 1) as helpers:
             for rows in blocks:
                 parts = sample_mixed_components(
-                    params, N, rngs, len(rows), workspace=workspace, helpers=helpers
+                    params, N, rngs, len(rows), workspace=workspaces, helpers=helpers
                 )
                 xi = xi_statistics_from_components(params, h, *parts)
                 xis.append([xi[j] for j in factors])
     else:
         for rows in blocks:
             paths = sample_increments(
-                params, h, n_base, rngs[0], len(rows), workspace=workspace
+                params, h, n_base, rngs[0], len(rows), workspace=workspaces[0]
             )
             xi = xi_statistics_from_base(paths, factors=factors)
             xis.append([xi[j] for j in factors])

@@ -16,18 +16,19 @@ N = 128), where numpy's FFT falls back to Bluestein's algorithm.  Where
 This is the package's only path sampler; the dense Cholesky factor is
 kept as an exact reference for tests.
 
-The samplers draw from numpy Generators they are handed, one
-standard_normal call per block of `count` paths and generator, of
-shape (count, m // 2 + 1, 2), read as interleaved real and imaginary
-parts; a two-process sampler takes one generator per component.  A run's stages
+sample_increments draws from a numpy Generator it is handed, one
+standard_normal call per block of `count` paths, of shape
+(count, m // 2 + 1, 2), read as interleaved real and imaginary parts;
+sample_mixed_components makes that draw once per component of a
+two-process model, each from a generator of its own.  A run's stages
 draw their replications in order from stream_generator(seed, stream),
 which is np.random.Generator(np.random.PCG64(seed).jumped(stream)),
 one stream per stage or, in two-process direct-per-j, per component;
 row r of a stage is then the r-th slab of its streams, whichever
 blocks seed_blocks cut it into.  A stage can hand every block's call
-one block_workspace, which the normals and the irfft are written
-into, and helper threads that draw its components at once; the draws
-stay the same.
+one block_workspace per series it draws, which the normals and the
+irfft are written into, and helper threads that draw its components
+at once; the draws stay the same.
 
 Increment series are plain float arrays with time on the last axis:
 the samplers return one row per replication, and
@@ -201,64 +202,17 @@ def _embedding_scale(params: Params, h: float, N: int) -> np.ndarray:
     return scale
 
 
-def block_workspace(N: int, rows: int, components: int = 1) -> tuple:
+def block_workspace(N: int, rows: int) -> tuple:
     """Buffers for drawing blocks of up to `rows` series of N
-    increments, `components` per row, that a stage hands to every
-    sampler call of its seed blocks: the normals, shape
-    (components, rows, m // 2 + 1, 2), and the irfft output, shape
-    (components, rows, m), for m = embedding_length(N), one contiguous
-    slice per component."""
+    increments, that a stage hands to every sampler call of its seed
+    blocks, one workspace per series it draws: the normals, shape
+    (rows, m // 2 + 1, 2), and the irfft output, shape (rows, m), for
+    m = embedding_length(N)."""
     check_length(N)
-    if not all(is_integer(v) and v >= 1 for v in (rows, components)):
-        raise ValueError("rows and components must be integers >= 1")
+    if not (is_integer(rows) and rows >= 1):
+        raise ValueError("rows must be an integer >= 1")
     m = embedding_length(N)
-    return (
-        np.empty((components, rows, m // 2 + 1, 2)),
-        np.empty((components, rows, m)),
-    )
-
-
-def _fitted(workspace, components: int, count: int, N: int) -> tuple:
-    """A block_workspace's buffers, checked to fit the block."""
-    m = embedding_length(N)
-    normals, out = workspace
-    rows = normals.shape[1]
-    if normals.shape != (components, rows, m // 2 + 1, 2) or out.shape != (
-        components, rows, m,
-    ):
-        raise ValueError(
-            f"workspace of shapes {normals.shape} and {out.shape} does not fit "
-            f"{components} components with embedding length {m}"
-        )
-    if rows < count:
-        raise ValueError(f"workspace holds {rows} rows, block needs {count}")
-    return normals, out
-
-
-def _spectral_draw(
-    rng: np.random.Generator, scale: np.ndarray, N: int, count: int, buffers
-) -> np.ndarray:
-    """First N values of irfft(z * scale) per row for `count` rows,
-    where each row's z is drawn from rng as interleaved real and
-    imaginary normals and scale is the spectral scale.  Given buffers,
-    contiguous arrays of shapes (count, m // 2 + 1, 2) and (count, m),
-    the normals are drawn into the first and the irfft written into
-    the second, and the result is a view of the latter."""
-    m = embedding_length(N)
-    shape = (count, scale.size, 2)
-    if buffers is None:
-        normals, out = rng.standard_normal(shape), None
-    else:
-        normals, out = buffers
-        normals = rng.standard_normal(out=normals)
-    z = normals.view(complex)[..., 0]
-    # the zero and (even m) Nyquist bins are real: all their variance
-    # goes on the real part
-    z[..., 0] = z[..., 0].real * math.sqrt(2.0)
-    if m % 2 == 0:
-        z[..., -1] = z[..., -1].real * math.sqrt(2.0)
-    z *= scale
-    return np.fft.irfft(z, n=m, out=out)[..., :N]
+    return np.empty((rows, m // 2 + 1, 2)), np.empty((rows, m))
 
 
 def sample_increments(
@@ -301,48 +255,62 @@ def sample_increments(
     H = 0.998 at N = 8193.
     """
     scale = _embedding_scale(params, h, N)
-    buffers = None
-    if workspace is not None:
-        normals, out = _fitted(workspace, 1, count, N)
-        buffers = (normals[0, :count], out[0, :count])
-    return _spectral_draw(rng, scale, N, count, buffers)
+    m = embedding_length(N)
+    shape = (count, scale.size, 2)
+    if workspace is None:
+        normals, out = rng.standard_normal(shape), None
+    else:
+        normals, out = workspace
+        rows = len(out)
+        fits = normals.shape == (rows, scale.size, 2) and out.shape == (rows, m)
+        if not fits or rows < count:
+            raise ValueError(
+                f"workspace of shapes {normals.shape} and {out.shape} does not "
+                f"fit {count} rows of one series at embedding length {m}"
+            )
+        normals = rng.standard_normal(out=normals[:count])
+        out = out[:count]
+    z = normals.view(complex)[..., 0]
+    # the zero and (even m) Nyquist bins are real: all their variance
+    # goes on the real part
+    z[..., 0] = z[..., 0].real * math.sqrt(2.0)
+    if m % 2 == 0:
+        z[..., -1] = z[..., -1].real * math.sqrt(2.0)
+    z *= scale
+    return np.fft.irfft(z, n=m, out=out)[..., :N]
 
 
 def sample_mixed_components(
     params: Params, N: int, rng, count: int, *, workspace=None, helpers=None
 ) -> tuple:
-    """Unit-scale noises of the components of params, for rescaling to
-    every width by combine_mixed_components.
+    """Unit-scale noises of the components of params, one (count, N)
+    array per component: component i, of Hurst index H_i, is
+    sample_increments(NifbmParams(H_i), 1.0, N, rng[i], count,
+    workspace=workspace[i]), with Toeplitz covariance gamma(H_i, .).
 
-    Component (H, c) has increments at width w with covariance
-    c*w^(2H)*gamma(H, n), so one unit-gamma draw per component can be
-    rescaled to every width w = j*h while keeping the noise shared
-    across the aggregation factors j.  Returns one (count, N) array per
-    component, whose rows have Toeplitz covariance gamma(H, .), sampled
-    by circulant embedding as in sample_increments.
+    Component (H, c) at width w is sqrt(c)*w^H times its unit-scale
+    noise, so one draw serves every width j*h: combine_mixed_components
+    sums the rescaled noises, and xi_statistics_from_components takes
+    the xi statistics from their Gram moments without summing them.
 
-    rng is a sequence of one Generator per component, component i drawn
-    from rng[i] in one call rng[i].standard_normal((count, k, 2)).
-    A workspace block_workspace(N, rows, C) works as in
-    sample_increments: the noises are views of it, valid until its next
-    use.  Given helpers, a nifbm.threads.HelperThreads of C - 1
-    helpers, the caller draws component 0 while helper i draws
-    component i + 1; the noises are those drawn without helpers.
+    rng is a sequence of one Generator per component and workspace, if
+    given, one block_workspace(N, rows) per component, which the noises
+    are views of.  Given helpers, a nifbm.threads.HelperThreads of C - 1
+    helpers for C components, the caller draws component 0 while helper
+    i draws component i + 1; the noises are those drawn without helpers.
     """
-    # unit scale and unit width give the autocovariance gamma(H, .); in
-    # the caller, as benchmarks/tracing.py traces autocov_sequence here
-    scales = [_embedding_scale(NifbmParams(H), 1.0, N) for H, _ in params.components]
-    C = len(scales)
-    if len(rng) != C:
-        raise ValueError(f"{len(rng)} generators for {C} components")
-    if workspace is not None:
-        normals, out = _fitted(workspace, C, count, N)
+    units = [NifbmParams(H) for H, _ in params.components]
+    if len(rng) != len(units):
+        raise ValueError(f"{len(rng)} generators for {len(units)} components")
+    workspaces = [None] * len(units) if workspace is None else workspace
+    for unit in units:
+        # embeddings are computed in the calling thread, not on a helper:
+        # benchmarks/tracing.py wraps autocov_sequence at this module, and
+        # its span stack is not thread-safe
+        _embedding_scale(unit, 1.0, N)
     draws = [
-        functools.partial(
-            _spectral_draw, rng[i], scales[i], N, count,
-            None if workspace is None else (normals[i, :count], out[i, :count]),
-        )
-        for i in range(C)
+        functools.partial(sample_increments, unit, 1.0, N, gen, count, workspace=ws)
+        for unit, gen, ws in zip(units, rng, workspaces, strict=True)
     ]
     paths = [draw() for draw in draws] if helpers is None else helpers.run(draws)
     return tuple(paths)

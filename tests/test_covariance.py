@@ -504,6 +504,34 @@ class TestParamsValidation:
             with pytest.raises(ValueError, match="finite and positive"):
                 MixedParams(H1=0.5, H2=0.3, **kwargs)
 
+    @pytest.mark.parametrize("bad", ["0.3", "2", True, np.True_, None, 1j, [0.3]])
+    @pytest.mark.parametrize(
+        "field,message",
+        [("H", "Hurst index must lie strictly in"), ("a2", "scale a2 must be finite")],
+    )
+    def test_non_real_fields_rejected(self, field, message, bad):
+        # a string, bool or other non-real value is refused when the
+        # params are built, not left to fail in a later computation
+        with pytest.raises(ValueError, match=message):
+            NifbmParams(**{"H": 0.3, field: bad})
+
+    @pytest.mark.parametrize("bad", ["0.3", True, None])
+    @pytest.mark.parametrize(
+        "field,message",
+        [("H1", "Hurst index"), ("H2", "Hurst index"), ("a2", "scale a2"),
+         ("b2", "scale b2")],
+    )
+    def test_non_real_mixed_fields_rejected(self, field, message, bad):
+        kwargs = {"H1": 0.7, "H2": 0.3, "a2": 1.0, "b2": 1.0, field: bad}
+        with pytest.raises(ValueError, match=message):
+            MixedParams(**kwargs)
+
+    def test_real_scalars_accepted(self):
+        # ints, floats and numpy scalars of either are kept as given
+        theta = NifbmParams(np.float32(0.25), a2=np.int64(2))
+        assert theta.components == ((np.float32(0.25), 2),)
+        assert MixedParams(np.float64(0.7), 0.3, 2, np.float16(1.5)).b2 == 1.5
+
     def test_components(self):
         # a property, not a field: fields() and astuple() are unchanged
         assert NifbmParams(0.4, a2=2.0).components == ((0.4, 2.0),)

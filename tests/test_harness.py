@@ -318,6 +318,32 @@ class TestRunExperiment:
             assert row.mean == float(values.mean())
             assert row.sd_emp == float(values.std(ddof=1))
 
+    @pytest.mark.parametrize(
+        "mode,shape", [("direct-per-j", (2, 64, 512)), ("aggregate", (1, 15, 4320))]
+    )
+    def test_noise_stage_workspace_per_component(self, monkeypatch, mode, shape):
+        # direct-per-j at N = 256 draws each of its two components into a
+        # workspace of its own, of 65536 // (2 * 512) = 64 rows; aggregate
+        # draws its 2055-increment base into one of 65536 // 4320 = 15
+        made = []
+
+        def recorded(*args):
+            made.append(simulation.block_workspace(*args))
+            return made[-1]
+
+        monkeypatch.setattr(harness, "block_workspace", recorded)
+        cfg = ExperimentConfig(
+            model="two-nifbm", H1=0.5, H2=0.3, a2=4.0, b2=4.0, grid=((2.0, 256),),
+            replications=150, seed=4, simulation_mode=mode,
+        )
+        run_experiment(cfg)
+        count, rows, m = shape
+        assert [out.shape for _, out in made] == [(rows, m)] * count
+        assert sum(out.size for _, out in made) <= simulation.BLOCK_ELEMENTS
+        for normals, _ in made:
+            assert normals.shape == (rows, m // 2 + 1, 2)
+            assert normals.size <= simulation.BLOCK_ELEMENTS
+
     def test_direct_noise_rows_independent_of_blocks_and_threads(self, monkeypatch):
         # two components at N = 1024 sample in blocks of
         # 65536 // (2 * 2048) = 16 rows (16, 16, 8), component 1 on a
@@ -344,14 +370,14 @@ class TestRunExperiment:
         # a draw that raises on the helper thread raises the same
         # exception from run_experiment, and the helper is joined
         error = MemoryError("helper draw")
-        draw = simulation._spectral_draw
+        draw = simulation.sample_increments
 
-        def failing_off_main(*args):
+        def failing_off_main(*args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
                 raise error
-            return draw(*args)
+            return draw(*args, **kwargs)
 
-        monkeypatch.setattr(simulation, "_spectral_draw", failing_off_main)
+        monkeypatch.setattr(simulation, "sample_increments", failing_off_main)
         cfg = ExperimentConfig(
             model="two-nifbm", H1=0.7, H2=0.3, a2=4.0, b2=4.0, grid=((2.0, 64),),
             replications=5, seed=8,
@@ -635,6 +661,30 @@ class TestConfigValidation:
         text = "model = two-nifbm\nH1 = 0.5\nH2 = 0.3\nb2 = 1\ngrid = nan:8"
         with pytest.raises(ConfigError, match="grid step h"):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(H1="0.3"), "Hurst index must lie strictly in"),
+            (dict(a2="1"), "scale a2 must be finite"),
+            (dict(a2=True), "scale a2 must be finite"),
+            (dict(mu="4"), "mu must be finite"),
+            (dict(grid=(("2", 8),)), "grid step h"),
+            (dict(g_name=None, g_samples=("0", 1.0)), "g_samples must all be finite"),
+            (dict(model="two-nifbm", H1=0.7, H2="0.3", b2=1.0), "Hurst index must lie strictly in"),
+        ],
+        ids=["H1", "a2", "a2-bool", "mu", "grid-step", "g-samples", "H2"],
+    )
+    def test_non_real_fields_rejected(self, overrides, message):
+        # malformed numbers are refused when the config is built, as a
+        # ConfigError, not left to raise TypeError in a run
+        kwargs = dict(
+            model="one-nifbm", H1=0.5, mu=1.0, g_name="linear", grid=((2.0, 8),),
+            outputs=("drift-two-point",),
+        )
+        kwargs.update(overrides)
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**kwargs)
 
     def test_non_finite_g_samples(self):
         text = (

@@ -203,7 +203,10 @@ class TestSampleIncrements:
 
     def test_embedding_once_per_grid_point(self):
         # the seed blocks of a grid point share one embedding; the mixed
-        # sampler's unit components are keyed by (H, N) at width 1
+        # sampler's unit components are keyed by (H, N) at width 1, and
+        # it looks each one up in the caller before drawing it, so each
+        # of its calls hits the cache twice per component after the
+        # first lookup misses
         _embedding_scale.cache_clear()
         blocks = list(seed_blocks(100, 513))
         assert len(blocks) == 2
@@ -214,7 +217,7 @@ class TestSampleIncrements:
         for block in blocks:
             sample_mixed_components(MixedParams(0.7, 0.3, 2.0, 1.0), 513, rngs, len(block))
         info = _embedding_scale.cache_info()
-        assert (info.misses, info.hits) == (3, 3)
+        assert (info.misses, info.hits) == (3, 7)
         assert not _embedding_scale(NifbmParams(0.3), 2.0, 513).flags.writeable
 
     def test_embedding_definite_at_longest_base(self):
@@ -439,15 +442,17 @@ class TestBlockWorkspace:
         blocks = list(seed_blocks(reps, n))
         assert [len(b) for b in blocks] == [64, 64, 22]
         mixed = isinstance(params, MixedParams)
-        workspace = block_workspace(n, len(blocks[0]), 2 if mixed else 1)
+        workspaces = [block_workspace(n, len(blocks[0])) for _ in params.components]
 
-        def draw(rngs, count, **kwargs):
+        def draw(rngs, count, workspaces=None):
             if mixed:
-                return np.stack(sample_mixed_components(params, n, rngs, count, **kwargs))
-            return sample_increments(params, 2.0, n, rngs[0], count, **kwargs)[None]
+                parts = sample_mixed_components(params, n, rngs, count, workspace=workspaces)
+                return np.stack(parts)
+            workspace = None if workspaces is None else workspaces[0]
+            return sample_increments(params, 2.0, n, rngs[0], count, workspace=workspace)[None]
 
         rngs = component_generators(7)
-        buffered = [draw(rngs, len(b), workspace=workspace).copy() for b in blocks]
+        buffered = [draw(rngs, len(b), workspaces).copy() for b in blocks]
         whole = draw(component_generators(7), reps)
         assert np.array_equal(np.concatenate(buffered, axis=1), whole)
 
@@ -472,14 +477,16 @@ class TestBlockWorkspace:
         [(64, 4, 2, 3), (100, 4, 1, 3), (64, 2, 1, 3)],
     )
     def test_workspace_must_fit(self, N, rows, components, count):
-        # wrong component count, wrong embedding length, too few rows
-        workspace = block_workspace(N, rows, components)
+        # component-major buffers, wrong embedding length, too few rows
+        workspace = block_workspace(N, rows)
+        if components > 1:
+            workspace = tuple(np.stack([buffer] * components) for buffer in workspace)
         with pytest.raises(ValueError, match="workspace"):
             sample_increments(NifbmParams(0.3), 2.0, 64, stream_generator(0, 0), count,
                               workspace=workspace)
 
     @pytest.mark.parametrize(
-        "args", [(0, 4), (64, 0), (64, 4, 0), (64, 2.0), (64, True)]
+        "args", [(0, 4), (64, 0), (64, -1), (64, 2.0), (64, True)]
     )
     def test_workspace_sizes_checked(self, args):
         with pytest.raises(ValueError):
@@ -488,8 +495,7 @@ class TestBlockWorkspace:
 
 class TestComponentStreams:
     """Two-process direct-per-j draws component c from its own
-    generator, alone or on a helper thread, into its own contiguous
-    workspace slice."""
+    generator, alone or on a helper thread, into its own workspace."""
 
     _PARAMS = MixedParams(0.7, 0.3, 2.0, 1.5)
 
@@ -511,13 +517,13 @@ class TestComponentStreams:
         whole = np.stack(
             sample_mixed_components(self._PARAMS, n, component_generators(7), reps)
         )
-        workspace = block_workspace(n, len(blocks[0]), 2)
+        workspaces = [block_workspace(n, len(blocks[0])) for _ in range(2)]
         for _ in range(2):
             rngs = component_generators(7)
             with HelperThreads(1) as helpers:
                 drawn = [
                     np.stack(sample_mixed_components(
-                        self._PARAMS, n, rngs, len(b), workspace=workspace,
+                        self._PARAMS, n, rngs, len(b), workspace=workspaces,
                         helpers=helpers,
                     )).copy()
                     for b in blocks
@@ -526,12 +532,24 @@ class TestComponentStreams:
 
     def test_component_slices_of_the_workspace(self):
         n = 64
-        workspace = block_workspace(n, 4, 2)
+        workspaces = [block_workspace(n, 4) for _ in range(2)]
         rngs = component_generators(3)
-        parts = sample_mixed_components(self._PARAMS, n, rngs, 3, workspace=workspace)
+        parts = sample_mixed_components(self._PARAMS, n, rngs, 3, workspace=workspaces)
         for c, part in enumerate(parts):
-            assert np.shares_memory(part, workspace[1][c])
-            assert workspace[0][c].flags.c_contiguous
+            assert np.shares_memory(part, workspaces[c][1])
+            assert not np.shares_memory(part, workspaces[1 - c][1])
+            assert workspaces[c][0].flags.c_contiguous
+
+    def test_component_major_workspace_rejected(self):
+        # one workspace of shapes (C, rows, k, 2) and (C, rows, m), in
+        # place of C workspaces, fits no component (a single series is
+        # checked in TestBlockWorkspace::test_workspace_must_fit)
+        n, rows = 64, 4
+        m = embedding_length(n)
+        workspace = np.empty((2, rows, m // 2 + 1, 2)), np.empty((2, rows, m))
+        with pytest.raises(ValueError, match="workspace"):
+            sample_mixed_components(self._PARAMS, n, component_generators(0), 3,
+                                    workspace=workspace)
 
     def test_generator_count_checked(self):
         with pytest.raises(ValueError, match="3 generators for 2 components"):
@@ -540,15 +558,15 @@ class TestComponentStreams:
     @pytest.mark.parametrize("n", [16, 64, 256, 513, 1024, 4096])
     def test_two_component_block_within_bound(self, n):
         # a block of C components holds at most BLOCK_ELEMENTS // (C m)
-        # rows: its irfft buffer holds at most BLOCK_ELEMENTS floats, and
-        # so does each component slice of either buffer
+        # rows: the C irfft buffers hold at most BLOCK_ELEMENTS floats
+        # together, and each buffer of a component's workspace at most
+        # BLOCK_ELEMENTS
         rows = len(next(seed_blocks(10**6, n, 2)))
         assert rows == BLOCK_ELEMENTS // (2 * embedding_length(n))
-        normals, out = block_workspace(n, rows, 2)
-        assert out.size <= BLOCK_ELEMENTS
+        normals, out = block_workspace(n, rows)
+        assert 2 * out.size <= BLOCK_ELEMENTS
         for buffer in (normals, out):
-            for c in range(2):
-                assert buffer[c].size <= BLOCK_ELEMENTS
+            assert buffer.size <= BLOCK_ELEMENTS
 
 
 class TestHelperThreads:
