@@ -32,14 +32,13 @@ __all__ = [
     "sigma0_one",
 ]
 
-# explicit terms of the gamma square series: every lag where gamma uses
-# its direct formula (up to covariance._DIRECT_LIMIT = 1000) lies inside
-# them, so the tails, expanded from gamma's large-lag series to order
-# x^(4H-12), are exact to rounding.  At 2000 the series is within 1e-14
-# relative of 10^6 explicit terms with a leading-order tail (H = 0.6 and
-# 0.74, shifts (0, 1) and (0, 2)), and sigma0_one within 2.3e-11 relative
-# of 10^5 explicit terms with that tail (H from 0.01 to 0.74, h = 1, 2, 16)
-_DEFAULT_TERMS = 2_000
+# explicit terms of the gamma square series.  Every tail lag is past
+# lag 8, where gamma is the large-lag series the tails are expanded
+# from, so a few dozen terms suffice: for the shifts (0, 0), (0, 1) and
+# (0, 2) of sigma_tilde_one, 32 are within 3.9e-16 of 20 000 (relative
+# to the (0, 0) sum, H from 0.001 to 0.7499), and 64 leave room for the
+# wider shifts that gamma_square_series's docstring bounds
+_DEFAULT_TERMS = 64
 
 
 def _check_h_range(H: float) -> float:
@@ -164,15 +163,13 @@ def _tail_terms(H: float) -> Tuple[Tuple[float, Tuple[float, ...]], ...]:
     poly[0] + poly[1] d^2 + poly[2] d^4 + ..., to order x^(4H-12).
 
     gamma's large-lag series is the sum of g_r x^(e_r), e_r = 2H-2-2r
-    (covariance.series_coefficients over the norm), and
+    (covariance.series_coefficients), and
     (x + d)^a (x - d)^b is x^(a+b) times the product of the binomial
     series of (1 + d/x)^a and (1 - d/x)^b.  The product is even in d,
     so its odd powers of d cancel between (r, s) and (s, r) and are
     left out.  Shared by every shift of one H.
     """
-    p = 2.0 * H + 2.0
-    norm = 4.0 * (2.0 * H + 1.0) * (H + 1.0)
-    series = [(p - k, coef / norm) for k, coef in series_coefficients(p)]
+    series = [(2.0 * H + 2.0 - k, coef) for k, coef in series_coefficients(H)]
     terms = []
     for order in range(0, _TAIL_ORDER + 1, 2):
         poly = []
@@ -197,17 +194,14 @@ def gamma_square_series(
     gamma(x + d) * gamma(x - d), which _tail_terms expands from gamma's
     own large-lag series to order x^(4H-12), and each power x^-sigma
     sums over the tail to a Hurwitz zeta function,
-    zeta(sigma, n_terms + 1 +- (alpha+beta)/2).  Where every tail lag
-    is above covariance._DIRECT_LIMIT, so that gamma is its series
-    there, the tail is exact to rounding: at the default n_terms =
-    2000 the value is within 1e-14 relative of the explicit sum to
-    n_terms = 10^6 with a leading-order tail (H = 0.6 and 0.74, shifts
-    (0, 1) and (0, 2)).  From n_terms = 1100 on, for shifts up to 8,
-    every tail lag is above it; with fewer terms the tail replaces
-    direct-formula lags by the series, and the value moves by up to
-    1.5e-8 of the (0, 0) sum (n_terms = 100 to 1000).  The kernel's own
-    error still moves the sum by up to 2.1e-9 at H = 0.7 and 8.0e-8 at
-    H = 0.74 (against the kernel with the series from lag 7 on).
+    zeta(sigma, n_terms + 1 +- (alpha+beta)/2).  gamma is that series at
+    every tail lag once n_terms + 1 - |shift| > 8, so the tail leaves
+    out only the expansion's next order, about (d/x)^10 of it: from
+    n_terms = max(32, 8 |alpha - beta|) on, for shifts up to 8 and H up
+    to 0.7499, the value is within 3.3e-13 of the (0, 0) sum of 10^6
+    explicit terms with a leading-order tail, which is itself off by
+    that much at shifts 8 apart.  At the default 64 terms and d = 8,
+    about 1.4e-12 of the (0, 0) sum is left out.
 
     Both factors are slices of one kernel table per H, reaching to lag
     n_terms + max(2, |alpha|, |beta|), so the shifts (0, 0), (0, 1) and

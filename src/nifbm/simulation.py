@@ -243,16 +243,11 @@ def sample_increments(
     Eigenvalues down to -1e-8 times the largest are taken as rounding
     and clipped to zero; anything lower raises NotPositiveDefiniteError
     naming the min/max eigenvalue ratio and the embedding length.  For
-    the kernel gamma(H, .) the smallest ratio is positive at every
-    N <= 8193 (all 167 embedding lengths) for sixteen H from 0.001 to
-    0.995, down to 1.3e-7 at H = 0.995; at every N <= 65537 (118 more
-    lengths) for eleven H from 0.001 to 0.99; and at N = 65543, the
-    longest base the harness samples, for nine H from 0.01 to 0.99
-    (down to 5.3e-8 at H = 0.99, at both).  The check fails
-    only next to H = 1, from H = 0.998 at N = 1025, 2049 and 8193
-    (ratio -4.8e-7 at H = 0.999, N = 1025), where dense Cholesky of the
-    same Toeplitz matrix still succeeds at N = 1025 but fails from
-    H = 0.998 at N = 8193.
+    the kernel gamma(H, .) the smallest ratio is positive at all 285
+    embedding lengths up to N = 65537 and at N = 65543, the longest base
+    the harness samples, for eleven H from 0.001 to 0.995 (down to
+    6.4e-8 at H = 0.99 and 2.8e-8 at H = 0.995), and at every N <= 8193
+    for twenty H from 0.001 to 0.9999 (down to 4.0e-9 at H = 0.9999).
     """
     scale = _embedding_scale(params, h, N)
     m = embedding_length(N)

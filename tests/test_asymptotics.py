@@ -93,7 +93,7 @@ class TestGammaSquareSeries:
         ],
     )
     def test_equals_reference_at_default_size(self, H, shifts):
-        # 2000 explicit terms and the expanded tail against 10^6 explicit
+        # 64 explicit terms and the expanded tail against 10^6 explicit
         # terms and the leading-order tail
         expected = gamma_square_series_reference(H, shifts)
         assert gamma_square_series(H, shifts) == pytest.approx(expected, rel=1e-13)
@@ -103,22 +103,25 @@ class TestGammaSquareSeries:
         H=st.floats(0.0, 0.75, exclude_min=True, exclude_max=True),
         alpha=st.integers(-8, 8),
         beta=st.integers(-8, 8),
-        n_terms=st.integers(1100, 3000),
+        n_terms=st.integers(32, 3000),
     )
     @example(H=0.5, alpha=-8, beta=8, n_terms=3000)
-    @example(H=0.7499, alpha=0, beta=8, n_terms=1100)
-    @example(H=0.001, alpha=-8, beta=7, n_terms=1100)
+    @example(H=0.7499, alpha=0, beta=8, n_terms=32)
+    @example(H=0.7, alpha=-8, beta=8, n_terms=32)
+    @example(H=0.001, alpha=-8, beta=7, n_terms=32)
+    @example(H=0.74, alpha=0, beta=2, n_terms=32)
     def test_equals_reference(self, H, alpha, beta, n_terms):
-        """From n_terms = 1100 on, every tail lag, down to
-        n_terms + 1 - 8, is above covariance._DIRECT_LIMIT = 1000, where
-        gamma is the large-lag series the tail is expanded from.  Below
-        that range the explicit part ends inside the direct-formula lags,
-        whose own rounding error the expansion does not share, and the
-        value moves by up to 1.5e-8 of the (0, 0) sum (measured at
-        n_terms = 100 to 1000, H = 0.01 to 0.74).  The tolerance
-        is relative to the (0, 0) sum, which bounds every shifted sum by
-        Cauchy-Schwarz; the reference's leading-order tail is itself off
-        by up to 3e-13 of it at shifts 8 apart."""
+        """From n_terms = 32 on, every tail lag, down to n_terms + 1 - 8,
+        is above covariance._DIRECT_LIMIT = 8, where gamma is the
+        large-lag series the tail is expanded from.  The expansion leaves
+        out about (d/x)^10 of the tail, d = (alpha - beta) / 2, so shifts
+        further apart need more terms: n_terms is raised to
+        8 |alpha - beta| where that is larger (1.7e-9 of the (0, 0) sum
+        is left out at n_terms = 32, shifts (-8, 8), H = 0.7).  The
+        tolerance is relative to the (0, 0) sum, which bounds every
+        shifted sum by Cauchy-Schwarz; the reference's leading-order tail
+        is itself off by up to 3e-13 of it at shifts 8 apart."""
+        n_terms = max(n_terms, 8 * abs(alpha - beta))
         expected = gamma_square_series_reference(H, (alpha, beta))
         scale = gamma_square_series_reference(H, (0, 0))
         value = gamma_square_series(H, (alpha, beta), n_terms)
@@ -142,8 +145,8 @@ class TestGammaSquareSeries:
         gamma_square_series.cache_clear()
         asymptotics._kernel_table.cache_clear()
         sigma_tilde_one(0.3456, 2.0)
-        # one table of the lags 0 .. 2002, its negative half mirrored
-        assert calls == [(0.3456, 2003)]
+        # one table of the lags 0 .. n_terms + 2, its negative half mirrored
+        assert calls == [(0.3456, asymptotics._DEFAULT_TERMS + 3)]
 
     @pytest.mark.parametrize("n_terms", [0, -3, 2.5])
     def test_n_terms_must_be_positive_integer(self, n_terms):

@@ -5,16 +5,15 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nifbm import covariance
 from nifbm.asymptotics import jacobian, sigma0_one, sigma_tilde_one
 from nifbm.covariance import (
     MixedParams,
     NifbmParams,
     autocov_sequence,
-    binom,
     find_h0,
     gamma,
     nifbm_cov,
@@ -129,6 +128,13 @@ class TestNifbmCov:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 nifbm_cov(0.3, 1.0, t, s)
 
+    @pytest.mark.parametrize("bad", ["1", True, np.True_, None, [1.0]])
+    def test_rejects_non_real_time(self, bad):
+        # neither a string is parsed nor a bool read as time 0 or 1
+        for t, s in ((bad, 2.0), (2.0, bad)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                nifbm_cov(0.3, 1.0, t, s)
+
     def test_self_similarity_scaling(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -177,10 +183,12 @@ class TestNifbmVar:
 
 class TestGamma:
     def test_special_values_half(self):
-        assert gamma(0.5, 0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert gamma(0.5, 1) == pytest.approx(1.0 / 6.0, abs=1e-15)
+        # exactly, on both sides of the switch to the series at lag 9
+        assert gamma(0.5, 0) == 2.0 / 3.0
+        assert gamma(0.5, 1) == 1.0 / 6.0
         for n in range(2, 101):
-            assert gamma(0.5, n) == pytest.approx(0.0, abs=1e-12)
+            assert gamma(0.5, n) == 0.0
+        assert not gamma(0.5, np.arange(2, 10**6, 997)).any()
 
     def test_lag0_closed_form(self):
         for H in (0.2, 0.5, 0.8):
@@ -225,12 +233,15 @@ class TestGamma:
                 assert gamma(H, n) == pytest.approx(float(direct), rel=tol)
 
     def test_branch_continuity(self):
-        # the two branches agree where they meet
-        for H in (0.15, 0.45, 0.75, 0.9):
-            below = gamma(H, 1000)
-            above = gamma(H, 1001)
-            slope = gamma_asymptotic(H, 1000) or below
-            assert abs(above - below) < 0.02 * abs(slope) + 1e-15
+        # the two branches agree where they meet: each evaluated on the
+        # other's side of the switch at lag 8
+        for H in (1e-12, 0.15, 0.45, 0.75, 0.9):
+            lags = np.array([8.0, 9.0])
+            norm = 4.0 * (2.0 * H + 1.0) * (H + 1.0)
+            direct = covariance._gamma_direct(H, lags) / norm
+            series = covariance._gamma_series(H, lags)
+            assert np.allclose(direct, series, rtol=1e-10, atol=0.0)
+            assert np.array_equal(gamma(H, lags), [direct[0], series[1]])
 
     def test_vector_matches_scalar(self):
         lags = np.arange(10)
@@ -238,12 +249,23 @@ class TestGamma:
         for n in lags:
             assert vec[n] == gamma(0.42, int(n))
 
+    @pytest.mark.parametrize(
+        "bad", ["2", True, np.array([1, 2], dtype=object), np.array([True]), 2j]
+    )
+    def test_rejects_non_real_lags(self, bad):
+        # a string is not parsed, nor a bool read as lag 0 or 1
+        with pytest.raises(ValueError, match="lags must be real numbers"):
+            gamma(0.3, bad)
+
 
 # lags 0 .. 30, then 120 log-spaced up to 10^6
 _ACCURACY_LAGS = np.unique(
     np.r_[np.arange(31), np.geomspace(31, 1e6, 120).round()]
 ).astype(int)
-_ACCURACY_HS = (0.001, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.999)
+_ACCURACY_HS = (1e-14, 1e-10, 1e-6, 0.001, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.999)
+# measured worst case 6.0e-12 (H = 1e-10, lag 8), at the switch from the
+# direct fourth difference to the series
+_GAMMA_BOUND = 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -281,34 +303,22 @@ class TestGammaDecimal:
 
 class TestGammaAccuracy:
     @pytest.mark.parametrize(
-        "low, high, bound",
-        [(0, 6, 1e-9), (7, 29, 1e-6), (1001, 10**6, 1e-12)],
+        "low, high",
+        [(0, 6), (7, 29), (9, 10**6)],
         ids=["lags-0-6", "lags-7-29", "series-branch"],
     )
-    def test_relative_error(self, gamma_errors, low, high, bound):
-        # measured worst cases 4.5e-11, 1.0e-7 and 6.9e-16: the direct
-        # fourth difference loses about 4 log10(n) digits, and more
-        # where H(2H - 1) is small
+    def test_relative_error(self, gamma_errors, low, high):
+        # one bound at every lag and every H: neither branch cancels an
+        # O(1) part, so the error does not grow as H goes to 0
         band = (_ACCURACY_LAGS >= low) & (_ACCURACY_LAGS <= high)
-        assert gamma_errors[:, band].max() < bound
+        assert gamma_errors[:, band].max() < _GAMMA_BOUND
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the direct fourth difference runs up to lag 1000, where it "
-        "has lost most digits: relative error 0.12 at H = 0.001, lag 931 "
-        "(ROADMAP item 1)",
-    )
     def test_mid_lags_to_1e9(self, gamma_errors):
+        # the band where a plain fourth difference of |n|^(2H+2) loses
+        # 4 log10(n) digits to cancellation
         band = (_ACCURACY_LAGS >= 7) & (_ACCURACY_LAGS <= 1000)
         assert gamma_errors[:, band].max() < 1e-9
 
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the fourth difference at lag 0, 2 * 2^(2H+2) - 8, cancels "
-        "to about 1e-16 / H relative accuracy at small H: relative error "
-        "8.4e-7 at H = 1e-10, and gamma is 0 at every lag below H = 1.1e-16",
-    )
     def test_lag_zero_at_tiny_hurst(self):
         # gamma(H, 0) = 2 expm1(2H ln 2) / ((2H + 1)(H + 1)) in closed form
         H = 1e-10
@@ -444,31 +454,6 @@ class TestFindH0:
         for tol in (0.0, -1e-9, math.nan):
             with pytest.raises(ValueError):
                 find_h0(tol)
-
-
-class TestBinom:
-    @settings(max_examples=500)
-    @given(
-        p=st.one_of(
-            st.floats(2.0, 4.0, exclude_min=True, exclude_max=True),
-            st.floats(1e-3, 30.0),
-            st.integers(1, 30).map(float),
-        ),
-        k=st.integers(0, 19),
-    )
-    def test_equals_scipy(self, p, k):
-        # bit for bit, signed zeros included
-        expected = float(scipy.special.binom(p, k))
-        assert np.asarray(binom(p, k)).tobytes() == np.asarray(expected).tobytes()
-
-    def test_integer_p_below_k_is_zero(self):
-        # p = 2H + 2 = 3 at H = 1/2: every series coefficient vanishes
-        assert [binom(3.0, k) for k in range(4, 18, 2)] == [0.0] * 7
-
-    def test_rejects_outside_domain(self):
-        for p, k in ((0.0, 4), (-1.5, 4), (2.5, 20), (2.5, -1), (math.nan, 4)):
-            with pytest.raises(ValueError):
-                binom(p, k)
 
 
 class TestParamsValidation:

@@ -5,9 +5,9 @@ A refactor must leave the harness output byte-identical at a fixed seed
 apart from the wall-clock `seconds` column, which is stripped here.  The
 files under tests/golden/ cover tables 1 to 4 at 10 replications, seed
 42, one two-process aggregate-mode experiment with drift, two simulated
-series per model (streams 3 and 2^32), and the estimate JSON of each
-model on its stream-3 series and of both models on a degenerate
-(constant) series.
+series per model (streams 3 and 2^32), the estimate JSON of each model
+on its stream-3 series and of both models on a degenerate (constant)
+series, and the `nifbm constants` text at H = 1/2 and H = 1e-10.
 
 A deliberate change of the draws or of the estimators' arithmetic
 changes these files.  Regenerate them with
@@ -75,6 +75,10 @@ CLI_CASES = {
                                            "--h", "1", "--in", "{constant-series.txt}"],
     "estimate-two-nifbm-degenerate.json": ["estimate", "--model", "two-nifbm",
                                            "--h", "1", "--in", "{constant-series.txt}"],
+    # the kernel on both sides of its switch to the series after lag 8:
+    # exactly 0 from lag 2 at H = 1/2, and accurate at a tiny H
+    "constants-half.txt": ["constants", "--H", "0.5", "--max-lag", "12"],
+    "constants-tiny-hurst.txt": ["constants", "--H", "1e-10", "--max-lag", "12"],
 }
 
 

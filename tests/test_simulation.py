@@ -226,7 +226,7 @@ class TestSampleIncrements:
         # longest base the harness draws: two-process aggregate noise at
         # N = MAX_N samples 8 N + 7 increments, embedded in length
         # 2 * 65610.  The smallest min/max eigenvalue ratio is about
-        # 5e-8, at H = 0.99 and the longest base
+        # 6.4e-8, at H = 0.99 and the longest base
         longest = base_length(AGGREGATION_FACTORS, MAX_N)
         assert longest == 65543
         for n in (8, 32, 64, 128, 256, longest):
@@ -240,7 +240,17 @@ class TestSampleIncrements:
                     scale = _embedding_scale(NifbmParams(H), 1.0, n)
                     assert np.array_equal(scale, np.sqrt(eig * m / 2.0))
 
-    def test_indefinite_embedding_names_ratio(self):
+    def test_indefinite_embedding_names_ratio(self, monkeypatch):
+        # the kernel's own embeddings are nonnegative definite even at
+        # H = 0.999, so the lag-0 value is lowered by 1 %: that makes the
+        # Toeplitz matrix itself indefinite, and its embedding with it
+        def lowered(params, h, n):
+            row = autocov_sequence(params, h, n)
+            row[0] *= 0.99
+            return row
+
+        monkeypatch.setattr(simulation, "autocov_sequence", lowered)
+        _embedding_scale.cache_clear()
         with pytest.raises(NotPositiveDefiniteError) as info:
             one_path(NifbmParams(0.999), 1.0, 1025, 0, 0)
         message = str(info.value)
