@@ -36,8 +36,8 @@ __all__ = [
 # lag 8, where gamma is the large-lag series the tails are expanded
 # from, so a few dozen terms suffice: for the shifts (0, 0), (0, 1) and
 # (0, 2) of sigma_tilde_one, 32 are within 3.9e-16 of 20 000 (relative
-# to the (0, 0) sum, H from 0.001 to 0.7499), and 64 leave room for the
-# wider shifts that gamma_square_series's docstring bounds
+# to the (0, 0) sum, H from 0.001 to 0.7499), and 64 leave room for
+# shifts up to 8 apart
 _DEFAULT_TERMS = 64
 
 
@@ -51,14 +51,20 @@ def _check_h_range(H: float) -> float:
 
 
 def _check_n_terms(n_terms, shifts: Tuple[int, int]) -> int:
-    if not is_integer(n_terms) or n_terms < 1:
-        raise ValueError(f"n_terms must be an integer >= 1, got {n_terms!r}")
-    # n_terms >= max |shift| keeps both zeta tail arguments >= 1; below
-    # it they can reach zero or less, where the tail is inf or nan
-    widest = max(abs(shift) for shift in shifts)
-    if n_terms < widest:
+    """n_terms, checked against gamma_square_series's stated domain,
+    shifts in -8 .. 8 and n_terms >= max(32, 8 |alpha - beta|), outside
+    which its tail is off with no warning (7e-5 relative at n_terms = 1,
+    H = 0.7; 1.7e-9 at 32 terms and shifts (-8, 8))."""
+    if not is_integer(n_terms):
+        raise ValueError(f"n_terms must be an integer, got {n_terms!r}")
+    alpha, beta = shifts
+    if max(abs(alpha), abs(beta)) > 8:
+        raise ValueError(f"shifts must lie in -8 .. 8, got {shifts}")
+    fewest = max(32, 8 * abs(alpha - beta))
+    if n_terms < fewest:
         raise ValueError(
-            f"n_terms must be at least the largest |shift| {widest}, got {n_terms}"
+            f"n_terms must be at least max(32, 8 |alpha - beta|) = {fewest}, "
+            f"got {n_terms}"
         )
     return int(n_terms)
 
@@ -200,8 +206,8 @@ def gamma_square_series(
     n_terms = max(32, 8 |alpha - beta|) on, for shifts up to 8 and H up
     to 0.7499, the value is within 3.3e-13 of the (0, 0) sum of 10^6
     explicit terms with a leading-order tail, which is itself off by
-    that much at shifts 8 apart.  At the default 64 terms and d = 8,
-    about 1.4e-12 of the (0, 0) sum is left out.
+    that much at shifts 8 apart.  Shifts beyond 8 and fewer terms raise
+    ValueError.
 
     Both factors are slices of one kernel table per H, reaching to lag
     n_terms + max(2, |alpha|, |beta|), so the shifts (0, 0), (0, 1) and

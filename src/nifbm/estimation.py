@@ -509,6 +509,9 @@ def two_stage_estimate(
     moment estimators; the reported drift variance plugs the stage-2
     parameter estimates into the exact formula (0 when degenerate).
     """
+    kind = MODEL_PARAMS.get(model)
+    if kind is None:
+        raise ValueError(f"model must be one of {tuple(MODEL_PARAMS)}, got {model!r}")
     y = np.asarray(y, dtype=float)
     g = np.asarray(g, dtype=float)
     if y.shape != g.shape or y.ndim != 1 or y.size < 3:
@@ -524,9 +527,6 @@ def two_stage_estimate(
         )
     mu_tilde = drift_two_point(y[0], y[-1], g[-1]).mu_hat
     base = np.diff(y - mu_tilde * g)
-    kind = MODEL_PARAMS.get(model)
-    if kind is None:
-        raise ValueError(f"model must be one of {tuple(MODEL_PARAMS)}, got {model!r}")
     xi = xi_statistics_from_base(base, factors=MOMENT_FACTORS[kind])
     noise = MOMENT_ESTIMATORS[kind](xi, h)
     variance = 0.0

@@ -236,8 +236,8 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     in one call; sd_theory comes from sigma0_one for the one-process
     model.  j_mode names the scheme: two-process direct-per-j rescales
     shared unit-scale components to every width j*h, component c drawn
-    from stream 1 + c, the first by the caller and each other one by a
-    helper thread of the stage, its xi statistics taken from the
+    from stream 1 + c, the first by the caller and the others on the
+    stage's ThreadPoolExecutor, its xi statistics taken from the
     components' Gram moments (xi_statistics_from_components) once a
     block's components are all drawn; every other case, the
     one-process model in either mode included, is "aggregate", one
@@ -256,12 +256,12 @@ def _noise_stage(config: ExperimentConfig, params: Params, h: float, N: int):
     xis = []
     if direct:
         # loaded with the first stage that needs it, not with the package
-        from .threads import HelperThreads
+        from concurrent.futures import ThreadPoolExecutor
 
-        with HelperThreads(components - 1) as helpers:
+        with ThreadPoolExecutor(components - 1) as pool:
             for rows in blocks:
                 parts = sample_mixed_components(
-                    params, N, rngs, len(rows), workspace=workspaces, helpers=helpers
+                    params, N, rngs, len(rows), workspace=workspaces, pool=pool
                 )
                 xi = xi_statistics_from_components(params, h, *parts)
                 xis.append([xi[j] for j in factors])

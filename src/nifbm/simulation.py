@@ -27,8 +27,8 @@ one stream per stage or, in two-process direct-per-j, per component;
 row r of a stage is then the r-th slab of its streams, whichever
 blocks seed_blocks cut it into.  A stage can hand every block's call
 one block_workspace per series it draws, which the normals and the
-irfft are written into, and helper threads that draw its components
-at once; the draws stay the same.
+irfft are written into, and an executor whose workers draw its
+components at once; the draws stay the same.
 
 Increment series are plain float arrays with time on the last axis:
 the samplers return one row per replication, and
@@ -276,7 +276,7 @@ def sample_increments(
 
 
 def sample_mixed_components(
-    params: Params, N: int, rng, count: int, *, workspace=None, helpers=None
+    params: Params, N: int, rng, count: int, *, workspace=None, pool=None
 ) -> tuple:
     """Unit-scale noises of the components of params, one (count, N)
     array per component: component i, of Hurst index H_i, is
@@ -290,16 +290,18 @@ def sample_mixed_components(
 
     rng is a sequence of one Generator per component and workspace, if
     given, one block_workspace(N, rows) per component, which the noises
-    are views of.  Given helpers, a nifbm.threads.HelperThreads of C - 1
-    helpers for C components, the caller draws component 0 while helper
-    i draws component i + 1; the noises are those drawn without helpers.
+    are views of.  Given pool, a concurrent.futures.Executor such as
+    ThreadPoolExecutor(C - 1), components 1 .. C - 1 are submitted to
+    it while the caller draws component 0; the noises are those drawn
+    without a pool.  A draw that raises raises here, and when it is the
+    caller's, the pool's draws may still be writing their workspaces.
     """
     units = [NifbmParams(H) for H, _ in params.components]
     if len(rng) != len(units):
         raise ValueError(f"{len(rng)} generators for {len(units)} components")
     workspaces = [None] * len(units) if workspace is None else workspace
     for unit in units:
-        # embeddings are computed in the calling thread, not on a helper:
+        # embeddings are computed in the calling thread, not in the pool:
         # benchmarks/tracing.py wraps autocov_sequence at this module, and
         # its span stack is not thread-safe
         _embedding_scale(unit, 1.0, N)
@@ -307,8 +309,11 @@ def sample_mixed_components(
         functools.partial(sample_increments, unit, 1.0, N, gen, count, workspace=ws)
         for unit, gen, ws in zip(units, rng, workspaces, strict=True)
     ]
-    paths = [draw() for draw in draws] if helpers is None else helpers.run(draws)
-    return tuple(paths)
+    if pool is None:
+        return tuple(draw() for draw in draws)
+    rest = [pool.submit(draw) for draw in draws[1:]]
+    first = draws[0]()
+    return (first, *(f.result() for f in rest))
 
 
 def combine_mixed_components(

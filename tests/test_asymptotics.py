@@ -127,12 +127,20 @@ class TestGammaSquareSeries:
         value = gamma_square_series(H, (alpha, beta), n_terms)
         assert abs(value - expected) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("shifts", [(0, 2), (-3, 1), (5, 8)])
-    def test_n_terms_below_largest_shift(self, shifts):
-        widest = max(map(abs, shifts))
-        with pytest.raises(ValueError, match=r"largest \|shift\|"):
-            gamma_square_series(0.3, shifts, widest - 1)
-        assert math.isfinite(gamma_square_series(0.3, shifts, widest))
+    @pytest.mark.parametrize(
+        "shifts,fewest", [((0, 2), 32), ((-3, 1), 32), ((5, 8), 32), ((0, 5), 40),
+                          ((-8, 8), 128)],
+    )
+    def test_n_terms_below_largest_shift(self, shifts, fewest):
+        # the tail is accurate from max(32, 8 |alpha - beta|) terms on
+        with pytest.raises(ValueError, match=rf"at least .* = {fewest}, got"):
+            gamma_square_series(0.3, shifts, fewest - 1)
+        assert math.isfinite(gamma_square_series(0.3, shifts, fewest))
+
+    @pytest.mark.parametrize("shifts", [(0, 9), (-9, 0), (9, 9)])
+    def test_shifts_beyond_eight_rejected(self, shifts):
+        with pytest.raises(ValueError, match=r"shifts must lie in -8 \.\. 8"):
+            gamma_square_series(0.3, shifts, 10**4)
 
     def test_one_kernel_evaluation_per_hurst(self, monkeypatch):
         calls = []
@@ -148,9 +156,13 @@ class TestGammaSquareSeries:
         # one table of the lags 0 .. n_terms + 2, its negative half mirrored
         assert calls == [(0.3456, asymptotics._DEFAULT_TERMS + 3)]
 
-    @pytest.mark.parametrize("n_terms", [0, -3, 2.5])
-    def test_n_terms_must_be_positive_integer(self, n_terms):
-        with pytest.raises(ValueError, match="n_terms must be an integer >= 1"):
+    @pytest.mark.parametrize(
+        "n_terms,message",
+        [(0, "at least"), (-3, "at least"), (1, "at least"), (31, "at least"),
+         (2.5, "an integer")],
+    )
+    def test_n_terms_must_be_positive_integer(self, n_terms, message):
+        with pytest.raises(ValueError, match=f"n_terms must be {message}"):
             gamma_square_series(0.3, (0, 0), n_terms)
 
     def test_truncation_certified(self):

@@ -788,3 +788,12 @@ class TestTwoStage:
         g = np.arange(22.0)
         with pytest.raises(ValueError, match="model must be one of"):
             two_stage_estimate(4.0 * g, g, 1.0, model=model)
+
+    def test_unknown_model_checked_before_any_work(self):
+        # this drift grows too slowly and would warn: the model is checked
+        # first, so the ValueError comes alone
+        g = 0.1 * np.arange(5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="model must be one of"):
+                two_stage_estimate(np.arange(5.0), g, 1.0, model="bogus")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import typing
 from dataclasses import replace
 from pathlib import Path
@@ -346,8 +347,8 @@ class TestRunExperiment:
 
     def test_direct_noise_rows_independent_of_blocks_and_threads(self, monkeypatch):
         # two components at N = 1024 sample in blocks of
-        # 65536 // (2 * 2048) = 16 rows (16, 16, 8), component 1 on a
-        # helper thread; two runs and one-row blocks give the same rows
+        # 65536 // (2 * 2048) = 16 rows (16, 16, 8), component 1 in the
+        # stage's thread pool; two runs and one-row blocks give the same rows
         n, reps = 1024, 40
         assert [len(rows) for rows in seed_blocks(reps, n, 2)] == [16, 16, 8]
         cfg = ExperimentConfig(
@@ -367,9 +368,9 @@ class TestRunExperiment:
         assert results() == blocked
 
     def test_helper_draw_failure_surfaces(self, monkeypatch):
-        # a draw that raises on the helper thread raises the same
-        # exception from run_experiment, and the helper is joined
-        error = MemoryError("helper draw")
+        # a draw that raises in the stage's thread pool raises the same
+        # exception from run_experiment, and the pool's worker is joined
+        error = MemoryError("pool draw")
         draw = simulation.sample_increments
 
         def failing_off_main(*args, **kwargs):
@@ -386,6 +387,34 @@ class TestRunExperiment:
         with pytest.raises(MemoryError) as caught:
             run_experiment(cfg)
         assert caught.value is error
+        assert threading.active_count() == before
+
+    def test_caller_draw_failure_surfaces(self, monkeypatch):
+        # a draw that raises on the calling thread raises the same
+        # exception from run_experiment only after the pool's draw has
+        # run to its end and its worker is joined
+        error = MemoryError("caller draw")
+        draw = simulation.sample_increments
+        ended = []
+
+        def failing_on_main(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                raise error
+            time.sleep(0.05)
+            paths = draw(*args, **kwargs)
+            ended.append(True)
+            return paths
+
+        monkeypatch.setattr(simulation, "sample_increments", failing_on_main)
+        cfg = ExperimentConfig(
+            model="two-nifbm", H1=0.7, H2=0.3, a2=4.0, b2=4.0, grid=((2.0, 64),),
+            replications=5, seed=8,
+        )
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as caught:
+            run_experiment(cfg)
+        assert caught.value is error
+        assert ended == [True]
         assert threading.active_count() == before
 
     def test_one_process_noise_blocks_match_per_replication(self):
@@ -607,12 +636,12 @@ def test_caches_do_not_bypass_integer_checks():
     # alone answered them from the int's entry without the check
     sample_increments(_ONE, 1.0, 1, stream_generator(0, 0), 1)
     sample_increments(_ONE, 1.0, 64, stream_generator(0, 0), 1)
-    gamma_square_series(0.3, (0, 0), 1)
+    gamma_square_series(0.3, (0, 0), 64)
     for bad in (True, 64.0):
         with pytest.raises(ValueError, match="N must be an integer"):
             sample_increments(_ONE, 1.0, bad, stream_generator(0, 0), 1)
-    with pytest.raises(ValueError, match="n_terms must be an integer"):
-        gamma_square_series(0.3, (0, 0), True)
+        with pytest.raises(ValueError, match="n_terms must be an integer"):
+            gamma_square_series(0.3, (0, 0), bad)
 
 
 def test_estimator_covariance_is_a_test_oracle():
@@ -844,17 +873,15 @@ class TestCli:
         )
         assert out.stdout.splitlines() == ["[]", "[]"]
 
-    def test_helper_threads_load_with_two_components(self):
-        # the package import and a one-process table leave the helper
-        # threads' module unloaded and start no thread; a two-process
-        # direct-per-j table loads it, without concurrent.futures, and
-        # joins its helpers
+    def test_thread_pool_loads_with_two_components(self):
+        # the package import and a one-process table leave
+        # concurrent.futures unloaded and start no thread; a two-process
+        # direct-per-j table loads it and joins its pool's worker
         code = "\n".join([
             "import contextlib, io, sys, threading",
             "import nifbm.cli",
             "def state():",
-            "    loaded = [m for m in ('nifbm.threads', 'concurrent.futures') if m in sys.modules]",
-            "    return loaded, threading.active_count()",
+            "    return 'concurrent.futures' in sys.modules, threading.active_count()",
             "print(state())",
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    assert nifbm.cli.main(['tables', '--which', '3', '--replications', '2']) == 0",
@@ -869,9 +896,7 @@ class TestCli:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": path},
         )
-        assert out.stdout.splitlines() == [
-            "([], 1)", "([], 1)", "(['nifbm.threads'], 1)"
-        ]
+        assert out.stdout.splitlines() == ["(False, 1)", "(False, 1)", "(True, 1)"]
 
     def test_constants(self, capsys):
         assert main(["constants", "--H", "0.5", "--max-lag", "4"]) == 0

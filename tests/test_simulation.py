@@ -1,6 +1,6 @@
 import math
 import re
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from nifbm.estimation import (
     xi_statistics_from_base,
 )
 from nifbm.harness import MAX_N
-from nifbm.threads import HelperThreads
 from nifbm.simulation import (
     BLOCK_ELEMENTS,
     DriftSpec,
@@ -505,7 +504,7 @@ class TestBlockWorkspace:
 
 class TestComponentStreams:
     """Two-process direct-per-j draws component c from its own
-    generator, alone or on a helper thread, into its own workspace."""
+    generator, alone or in a thread pool, into its own workspace."""
 
     _PARAMS = MixedParams(0.7, 0.3, 2.0, 1.5)
 
@@ -521,7 +520,7 @@ class TestComponentStreams:
     @pytest.mark.parametrize("n,reps", [(513, 150), (64, 300)])
     def test_helpers_and_blocks_leave_the_draws(self, n, reps):
         # blocks of BLOCK_ELEMENTS // (2 m) rows drawn into one workspace,
-        # on a helper thread or not, give the rows of one unbuffered call
+        # in a thread pool or not, give the rows of one unbuffered call
         blocks = list(seed_blocks(reps, n, 2))
         assert len(blocks) > 1
         whole = np.stack(
@@ -530,11 +529,11 @@ class TestComponentStreams:
         workspaces = [block_workspace(n, len(blocks[0])) for _ in range(2)]
         for _ in range(2):
             rngs = component_generators(7)
-            with HelperThreads(1) as helpers:
+            with ThreadPoolExecutor(1) as pool:
                 drawn = [
                     np.stack(sample_mixed_components(
                         self._PARAMS, n, rngs, len(b), workspace=workspaces,
-                        helpers=helpers,
+                        pool=pool,
                     )).copy()
                     for b in blocks
                 ]
@@ -577,54 +576,6 @@ class TestComponentStreams:
         assert 2 * out.size <= BLOCK_ELEMENTS
         for buffer in (normals, out):
             assert buffer.size <= BLOCK_ELEMENTS
-
-
-class TestHelperThreads:
-    def test_results_in_task_order(self):
-        before = threading.active_count()
-        with HelperThreads(2) as helpers:
-            assert threading.active_count() == before + 2
-            for base in range(3):
-                assert helpers.run([lambda b=base + i: b for i in range(3)]) == [
-                    base, base + 1, base + 2
-                ]
-        assert threading.active_count() == before
-
-    def test_zero_helpers_start_no_thread(self):
-        before = threading.active_count()
-        with HelperThreads(0) as helpers:
-            assert threading.active_count() == before
-            assert helpers.run([lambda: 5]) == [5]
-
-    @pytest.mark.parametrize("failing", [0, 1])
-    def test_exception_surfaces_in_the_caller(self, failing):
-        # the very exception a task raised, on the caller's thread or a
-        # helper's, and every helper joined when the block is left
-        before = threading.active_count()
-        error = RuntimeError("draw failed")
-        ended = []
-
-        def fail():
-            raise error
-
-        def work():
-            ended.append(True)
-            return 1
-
-        tasks = [work, work]
-        tasks[failing] = fail
-        with pytest.raises(RuntimeError) as caught:
-            with HelperThreads(1) as helpers:
-                helpers.run(tasks)
-        assert caught.value is error
-        # the task that did not raise still ran to its end
-        assert ended == [True]
-        assert threading.active_count() == before
-
-    def test_task_count_checked(self):
-        with HelperThreads(1) as helpers:
-            with pytest.raises(ValueError, match="1 tasks for 1 helpers"):
-                helpers.run([lambda: 0])
 
 
 class TestAggregation:
