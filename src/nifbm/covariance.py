@@ -19,6 +19,7 @@ float arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -250,10 +251,18 @@ def autocov_sequence(params: Params, h: float, N: int) -> np.ndarray:
     """
     check_positive("window width h", h)
     check_length(N)
-    lags = np.arange(N)
-    values = sum(c * h ** (2.0 * H) * gamma(H, lags) for H, c in params.components)
+    values = sum(c * h ** (2.0 * H) * _unit_kernel(H, N) for H, c in params.components)
     # the variance underflows to 0 for tiny h and large H
     check_positive("lag-0 autocovariance (a variance)", values[0])
+    return values
+
+
+@functools.lru_cache(maxsize=128)
+def _unit_kernel(H: float, N: int) -> np.ndarray:
+    """gamma(H, k) at the lags k = 0 .. N - 1, read-only.  Cached, so
+    every width h and scale of one (H, N) shares one evaluation."""
+    values = gamma(H, np.arange(N))
+    values.flags.writeable = False
     return values
 
 

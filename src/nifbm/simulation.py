@@ -22,10 +22,10 @@ standard_normal call per block of `count` paths, of shape
 sample_mixed_components makes that draw once per component of a
 two-process model, each from a generator of its own.  A run's stages
 draw their replications in order from stream_generator(seed, stream),
-which is np.random.Generator(np.random.PCG64(seed).jumped(stream)),
-one stream per stage or, in two-process direct-per-j, per component;
-row r of a stage is then the r-th slab of its streams, whichever
-blocks seed_blocks cut it into.  A stage can hand every block's call
+an SFC64 generator seeded by numpy's SeedSequence(seed) with spawn key
+(stream,), one stream per stage or, in two-process direct-per-j, per
+component; row r of a stage is then the r-th slab of its streams,
+whichever blocks seed_blocks cut it into.  A stage can hand every block's call
 one block_workspace per series it draws, which the normals and the
 irfft are written into, and an executor whose workers draw its
 components at once; the draws stay the same.
@@ -159,17 +159,16 @@ def embedding_eigenvalues(row: np.ndarray, m: int) -> np.ndarray:
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
-    """np.random.Generator(np.random.PCG64(seed).jumped(stream)), the
-    generator a stage of a run draws its replications from, for
-    nonnegative integers seed and stream < 2^128 (not bools): stream 0
-    for a drift stage, 1 for a noise stage, 1 + c for component c of a
-    two-process direct-per-j noise stage."""
+    """The generator a stage of a run draws its replications from:
+    SFC64 seeded by SeedSequence(seed, spawn_key=(stream,)), which is
+    the generator of the child SeedSequence(seed).spawn(stream + 1)[stream],
+    for nonnegative integers seed and stream of any size (not bools).
+    Stream 0 is a drift stage's, 1 a noise stage's and 1 + c that of
+    component c of a two-process direct-per-j noise stage."""
     if not all(is_integer(v) and v >= 0 for v in (seed, stream)):
         raise ValueError("seed and stream must be nonnegative integers")
-    if stream >= 2**128:
-        # jumped wraps modulo 2^128: jumped(2**128) is jumped(0)
-        raise ValueError("stream must be below 2**128")
-    return np.random.Generator(np.random.PCG64(seed).jumped(stream))
+    sequence = np.random.SeedSequence(seed, spawn_key=(stream,))
+    return np.random.Generator(np.random.SFC64(sequence))
 
 
 def seed_blocks(count: int, N: int, components: int = 1):

@@ -33,11 +33,12 @@ settings.load_profile("suite")
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
-    """Stream `stream` of a seed: numpy's PCG64(seed) jumped `stream`
-    times, written out here as the oracle that
-    nifbm.simulation.stream_generator and the samplers' draws are
-    checked against."""
-    return np.random.Generator(np.random.PCG64(seed).jumped(stream))
+    """Stream `stream` of a seed: numpy's SFC64 seeded by the
+    SeedSequence of the seed with spawn key (stream,), written out here
+    as the oracle that nifbm.simulation.stream_generator and the
+    samplers' draws are checked against."""
+    sequence = np.random.SeedSequence(seed, spawn_key=(stream,))
+    return np.random.Generator(np.random.SFC64(sequence))
 
 
 def fbm_cov(H: float, s: float, t: float) -> float:

@@ -433,6 +433,27 @@ class TestAutocovSequence:
         with pytest.raises(ValueError):
             autocov_sequence(NifbmParams(0.5), 1.0, 0)
 
+    def test_one_kernel_evaluation_per_hurst_and_length(self, monkeypatch):
+        calls = []
+
+        def counting_gamma(H, n):
+            calls.append((H, np.size(n)))
+            return gamma(H, n)
+
+        monkeypatch.setattr(covariance, "gamma", counting_gamma)
+        covariance._unit_kernel.cache_clear()
+        lags = np.arange(64)
+        for h in (1.0, 2.0, 4.0):
+            for a2 in (1.0, 3.0):
+                seq = autocov_sequence(NifbmParams(0.3456, a2), h, 64)
+                # the same arithmetic as a direct evaluation, bit for bit
+                assert np.array_equal(seq, a2 * h ** (2 * 0.3456) * gamma(0.3456, lags))
+                seq[0] = 0.0  # the caller's own array
+        mixed = autocov_sequence(MixedParams(0.3456, 0.2, 2.0, 5.0), 2.0, 64)
+        assert calls == [(0.3456, 64), (0.2, 64)]
+        assert np.array_equal(mixed, 2.0 * 2.0 ** (2 * 0.3456) * gamma(0.3456, lags)
+                              + 5.0 * 2.0 ** (2 * 0.2) * gamma(0.2, lags))
+
 
 class TestFindH0:
     def test_value(self):

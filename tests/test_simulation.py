@@ -171,16 +171,13 @@ class TestSampleIncrements:
         assert list(seed_blocks(0, 513)) == []
 
     @pytest.mark.parametrize(
-        "seed,stream,message",
-        [(-1, 0, _NOT_NATURAL), (0, -1, _NOT_NATURAL),
-         (1.5, 0, _NOT_NATURAL), (0, 0.5, _NOT_NATURAL),
-         (True, 0, _NOT_NATURAL), (0, True, _NOT_NATURAL),
-         (0, 2**128, r"stream must be below 2\*\*128")],
+        "seed,stream",
+        [(-1, 0), (0, -1), (1.5, 0), (0, 0.5), (True, 0), (0, True)],
         ids=["negative-seed", "negative-stream", "float-seed", "float-stream",
-             "bool-seed", "bool-stream", "stream-past-period"],
+             "bool-seed", "bool-stream"],
     )
-    def test_bad_seed_or_stream_rejected(self, seed, stream, message):
-        with pytest.raises(ValueError, match=message):
+    def test_bad_seed_or_stream_rejected(self, seed, stream):
+        with pytest.raises(ValueError, match=_NOT_NATURAL):
             stream_generator(seed, stream)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 4)])
@@ -304,7 +301,7 @@ class TestEmbeddingLength:
 
 
 class TestStreams:
-    def assert_matches_jumped(self, seed, streams):
+    def assert_matches_oracle(self, seed, streams):
         for stream in streams:
             drawn = stream_generator(seed, stream).standard_normal((2, 3))
             expected = conftest.stream_generator(seed, stream).standard_normal((2, 3))
@@ -313,12 +310,12 @@ class TestStreams:
     def test_word_count_edges(self):
         # every edge stream of every edge seed
         for seed in _WORD_EDGES:
-            self.assert_matches_jumped(seed, _WORD_EDGES)
+            self.assert_matches_oracle(seed, _WORD_EDGES)
 
     @given(_SEED_INTS, st.lists(_SEED_INTS, min_size=1, max_size=8))
     @settings(max_examples=150)
     def test_any_stream(self, seed, streams):
-        self.assert_matches_jumped(seed, streams)
+        self.assert_matches_oracle(seed, streams)
 
     @pytest.mark.parametrize("count", [0, 1, 7])
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
@@ -378,13 +375,20 @@ class TestStreams:
                 conftest.stream_generator(0, stream).standard_normal(3),
             )
 
-    def test_stream_beyond_period_rejected(self):
-        # jumped wraps modulo 2^128: jumped(2**128) would repeat stream 0
-        self.assert_matches_jumped(7, [2**128 - 1])
-        message = r"stream must be below 2\*\*128"
-        for stream in (2**128, 2**128 + 5):
-            with pytest.raises(ValueError, match=message):
-                stream_generator(7, stream)
+    @pytest.mark.parametrize("stream", [0, 1, 2, 7])
+    def test_stream_is_spawned_child(self, stream):
+        # stream s is the generator of the s-th child numpy's SeedSequence
+        # spawns from the seed
+        child = np.random.SeedSequence(2026).spawn(stream + 1)[stream]
+        expected = np.random.Generator(np.random.SFC64(child)).standard_normal(8)
+        assert np.array_equal(stream_generator(2026, stream).standard_normal(8), expected)
+
+    def test_streams_beyond_2_128_accepted(self):
+        # a spawn key has no period: no stream wraps onto another
+        self.assert_matches_oracle(7, [2**128 - 1, 2**128, 2**128 + 5])
+        draws = [stream_generator(7, s).standard_normal(4) for s in (0, 2**128, 2**128 + 5)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert not np.array_equal(draws[i], draws[j])
 
     def test_consecutive_rows_uncorrelated(self):
         # first increments of 4000 consecutive rows of one stream at
@@ -403,6 +407,10 @@ class TestStreams:
         # the harness's drift and noise stages: streams 0 and 1 of a seed
         other = sample_increments(params, 1.0, 8, stream_generator(11, 1), 4000)[:, 0]
         assert_uncorrelated(first, other)
+        # the first increment of stream 1 at 4000 consecutive seeds
+        seeds = np.array([one_path(params, 1.0, 8, seed, 1)[0, 0] for seed in range(4000)])
+        for gap in (1, 1000):
+            assert_uncorrelated(seeds[:-gap], seeds[gap:])
 
 
 class TestSharedComponentSampling:
