@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .covariance import (
-    NifbmParams, Params, check_positive, gamma, is_integer, series_coefficients,
+    NifbmParams, Params, _unit_kernel, check_positive, is_integer, series_coefficients,
 )
 from .errors import HTooLargeError
 from .estimation import MOMENT_FACTORS
@@ -128,20 +128,6 @@ def zeta(x: float, q: float) -> float:
     return total
 
 
-@functools.lru_cache(maxsize=4)
-def _kernel_table(H: float, reach: int) -> np.ndarray:
-    """gamma(H, k) at the lags k = -reach .. reach, read-only.
-
-    gamma is evaluated once, on k = 0 .. reach, and mirrored: it is
-    elementwise and even in its lag, so each entry equals a direct
-    evaluation at that lag bit for bit.
-    """
-    half = gamma(H, np.arange(reach + 1))
-    table = np.concatenate((half[:0:-1], half))
-    table.flags.writeable = False
-    return table
-
-
 def _binom_real(a: float, i: int) -> float:
     """a choose i for any real a and integer i >= 0: the coefficient of
     u^i in (1 + u)^a."""
@@ -209,20 +195,23 @@ def gamma_square_series(
     that much at shifts 8 apart.  Shifts beyond 8 and fewer terms raise
     ValueError.
 
-    Both factors are slices of one kernel table per H, reaching to lag
-    n_terms + max(2, |alpha|, |beta|), so the shifts (0, 0), (0, 1) and
-    (0, 2) of sigma_tilde_one share a single evaluation of gamma, and
-    the expansion, which depends on H alone, is shared as well.  Values
-    are cached (typed, so a bool or float n_terms is checked, not read
-    from an equal int's entry): they depend on H alone, not on h or N,
-    so the grid points of an experiment share one evaluation per H.
+    Both factors are slices of one table of gamma at the lags -reach ..
+    reach, reach = n_terms + max(2, |alpha|, |beta|), mirrored from
+    covariance._unit_kernel(H, reach + 1), the package's one cache of
+    kernel rows: the shifts (0, 0), (0, 1) and (0, 2) of sigma_tilde_one
+    share a single evaluation of gamma, and the expansion, which depends
+    on H alone, is shared as well.  Values are cached (typed, so a bool
+    or float n_terms is checked, not read from an equal int's entry):
+    they depend on H alone, not on h or N, so the grid points of an
+    experiment share one evaluation per H.
     """
     H = _check_h_range(H)
     n_terms = _check_n_terms(n_terms, shifts)
     alpha, beta = shifts
     # entry pad + k of the table is lag k - n_terms
     pad = max(2, abs(alpha), abs(beta))
-    table = _kernel_table(H, n_terms + pad)
+    half = _unit_kernel(H, n_terms + pad + 1)
+    table = np.concatenate((half[:0:-1], half))
     first = table[pad + alpha : pad + alpha + 2 * n_terms + 1]
     second = table[pad + beta : pad + beta + 2 * n_terms + 1]
     total = float(np.sum(first * second))
@@ -298,9 +287,16 @@ def sigma0_one(theta: NifbmParams, h: float) -> np.ndarray:
 
     The xi covariance scales with the fourth power of the process
     scale, hence the a2 squared factor before the congruence with the
-    inverse Jacobian.
+    inverse Jacobian J^-1.  That is the adjugate over the determinant,
+    and the congruence is two einsum products, (J^-1 Sigma) J^-T: no
+    call reaches LAPACK or BLAS, whose code even a 2x2 product pages
+    in.  J's rows are close to parallel at small H (a d is 72 times
+    det J at H = 0.01, h = 2), so det J is formed exactly from the
+    entries' integer ratios and rounded once.
     """
     sig = sigma_tilde_one(theta.H, h) * theta.a2**2
-    jac = jacobian(theta, h)
-    inv = np.linalg.solve(jac, np.eye(2))
-    return inv @ sig @ inv.T
+    (a, b), (c, d) = jacobian(theta, h)
+    (na, da), (nb, db), (nc, dc), (nd, dd) = (v.as_integer_ratio() for v in (a, b, c, d))
+    det = (na * nd * db * dc - nb * nc * da * dd) / (da * dd * db * dc)
+    inv = np.array([[d, -b], [-c, a]]) / det
+    return np.einsum("ij,kj->ik", np.einsum("ij,jk->ik", inv, sig), inv)

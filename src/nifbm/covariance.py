@@ -260,7 +260,8 @@ def autocov_sequence(params: Params, h: float, N: int) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _unit_kernel(H: float, N: int) -> np.ndarray:
     """gamma(H, k) at the lags k = 0 .. N - 1, read-only.  Cached, so
-    every width h and scale of one (H, N) shares one evaluation."""
+    every width h and scale of one (H, N) shares one evaluation; the
+    theory layer's gamma_square_series mirrors its rows too."""
     values = gamma(H, np.arange(N))
     values.flags.writeable = False
     return values

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import scipy.special
 from scipy.linalg import toeplitz
 
-from nifbm import asymptotics
+from nifbm import asymptotics, covariance
 from nifbm.asymptotics import (
     gamma_square_series,
     jacobian,
@@ -149,11 +149,11 @@ class TestGammaSquareSeries:
             calls.append((H, np.size(n)))
             return gamma(H, n)
 
-        monkeypatch.setattr(asymptotics, "gamma", counting_gamma)
+        monkeypatch.setattr(covariance, "gamma", counting_gamma)
         gamma_square_series.cache_clear()
-        asymptotics._kernel_table.cache_clear()
+        covariance._unit_kernel.cache_clear()
         sigma_tilde_one(0.3456, 2.0)
-        # one table of the lags 0 .. n_terms + 2, its negative half mirrored
+        # one cached row of the lags 0 .. n_terms + 2, mirrored
         assert calls == [(0.3456, asymptotics._DEFAULT_TERMS + 3)]
 
     @pytest.mark.parametrize(
@@ -317,6 +317,17 @@ class TestSigma0:
     def test_h_too_large(self):
         with pytest.raises(HTooLargeError):
             sigma0_one(NifbmParams(0.8, a2=1.0), 1.0)
+
+    @pytest.mark.parametrize("H", [0.01, 0.1, 0.3, 0.5, 0.6, 0.7, 0.749])
+    def test_equals_solve_form(self, H):
+        # the adjugate form against the LU solve it replaced
+        for h in (0.5, 2.0, 16.0):
+            for a2 in (1.0, 4.0):
+                theta = NifbmParams(H, a2=a2)
+                inv = np.linalg.solve(jacobian(theta, h), np.eye(2))
+                expected = inv @ (sigma_tilde_one(H, h) * a2**2) @ inv.T
+                err = np.max(np.abs(sigma0_one(theta, h) - expected))
+                assert err <= 1e-14 * np.max(np.abs(expected))
 
     def test_predicted_hurst_sd(self):
         # frozen value verified by Monte Carlo: sd of the Hurst

@@ -37,6 +37,7 @@ from nifbm.simulation import (
     add_drift,
     cholesky_factor,
     combine_mixed_components,
+    fast_length,
     sample_increments,
     sample_mixed_components,
     stream_generator,
@@ -643,6 +644,35 @@ class TestToeplitzSolve:
         solved = _toeplitz_solve(cov, b)
         err = np.linalg.norm(solved - expected) / np.linalg.norm(expected)
         assert err <= 1e-10
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the preconditioner's rfft/irfft run at length N, which takes "
+        "Bluestein's path when N has a large prime factor (ROADMAP, Smaller "
+        "leftovers)",
+    )
+    def test_every_fft_length_is_5_smooth(self, monkeypatch):
+        # 8191 is prime: at H = 0.7, h = 2 a solve takes 28 ms there
+        # against 5 ms at N = 8192
+        lengths = []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def recording_rfft(a, n=None, *args, **kwargs):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        def recording_irfft(a, n=None, *args, **kwargs):
+            lengths.append(2 * (np.shape(a)[-1] - 1) if n is None else n)
+            return irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+        monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+        n = 8191
+        cov = autocov_sequence(NifbmParams(0.7), 2.0, n)
+        _toeplitz_solve(cov, np.diff(drift_samples("linear", n, 2.0)))
+        assert len(lengths) > 3
+        # fast_length(m) is the smallest 5-smooth length >= m
+        assert [m for m in lengths if fast_length(m) != m] == []
 
 
 class TestDriftTwoPoint:

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 import nifbm
 import nifbm.harness as harness
 import nifbm.simulation as simulation
-from nifbm.asymptotics import _kernel_table, gamma_square_series, sigma0_one
+from nifbm import covariance
+from nifbm.asymptotics import _DEFAULT_TERMS, gamma_square_series, sigma0_one
 from nifbm.cli import main
-from nifbm.covariance import MixedParams, NifbmParams, autocov_sequence
+from nifbm.covariance import MixedParams, NifbmParams, autocov_sequence, gamma
 from nifbm.errors import ConfigError
 from nifbm.estimation import (
     drift_mle,
@@ -464,10 +465,17 @@ class TestRunExperiment:
         mu_hat = nifbm.drift_two_point(0.0, -np.ones(cfg.replications), 0.0).mu_hat
         assert mu_hat.shape == (cfg.replications,) and not np.signbit(mu_hat).any()
 
-    def test_theory_series_once_per_hurst(self):
+    def test_theory_series_once_per_hurst(self, monkeypatch):
         # the series depend on H only, so two grid steps share them
+        calls = []
+
+        def counting_gamma(H, n):
+            calls.append((H, np.size(n)))
+            return gamma(H, n)
+
+        monkeypatch.setattr(covariance, "gamma", counting_gamma)
         gamma_square_series.cache_clear()
-        _kernel_table.cache_clear()
+        covariance._unit_kernel.cache_clear()
         cfg = ExperimentConfig(
             model="one-nifbm",
             H1=0.3,
@@ -481,7 +489,27 @@ class TestRunExperiment:
         assert all(row.sd_theory is not None for row in rows)
         info = gamma_square_series.cache_info()
         assert (info.misses, info.hits) == (3, 3)
-        assert _kernel_table.cache_info().misses == 1
+        # one row of gamma for all three series, besides the sampler's
+        assert calls.count((0.3, _DEFAULT_TERMS + 3)) == 1
+
+    def test_theory_without_lapack(self, monkeypatch):
+        # sigma0_one inverts the 2x2 Jacobian in closed form
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        cfg = ExperimentConfig(
+            model="one-nifbm",
+            H1=0.3,
+            grid=((2.0, 64),),
+            replications=20,
+            seed=1,
+            simulation_mode="aggregate",
+        )
+        rows = run_experiment(cfg)
+        assert len(rows) == 2
+        assert all(math.isfinite(row.sd_theory) for row in rows)
 
     def test_theory_above_three_quarters_absent(self):
         cfg = ExperimentConfig(
